@@ -120,6 +120,10 @@ class SeparatedODE:
     (r, sh r or sin r); ``schrodinger`` holds the companion normal form
     f'' + (q - U) f = 0 obtained from the curved axial equations by
     f = Z ch z (Lobachevsky) or f = Z cos z (spherical).
+
+    ``pcoef``, ``qcoef`` and ``weight`` must accept arrays of x and return
+    arrays of the same shape (or scalars, for constant coefficients):
+    integrators evaluate them once over all their nodes.
     """
 
     kind: str

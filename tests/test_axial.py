@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,10 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 from coxlab.axial import (
+    _RKF_A,
+    _RKF_B4,
+    _RKF_BERR,
+    _RKF_C,
     airy_pair,
     effective_force,
     effective_force_extrema,
@@ -19,7 +24,13 @@ from coxlab.axial import (
     potential_profile,
     singular_local_form,
 )
-from coxlab.backgrounds import BackgroundSpec, QuantumNumbers, assemble_axial_ode, assemble_radial_ode
+from coxlab.backgrounds import (
+    BackgroundSpec,
+    QuantumNumbers,
+    SeparatedODE,
+    assemble_axial_ode,
+    assemble_radial_ode,
+)
 from coxlab.errors import DomainError, ParameterError, PoleError, StepFailure
 
 LOB = BackgroundSpec(geometry="lobachevsky", b=1.0, gamma=0.2)
@@ -290,8 +301,11 @@ def test_integrate_axial_sub_barrier_growth():
 def test_integrate_axial_error_modes():
     spec = BackgroundSpec(geometry="flat", field="electric", nu=50.0)
     ode = assemble_axial_ode(spec, 0.0, w=0.0)
-    with pytest.raises(StepFailure):
+    with pytest.raises(StepFailure) as failure:
         integrate_axial(ode, (1.0, 0.0), (-3.0, 3.0), steps=5)
+    assert str(failure.value) == (
+        "local error 8.048e+03 at z = -3 exceeds tol*scale = 4.541e-05; increase steps"
+    )
     with pytest.raises(ParameterError):
         integrate_axial(ode, (1.0, 0.0), (3.0, -3.0), steps=100)
     with pytest.raises(ParameterError):
@@ -299,6 +313,140 @@ def test_integrate_axial_error_modes():
     radial = assemble_radial_ode(LOB, QuantumNumbers(0, 0))
     with pytest.raises(ParameterError):
         integrate_axial(radial, (1.0, 0.0), (0.1, 2.0), steps=100)
+
+
+def _per_step_rkf45(ode, ic_left, z_range, steps):
+    """The Fehlberg 4(5) loop written step by step, with one scalar
+    coefficient call per stage: the reference for integrate_axial."""
+
+    def f(z, y):
+        return np.array(
+            [y[1], -(ode.pcoef(z) * y[1] + ode.qcoef(z, 0.0) * y[0])], dtype=complex
+        )
+
+    z0, z1 = z_range
+    h = (z1 - z0) / steps
+    zs = z0 + h * np.arange(steps + 1)
+    Z = np.empty(steps + 1, dtype=complex)
+    dZ = np.empty(steps + 1, dtype=complex)
+    y = np.array(ic_left, dtype=complex)
+    Z[0], dZ[0] = y
+    total_err = 0.0
+    for i in range(steps):
+        k = []
+        for stage in range(6):
+            dy = sum((a * kk for a, kk in zip(_RKF_A[stage], k)), start=np.zeros(2, complex))
+            k.append(f(zs[i] + _RKF_C[stage] * h, y + h * dy))
+        y_next = y + h * sum(b * kk for b, kk in zip(_RKF_B4, k))
+        err = abs(h) * np.max(np.abs(sum(b * kk for b, kk in zip(_RKF_BERR, k))))
+        total_err += err
+        y = y_next
+        Z[i + 1], dZ[i + 1] = y
+    return zs, Z, dZ, total_err
+
+
+_ASSEMBLED = {
+    "lobachevsky-magnetic": (LOB, 2.0, dict(epsilon=1.0), (-2.0, 2.0)),
+    "spherical-magnetic": (SPH, 2.0, dict(epsilon=0.5), (-0.9, 0.9)),
+    "flat-electric": (
+        BackgroundSpec(geometry="flat", field="electric", nu=1.5, gamma=0.3),
+        1.0, dict(w=3.0), (-2.0, 1.0),
+    ),
+    "lobachevsky-electric": (
+        BackgroundSpec(geometry="lobachevsky", field="electric", nu=1.2, gamma=0.4),
+        1.5, dict(w=2.0), (-1.5, 1.5),
+    ),
+    "spherical-electric": (
+        BackgroundSpec(geometry="spherical", field="electric", nu=0.8, gamma=-0.3),
+        1.0, dict(w=1.0), (-0.8, 0.8),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, schrodinger",
+    [(name, False) for name in _ASSEMBLED]
+    + [("lobachevsky-magnetic", True), ("spherical-magnetic", True)],
+)
+def test_integrate_axial_matches_per_step_loop(name, schrodinger):
+    spec, Lambda, kw, z_range = _ASSEMBLED[name]
+    ode = assemble_axial_ode(spec, Lambda, **kw)
+    if schrodinger:
+        ode = ode.schrodinger
+    ic = (1.0 + 0.5j, -0.3 + 0.2j)
+    zs, Z, dZ, total_err = _per_step_rkf45(ode, ic, z_range, 300)
+    sol = integrate_axial(ode, ic, z_range, 300)
+    assert np.array_equal(sol.z, zs)
+    assert np.max(np.abs(sol.Z - Z)) <= 1e-13 * np.max(np.abs(Z))
+    assert np.max(np.abs(sol.dZ - dZ)) <= 1e-13 * np.max(np.abs(dZ))
+    # the summed local errors are differences of nearly equal stage sums,
+    # so they keep fewer digits than the solution itself
+    assert_allclose(sol.residual_estimate, total_err, rtol=1e-6)
+
+
+def _counting(fn, shapes):
+    def wrapped(*args):
+        shapes.append(np.shape(args[0]))
+        return fn(*args)
+
+    return wrapped
+
+
+def test_integrate_axial_evaluates_coefficients_once():
+    ode = assemble_axial_ode(LOB, 2.0, epsilon=1.0)
+    p_shapes, q_shapes = [], []
+    counted = dataclasses.replace(
+        ode, pcoef=_counting(ode.pcoef, p_shapes), qcoef=_counting(ode.qcoef, q_shapes)
+    )
+    integrate_axial(counted, (1.0, 0.0), (-2.0, 2.0), steps=250)
+    assert p_shapes == [(250, 6)]
+    assert q_shapes == [(250, 6)]
+
+
+def test_integrate_axial_constant_coefficients():
+    """Scalar-valued coefficients broadcast over the stage nodes:
+    Z'' + Z = 0 from (1, 0) is cos z."""
+    ode = SeparatedODE(
+        kind="axial", geometry="flat", field_kind="electric",
+        domain=(-math.inf, math.inf), pcoef=lambda z: 0.0,
+        qcoef=lambda z, s: 1.0 + s, eigen_name="w",
+    )
+    sol = integrate_axial(ode, (1.0, 0.0), (0.0, 3.0), steps=600)
+    assert_allclose(sol.Z.real, np.cos(sol.z), atol=1e-10)
+    assert_allclose(sol.dZ.real, -np.sin(sol.z), atol=1e-10)
+
+
+def test_integrate_axial_refuses_non_finite_input():
+    ode = assemble_axial_ode(LOB, 1.0)
+    for ic in [(math.nan, 0.0), (1.0, complex(0.0, math.inf))]:
+        with pytest.raises(ParameterError):
+            integrate_axial(ode, ic, (-1.0, 1.0), steps=10)
+    for z_range in [(-1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)]:
+        with pytest.raises(ParameterError):
+            integrate_axial(ode, (1.0, 0.0), z_range, steps=10)
+    for tol in [math.nan, 0.0, -1e-9]:
+        with pytest.raises(ParameterError):
+            integrate_axial(ode, (1.0, 0.0), (-1.0, 1.0), steps=10, tol=tol)
+
+
+def test_integrate_axial_refuses_range_outside_domain():
+    ode = assemble_axial_ode(SPH, 2.0)
+    with pytest.raises(DomainError):
+        integrate_axial(ode, (1.0, 0.0), (-2.0, 2.0), steps=400)
+    with pytest.raises(DomainError):
+        integrate_axial(ode.schrodinger, (1.0, 0.0), (0.0, 1.6), steps=400)
+
+
+def test_integrate_axial_nan_local_error_is_a_step_failure():
+    """A coefficient that turns NaN past z = 0.5 fails the first step
+    whose stage nodes reach it, instead of writing NaN rows."""
+    ode = SeparatedODE(
+        kind="axial", geometry="flat", field_kind="electric",
+        domain=(-math.inf, math.inf), pcoef=lambda z: np.zeros_like(z),
+        qcoef=lambda z, s: np.where(z > 0.5, math.nan, 1.0 + s), eigen_name="w",
+    )
+    with pytest.raises(StepFailure, match=r"local error nan at z = 0\.5 "):
+        integrate_axial(ode, (1.0, 0.0), (0.0, 1.0), steps=100)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,30 @@ def test_axial_integrate_flat_magnetic_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--ic-value", "nan"), ("--z-min=-1", "--z-max", "inf")],
+)
+def test_axial_integrate_non_finite_input_exits_1(capsys, flags):
+    code, out, err = run(
+        capsys, "axial-integrate", "--geometry", "lobachevsky", "--b", "1",
+        "--gamma", "0.2", "--lambda-sep", "1", *flags,
+    )
+    assert code == 1
+    assert out == ""
+    assert "ParameterError" in err
+
+
+def test_axial_integrate_outside_domain_exits_1(capsys):
+    code, out, err = run(
+        capsys, "axial-integrate", "--geometry", "spherical", "--b", "1",
+        "--gamma", "0.2", "--lambda-sep", "1", "--z-min=-2", "--z-max", "2",
+    )
+    assert code == 1
+    assert out == ""
+    assert "DomainError" in err
+
+
 # ---------------------------------------------------------------------------
 # config file, precedence, determinism
 # ---------------------------------------------------------------------------
