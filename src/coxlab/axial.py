@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .backgrounds import BackgroundSpec, SeparatedODE, _u_eff
+from .backgrounds import BackgroundSpec, SeparatedODE, _sech2, _u_eff
 from .errors import DomainError, ParameterError, PoleError, StepFailure
 from .special_functions import SeriesControl, gamma_complex, hyp0f1
 
@@ -81,8 +81,11 @@ class AirySolutionPair:
     x = -nu^(1/3) z - w'/nu^(2/3) (so the equation reads Z_xx = x Z).
 
     z1, z2, dz1, dz2 are callables of x; the turning point is the z with
-    x = 0.  The Wronskian z1 z2' - z1' z2 is the constant
-    -(2/3)^(2/3) 3 sqrt(3) / (2 pi) (times the unit phase of the pair).
+    x = 0.  z1 and z2 also accept a 1-D array of x (one array series pass
+    per call) and return a complex array whose elements equal the scalar
+    calls; dz1 and dz2 take floats only.  The Wronskian z1 z2' - z1' z2 is
+    the constant -(2/3)^(2/3) 3 sqrt(3) / (2 pi) (times the unit phase of
+    the pair).
     """
 
     z1: Callable
@@ -121,6 +124,27 @@ def _require_curved_magnetic(spec: BackgroundSpec) -> None:
         )
 
 
+def _axial_grid(spec: BackgroundSpec, z, what: str) -> np.ndarray:
+    """z as a 1-D float array; refuses points off the spherical chart and
+    points where ch^4 z (cos^4 z) meets gamma^2."""
+    _require_curved_magnetic(spec)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    g = spec.gamma
+    tol = _POLE_TOL * max(1.0, g * g)
+    if spec.geometry == "spherical":
+        if np.any(np.abs(z) > math.pi / 2 + 1e-12):
+            raise DomainError("spherical axial coordinate requires |z| <= pi/2")
+        c2 = np.cos(z) ** 2
+        pole = np.abs(c2 * c2 - g * g) < tol
+    else:
+        # |ch^4 z - g^2| < tol in s = sech^2 z, finite where ch^4 z overflows
+        s = _sech2(z)
+        pole = np.abs(1.0 - g * g * s * s) < tol * s * s
+    if np.any(pole):
+        raise PoleError(f"effective {what} pole: ch^4/cos^4 z meets gamma^2 = {g * g}")
+    return z
+
+
 def effective_potential(spec: BackgroundSpec, Lambda: float, z):
     """U(z) of the curved magnetic axial problem (see module docstring).
 
@@ -129,22 +153,9 @@ def effective_potential(spec: BackgroundSpec, Lambda: float, z):
     point for 0 < |gamma| < 1.  The spherical endpoints are regular for
     gamma != 0 with U(+-pi/2) = -b/gamma.
     """
-    _require_curved_magnetic(spec)
     scalar = np.isscalar(z)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    g = spec.gamma
-    if spec.geometry == "spherical":
-        if np.any(np.abs(z) > math.pi / 2 + 1e-12):
-            raise DomainError("spherical axial coordinate requires |z| <= pi/2")
-        c2 = np.cos(z) ** 2
-    else:
-        c2 = np.cosh(z) ** 2
-    den = c2 * c2 - g * g
-    if np.any(np.abs(den) < _POLE_TOL * max(1.0, g * g)):
-        raise PoleError(
-            f"effective potential pole: ch^4/cos^4 z meets gamma^2 = {g * g}"
-        )
-    U = _u_eff(spec.geometry, Lambda, spec.b, g, z)
+    z = _axial_grid(spec, z, "potential")
+    U = _u_eff(spec.geometry, Lambda, spec.b, spec.gamma, z)
     return float(U[0]) if scalar else U
 
 
@@ -152,28 +163,23 @@ def effective_force(spec: BackgroundSpec, Lambda: float, z):
     """Axial force F_z = -dU/dz in closed form:
 
         lobachevsky: F = +2 ch z sh z (L ch^4 z - 2 b g ch^2 z + g^2 L)/(ch^4 z - g^2)^2
+                       = 2 t s (L - 2 b g s + g^2 L s^2)/(1 - g^2 s^2)^2,
+                         t = th z, s = sech^2 z
         spherical:   F = -2 cos z sin z (L cos^4 z + 2 b g cos^2 z + g^2 L)/(cos^4 z - g^2)^2
     """
-    _require_curved_magnetic(spec)
     scalar = np.isscalar(z)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = _axial_grid(spec, z, "force")
     g, b = spec.gamma, spec.b
     if spec.geometry == "spherical":
-        if np.any(np.abs(z) > math.pi / 2 + 1e-12):
-            raise DomainError("spherical axial coordinate requires |z| <= pi/2")
         c, s = np.cos(z), np.sin(z)
         c2 = c * c
         den = c2 * c2 - g * g
         num = Lambda * c2 * c2 + 2.0 * b * g * c2 + g * g * Lambda
         F = -2.0 * c * s * num / (den * den)
     else:
-        c, s = np.cosh(z), np.sinh(z)
-        c2 = c * c
-        den = c2 * c2 - g * g
-        num = Lambda * c2 * c2 - 2.0 * b * g * c2 + g * g * Lambda
-        F = 2.0 * c * s * num / (den * den)
-    if np.any(np.abs(den) < _POLE_TOL * max(1.0, g * g)):
-        raise PoleError("effective force pole: ch^4/cos^4 z meets gamma^2")
+        t, s = np.tanh(z), _sech2(z)
+        den = 1.0 - g * g * s * s
+        F = 2.0 * t * s * (Lambda - 2.0 * b * g * s + g * g * Lambda * s * s) / (den * den)
     return float(F[0]) if scalar else F
 
 
@@ -295,15 +301,32 @@ def airy_pair(w_prime: float, nu: float, ctl: SeriesControl | None = None) -> Ai
         / gamma_complex(2.0 / 3.0).real
     )
 
-    def z1(x: float) -> complex:
-        return c1 * x * hyp0f1(4.0 / 3.0, x**3 / 9.0, ctl)
+    def cube9(x: float) -> float:
+        try:
+            return x**3 / 9.0
+        except OverflowError:
+            raise DomainError(f"x^3/9 overflows at x = {x:g}") from None
+
+    def series(c: float, x):
+        # 0F1(; c; x^3/9) for a float x, or elementwise over a 1-D array of x
+        # in one array pass.  Each element equals the scalar call: the cube
+        # is formed per element with Python float ** (numpy's xs**3 rounds
+        # differently), and 0F1 of a real argument has an exactly zero
+        # imaginary part, so the numpy products in z1 and z2 round like
+        # Python's.
+        if np.ndim(x) == 0:
+            return hyp0f1(c, cube9(x), ctl)
+        return hyp0f1(c, np.array([cube9(t) for t in x.tolist()]), ctl)
+
+    def z1(x):
+        return c1 * x * series(4.0 / 3.0, x)
+
+    def z2(x):
+        return c2 * series(2.0 / 3.0, x)
 
     def dz1(x: float) -> complex:
         u = x**3 / 9.0
         return c1 * (hyp0f1(4.0 / 3.0, u, ctl) + (x**3 / 4.0) * hyp0f1(7.0 / 3.0, u, ctl))
-
-    def z2(x: float) -> complex:
-        return c2 * hyp0f1(2.0 / 3.0, x**3 / 9.0, ctl)
 
     def dz2(x: float) -> complex:
         return c2 * (x * x / 2.0) * hyp0f1(5.0 / 3.0, x**3 / 9.0, ctl)

@@ -72,6 +72,9 @@ class BackgroundSpec:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("rho", "b", "nu", "eta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.geometry not in _GEOMETRIES:
             raise ParameterError(f"unknown geometry {self.geometry!r}")
         if self.field not in _FIELDS:
@@ -366,16 +369,24 @@ def assemble_radial_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedOD
 # separated axial equations
 # ---------------------------------------------------------------------------
 
+def _sech2(z: np.ndarray) -> np.ndarray:
+    """sech^2 z from e = exp(-|z|): 4 e^2 / (1 + e^2)^2, finite for every z
+    (cosh z overflows beyond |z| ~ 710, cosh^4 z beyond |z| ~ 178)."""
+    e2 = np.exp(-2.0 * np.abs(z))
+    return 4.0 * e2 / ((1.0 + e2) * (1.0 + e2))
+
+
 def _u_eff(geometry: str, Lambda: float, b: float, gamma: float, z):
     """Effective potential of the curved magnetic axial problem.
 
     lobachevsky: U = -(b g - Lambda ch^2 z) / (ch^4 z - g^2)
+                   = s (Lambda - b g s) / (1 - g^2 s^2),  s = sech^2 z
     spherical:   U = +(b g + Lambda cos^2 z) / (cos^4 z - g^2)
     """
     z = np.asarray(z, dtype=float)
     if geometry == "lobachevsky":
-        c2 = np.cosh(z) ** 2
-        return -(b * gamma - Lambda * c2) / (c2 * c2 - gamma * gamma)
+        s = _sech2(z)
+        return s * (Lambda - b * gamma * s) / (1.0 - gamma * gamma * s * s)
     c2 = np.cos(z) ** 2
     return (b * gamma + Lambda * c2) / (c2 * c2 - gamma * gamma)
 
@@ -509,17 +520,21 @@ def assemble_axial_ode(
             return 2.0 * np.tanh(np.asarray(z, dtype=float))
 
         def qcoef(z, s):
+            # with D = ch^4 z + g^2 the raw coefficient is
+            #   -2 mu g sh ch (g^2 - ch^4)/D^2 - 2 mu g sh ch/D + (w + s)
+            #   + nu th z - mu2 g^2/D - Lambda/ch^2 z;
+            # the first two terms sum to -4 mu g^3 sh ch/D^2.  Written in
+            # t = th z and q = sech^2 z (E = 1 + g^2 q^2 = D q^2) it stays finite.
             z = np.asarray(z, dtype=float)
-            ch = np.cosh(z)
-            sh = np.sinh(z)
-            D = ch**4 + gam * gam
+            t = np.tanh(z)
+            q = _sech2(z)
+            E = 1.0 + gam * gam * q * q
             return (
-                -2.0 * mu * gam * sh * ch * (gam * gam - ch**4) / (D * D)
-                - 2.0 * mu * gam * sh * ch / D
+                -4.0 * mu * gam**3 * t * q**3 / (E * E)
                 + (w + s)
-                + nu * np.tanh(z)
-                - mu2 * gam * gam / D
-                - Lambda / (ch * ch)
+                + nu * t
+                - mu2 * gam * gam * q * q / E
+                - Lambda * q
             )
 
         return SeparatedODE(

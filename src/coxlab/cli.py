@@ -14,7 +14,8 @@ Configuration
 Flags override values from an optional flat ``key=value`` config file named
 by the ``COXLAB_CONFIG`` environment variable, which in turn overrides the
 built-in defaults.  Keys are the long flag names without the leading dashes
-(``n-max=4``).  Unknown keys are rejected.
+(``n-max=4``).  Unknown keys are rejected, and so are NaN and +-inf for
+any float key, whether given as a flag or in the file (exit code 1).
 
 Output is deterministic for a fixed configuration and seed: floats are
 printed with 17 significant digits, JSON objects are emitted with sorted
@@ -27,7 +28,9 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -75,35 +78,47 @@ _COMMANDS = (
     "axial-integrate",
 )
 
+
+def _finite_float(text: str) -> float:
+    """float() that refuses NaN and +-inf: the converter of every float key."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 # key -> (converter, default); the key set doubles as the config-file schema
 _KEYS: dict[str, tuple] = {
     "geometry": (str, "flat"),
     "field": (str, "magnetic"),
-    "b": (float, 0.0),
-    "nu": (float, 0.0),
-    "eta": (float, 0.0),
-    "gamma": (float, 0.0),
-    "lambda-sep": (float, 2.0),
+    "b": (_finite_float, 0.0),
+    "nu": (_finite_float, 0.0),
+    "eta": (_finite_float, 0.0),
+    "gamma": (_finite_float, 0.0),
+    "lambda-sep": (_finite_float, 2.0),
     "n-max": (int, 10),
     "m-range": (str, "0"),
-    "k": (float, 0.0),
-    "z-min": (float, -3.0),
-    "z-max": (float, 3.0),
+    "k": (_finite_float, 0.0),
+    "z-min": (_finite_float, -3.0),
+    "z-max": (_finite_float, 3.0),
     "samples": (int, 601),
     "grid-points": (int, 3000),
-    "r-max": (float, None),
+    "r-max": (_finite_float, None),
     "trials": (int, 100),
     "seed": (int, 7),
-    "tol": (float, None),
+    "tol": (_finite_float, None),
     "format": (str, "csv"),
     "out": (str, None),
     "include-invalid": (bool, False),
-    "w-prime": (float, None),
-    "w": (float, 0.0),
-    "epsilon": (float, 0.0),
+    "w-prime": (_finite_float, None),
+    "w": (_finite_float, 0.0),
+    "epsilon": (_finite_float, 0.0),
     "m": (int, 0),
-    "ic-value": (float, 1.0),
-    "ic-slope": (float, 0.0),
+    "ic-value": (_finite_float, 1.0),
+    "ic-slope": (_finite_float, 0.0),
     "steps": (int, 1000),
 }
 
@@ -161,7 +176,7 @@ def _convert(key: str, raw: str):
     conv = _KEYS[key][0]
     try:
         return _parse_bool(raw) if conv is bool else conv(raw)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"invalid value for config key {key!r}: {raw!r}") from exc
 
 
@@ -205,7 +220,10 @@ def _parse_m_range(text: str) -> tuple[int, ...]:
         ) from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and reused: parse_args keeps no state
+    # between calls (every flag defaults to None, resolved per call)
     common = argparse.ArgumentParser(add_help=False)
     for key, (conv, _default) in _KEYS.items():
         flag = "--" + key
@@ -585,22 +603,23 @@ def cmd_zprofile(cfg: RunConfig) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 
 def cmd_airy(cfg: RunConfig) -> tuple[str, int]:
+    if cfg.samples < 1:
+        raise ParameterError("airy needs samples >= 1")
     w_prime = 0.0 if cfg.w_prime is None else cfg.w_prime
     pair = airy_pair(w_prime, cfg.nu)
     zs = np.linspace(cfg.z_min, cfg.z_max, cfg.samples)
+    xs = pair.x_of_z(zs)
+    table = list(zip(zs.tolist(), xs.tolist(), pair.z1(xs).tolist(), pair.z2(xs).tolist()))
     if cfg.fmt == "json":
-        rows = []
-        for z in zs:
-            x = float(pair.x_of_z(z))
-            z1, z2 = pair.z1(x), pair.z2(x)
-            rows.append(
-                {
-                    "z": float(z),
-                    "x": x,
-                    "Z1": {"re": z1.real, "im": z1.imag},
-                    "Z2": {"re": z2.real, "im": z2.imag},
-                }
-            )
+        rows = [
+            {
+                "z": z,
+                "x": x,
+                "Z1": {"re": z1.real, "im": z1.imag},
+                "Z2": {"re": z2.real, "im": z2.imag},
+            }
+            for z, x, z1, z2 in table
+        ]
         payload = {
             "command": "airy",
             "wPrime": w_prime,
@@ -610,13 +629,10 @@ def cmd_airy(cfg: RunConfig) -> tuple[str, int]:
             "rows": rows,
         }
         return _json_doc(payload), 0
-    rows = []
-    for z in zs:
-        x = float(pair.x_of_z(z))
-        z1, z2 = pair.z1(x), pair.z2(x)
-        rows.append(
-            [_fmt(z), _fmt(x), _fmt(z1.real), _fmt(z1.imag), _fmt(z2.real), _fmt(z2.imag)]
-        )
+    rows = [
+        [_fmt(z), _fmt(x), _fmt(z1.real), _fmt(z1.imag), _fmt(z2.real), _fmt(z2.imag)]
+        for z, x, z1, z2 in table
+    ]
     footer = [
         f"# turning_point,{_fmt(pair.turning_point)}",
         f"# wronskian,{_fmt(pair.wronskian.real)},{_fmt(pair.wronskian.imag)}",

@@ -158,6 +158,8 @@ def _series_float(nums, dens, x, ctl: SeriesControl):
             small_streak += 1
             if small_streak >= 2:
                 total_c = complex(total)
+                if not cmath.isfinite(total_c):
+                    raise NonConvergence(f"pFq series overflows double at |x| = {abs(x):.3g}")
                 lost = _EPS_LD * peak * math.sqrt(k + 1.0)
                 ok = lost <= ctl.tol * max(abs(total_c), 1e-300)
                 return total_c, peak, ok
@@ -195,19 +197,104 @@ def _series_mp(nums, dens, x, ctl: SeriesControl, peak: float) -> complex:
         )
 
 
-def _hyp_series(nums, dens, x, ctl: SeriesControl) -> complex:
+@np.errstate(over="ignore")  # casts to double overflow silently, as complex() does
+def _series_float_array(nums, dens, x: np.ndarray, ctl: SeriesControl):
+    """`_series_float` over a 1-D array of x in one vectorised loop.
+
+    Every element takes exactly the scalar loop's operations and leaves the
+    loop when its own stop rule fires, so its value, peak and ok flag match
+    a scalar call bit for bit.  Returns (values, peaks, ok) arrays.
+    """
+    n = x.size
+    values = np.empty(n, dtype=complex)
+    peaks = np.empty(n)
+    ok = np.empty(n, dtype=bool)
+    live = np.arange(n)
+    xl = x.astype(np.clongdouble)
+    term = np.ones(n, dtype=np.clongdouble)
+    total = np.ones(n, dtype=np.clongdouble)
+    peak = np.ones(n)
+    streak = np.zeros(n, dtype=int)
+
+    def retire(done, good):
+        nonlocal live, xl, term, total, peak, streak
+        idx = live[done]
+        values[idx] = total[done]
+        peaks[idx] = peak[done]
+        ok[idx] = good
+        keep = ~done
+        live, xl, term, total, peak, streak = (
+            live[keep], xl[keep], term[keep], total[keep], peak[keep], streak[keep]
+        )
+
+    for k in range(ctl.max_terms):
+        ratio = np.clongdouble(1.0)
+        for p in nums:
+            ratio *= np.clongdouble(p) + k
+        for q in dens:
+            ratio /= np.clongdouble(q) + k
+        term = term * ratio * xl / (k + 1)
+        zero = term == 0  # terminating (polynomial) case
+        if zero.any():
+            retire(zero, True)
+        total += term
+        # abs(complex(.)) of the scalar loop: round each part to double, hypot
+        a = np.hypot(term.real.astype(float), term.imag.astype(float))
+        peak = np.maximum(peak, a)
+        total_d = total.astype(complex)
+        size = np.maximum(np.hypot(total_d.real, total_d.imag), 1e-300)
+        streak = np.where(a <= ctl.tol * size, streak + 1, 0)
+        done = streak >= 2
+        if done.any():
+            lost = _EPS_LD * peak[done] * math.sqrt(k + 1.0)
+            retire(done, lost <= ctl.tol * size[done])
+        if not live.size:
+            if not np.isfinite(values).all():
+                bad = np.abs(x[~np.isfinite(values)]).max()
+                raise NonConvergence(f"pFq series overflows double at |x| = {bad:.3g}")
+            return values, peaks, ok
+    raise NonConvergence(
+        f"pFq series did not converge in {ctl.max_terms} terms "
+        f"(|x| = {float(np.max(np.abs(x[live]))):.3g})"
+    )
+
+
+def _require_regular(dens) -> None:
     for q in dens:
         if _near_nonpositive_int(q):
             raise PoleError(f"lower parameter {q} is a nonpositive integer")
+
+
+def _hyp_series(nums, dens, x, ctl: SeriesControl) -> complex:
+    _require_regular(dens)
     value, peak, ok = _series_float(nums, dens, x, ctl)
     if ok:
         return value
     return _series_mp(nums, dens, x, ctl, peak)
 
 
-def hyp0f1(c: complex, x: complex, ctl: SeriesControl | None = None) -> complex:
-    """Confluent limit function 0F1(; c; x) = sum x^k / ((c)_k k!)."""
+def _hyp_series_array(nums, dens, x: np.ndarray, ctl: SeriesControl) -> np.ndarray:
+    """`_hyp_series` elementwise; elements whose cancellation check fails are
+    re-run one by one in mpmath arithmetic, each sized by its own peak."""
+    _require_regular(dens)
+    flat = x.ravel()
+    values, peaks, ok = _series_float_array(nums, dens, flat, ctl)
+    for i in np.flatnonzero(~ok):
+        values[i] = _series_mp(nums, dens, flat[i].item(), ctl, float(peaks[i]))
+    return values.reshape(x.shape)
+
+
+def hyp0f1(c: complex, x, ctl: SeriesControl | None = None):
+    """Confluent limit function 0F1(; c; x) = sum x^k / ((c)_k k!).
+
+    ``x`` may be a scalar (returns a complex) or an array (returns a complex
+    array of the same shape).  An array is summed in one vectorised pass
+    whose elements equal the scalar calls exactly; a scalar keeps the
+    scalar loop, which is several times cheaper for a single point.
+    """
     ctl = ctl or _DEFAULT_CTL
+    if np.ndim(x):
+        return _hyp_series_array((), (c,), np.asarray(x), ctl)
     if x == 0:
         return 1.0 + 0.0j
     return _hyp_series((), (c,), x, ctl)
@@ -265,6 +352,8 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
     real_params = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
     if _near_nonpositive_int(c):
         raise PoleError(f"2F1 lower parameter c = {c} is a nonpositive integer")
+    if not math.isfinite(x):
+        raise DomainError(f"gauss_2f1 needs a finite argument, got x = {x}")
     if x > 1.0:
         raise DomainError("gauss_2f1 is defined on the real line only for x <= 1")
     if x == 1.0:

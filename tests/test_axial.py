@@ -119,6 +119,27 @@ def test_force_parity():
     )
 
 
+def test_lobachevsky_profile_in_sech_form():
+    """The sech^2/tanh forms equal the cosh forms where those are finite and
+    stay finite beyond |z| ~ 178, where ch^4 z overflows (U and F were NaN)."""
+    wide = BackgroundSpec(geometry="lobachevsky", b=1.0, gamma=1.2)
+    L = 2.5
+    zs = np.array([-2.5, -0.3, 0.0, 0.8, 3.0])
+    ch, sh = np.cosh(zs), np.sinh(zs)
+    for spec in (LOB, wide):
+        b, g = spec.b, spec.gamma
+        den = ch**4 - g * g
+        assert_allclose(effective_potential(spec, L, zs), -(b * g - L * ch**2) / den, rtol=1e-14)
+        F = 2 * ch * sh * (L * ch**4 - 2 * b * g * ch**2 + g * g * L) / den**2
+        assert_allclose(effective_force(spec, L, zs), F, rtol=1e-13, atol=1e-15)
+    far = np.array([-1e4, -800.0, -200.0, 200.0, 800.0, 1e4])
+    for spec in (LOB, wide):
+        U, F = effective_potential(spec, L, far), effective_force(spec, L, far)
+        assert np.all(np.abs(U) < 1e-150) and np.all(np.abs(F) < 1e-150)
+    prof = potential_profile(LOB, L, -800.0, 800.0, 9)
+    assert np.all(np.isfinite(prof.U)) and np.all(np.isfinite(prof.Fz))
+
+
 # ---------------------------------------------------------------------------
 # equilibria
 # ---------------------------------------------------------------------------

@@ -48,6 +48,14 @@ def test_background_spec_validation():
     BackgroundSpec(geometry="flat", field="electric", eta=1.5)
 
 
+@pytest.mark.parametrize("name", ["b", "nu", "eta", "gamma", "rho"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_background_spec_rejects_non_finite(name, value):
+    # a NaN eta used to pass: abs(nan) >= 1 is false
+    with pytest.raises(ParameterError, match=f"{name} must be finite"):
+        BackgroundSpec(geometry="flat", **{name: value})
+
+
 def test_quantum_numbers_validation():
     with pytest.raises(ParameterError):
         QuantumNumbers(n=-1, m=0)
@@ -302,6 +310,20 @@ def test_axial_lobachevsky_electric_coefficients():
         )
         assert_allclose(ode.qcoef(z, 0.0), q_hand, rtol=1e-14)
         assert_allclose(ode.pcoef(z), 2 * math.tanh(z), rtol=1e-15)
+
+
+@pytest.mark.parametrize("field", ["magnetic", "electric"])
+def test_axial_lobachevsky_coefficients_finite_far_out(field):
+    # cosh^4 z overflows beyond |z| ~ 178 and cosh z beyond ~ 710; the
+    # sech/tanh forms stay finite (RuntimeWarnings are errors in this suite)
+    spec = _spec("lobachevsky", field, b=1.0, nu=1.5, gamma=0.2)
+    ode = assemble_axial_ode(spec, 1.0, epsilon=0.5, w=0.3)
+    zs = np.array([-1e6, -800.0, -400.0, -200.0, 200.0, 400.0, 800.0, 1e6])
+    q = ode.qcoef(zs, 0.0)
+    assert np.all(np.isfinite(q)) and np.all(np.isfinite(ode.pcoef(zs)))
+    # far out the potential terms vanish: q -> eps (magnetic), w + nu th z (electric)
+    far = 0.5 + 0.0 * zs if field == "magnetic" else 0.3 + 1.5 * np.sign(zs)
+    assert_allclose(q, far, rtol=0, atol=1e-12)
 
 
 def test_axial_spherical_electric_coefficients():

@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
+from coxlab import cli
+from coxlab.axial import airy_pair
 from coxlab.cli import main
 
 
@@ -230,6 +233,58 @@ def test_airy_footer_constants(capsys):
     assert float(wro.split(",")[1]) == pytest.approx(exact, rel=1e-12)
 
 
+def _airy_per_sample(nu, w_prime, z_min, z_max, samples, fmt):
+    """The airy command as one scalar z1/z2 call per sample."""
+    pair = airy_pair(w_prime, nu)
+    rows = []
+    for z in np.linspace(z_min, z_max, samples):
+        x = float(pair.x_of_z(z))
+        rows.append((float(z), x, pair.z1(x), pair.z2(x)))
+    w = pair.wronskian
+    if fmt == "json":
+        return cli._json_doc({
+            "command": "airy",
+            "wPrime": w_prime,
+            "nu": nu,
+            "turningPoint": pair.turning_point,
+            "wronskian": {"re": w.real, "im": w.imag},
+            "rows": [
+                {"z": z, "x": x, "Z1": {"re": z1.real, "im": z1.imag},
+                 "Z2": {"re": z2.real, "im": z2.imag}}
+                for z, x, z1, z2 in rows
+            ],
+        })
+    f = cli._fmt
+    return cli._csv_doc(
+        ["z", "x", "Z1_re", "Z1_im", "Z2_re", "Z2_im"],
+        [[f(z), f(x), f(z1.real), f(z1.imag), f(z2.real), f(z2.imag)]
+         for z, x, z1, z2 in rows],
+        [f"# turning_point,{f(pair.turning_point)}",
+         f"# wronskian,{f(w.real)},{f(w.imag)}"],
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "nu, w_prime, z_min, z_max, samples",
+    [
+        (2.0, 1.5, -2.75, 1.25, 9),      # a node on the turning point (x = -0.0)
+        (1.0, 0.0, -3.0, 3.0, 13),       # symmetric about x = 0
+        (1.0, 0.0, -4.0, 8.0, 13),       # x down to -8: x^3/9 < -30, mpmath re-run
+        (0.7, -1.3, 0.4, 2.9, 1),        # one sample
+        (2.6, 0.35, -1.7, 4.1, 41),
+    ],
+)
+def test_airy_bytes_equal_per_sample_evaluation(capsys, fmt, nu, w_prime, z_min, z_max, samples):
+    code, out, _ = run(
+        capsys, "airy", "--nu", repr(nu), "--w-prime", repr(w_prime),
+        f"--z-min={z_min!r}", f"--z-max={z_max!r}", "--samples", str(samples),
+        "--format", fmt,
+    )
+    assert code == 0
+    assert out == _airy_per_sample(nu, w_prime, z_min, z_max, samples, fmt)
+
+
 def test_airy_requires_positive_nu(capsys):
     code, _, err = run(capsys, "airy", "--nu", "0")
     assert code == 1
@@ -269,13 +324,14 @@ def test_axial_integrate_flat_magnetic_exits_1(capsys):
     [("--ic-value", "nan"), ("--z-min=-1", "--z-max", "inf")],
 )
 def test_axial_integrate_non_finite_input_exits_1(capsys, flags):
+    # refused by the argument parser, before any library call
     code, out, err = run(
         capsys, "axial-integrate", "--geometry", "lobachevsky", "--b", "1",
         "--gamma", "0.2", "--lambda-sep", "1", *flags,
     )
     assert code == 1
     assert out == ""
-    assert "ParameterError" in err
+    assert f"argument {flags[-2].split('=')[0]}: expected a finite number" in err
 
 
 def test_axial_integrate_outside_domain_exits_1(capsys):
@@ -357,6 +413,71 @@ def test_output_files_are_byte_identical(capsys, tmp_path):
         assert code == 0
     capsys.readouterr()
     assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+
+def test_parser_is_built_once(capsys):
+    cli._build_parser.cache_clear()
+    for argv in (["spectrum", "--b", "1"], ["airy", "--nu", "1", "--samples", "3"],
+                 ["spectrum", "--geometry", "marshmallow"]):
+        main(argv)
+    capsys.readouterr()
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_flags_do_not_leak_into_the_next_call(capsys):
+    plain = ("spectrum", "--geometry", "lobachevsky", "--b", "5", "--n-max", "6")
+    first = run(capsys, *plain)
+    code, out, _ = run(
+        capsys, "spectrum", "--include-invalid", "--format", "json", "--b", "2",
+        "--geometry", "lobachevsky", "--n-max", "6",
+    )
+    assert code == 0 and json.loads(out)["b"] == 2.0
+    assert run(capsys, *plain) == first
+    header, rows = csv_rows(first[1])
+    assert header[0] == "n" and all(r[5] == "true" for r in rows)
+
+
+_FINITE = "expected a finite number"
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, message",
+    [
+        (["spectrum", "--b", "nan"], None, 1, _FINITE),
+        (["spectrum", "--b", "1", "--eta", "nan"], None, 1, _FINITE),
+        (["zprofile", "--geometry", "lobachevsky", "--b", "1", "--gamma", "0.1",
+          "--z-min=-inf", "--z-max", "inf"], None, 1, _FINITE),
+        (["radial-eigen", "--geometry", "spherical", "--b", "nan", "--grid-points", "100"],
+         None, 1, _FINITE),
+        (["verify-tensor", "--trials", "2", "--tol", "nan"], None, 1, _FINITE),
+        (["spectrum", "--b", "abc"], None, 1, _FINITE),
+        (["spectrum"], "b=nan", 1, "ConfigError"),
+        (["verify-tensor", "--trials", "2"], "tol=inf", 1, "ConfigError"),
+        (["airy", "--nu", "1", "--samples", "-1"], None, 1, "samples >= 1"),
+        (["airy", "--nu", "1", "--samples", "0"], None, 1, "samples >= 1"),
+        (["airy", "--nu", "1", "--z-max", "1e200"], None, 1, "DomainError"),
+        (["airy", "--nu", "1", "--z-min", "1e99", "--z-max", "1e100", "--samples", "3"],
+         None, 2, "NonConvergence"),
+        # cosh z overflowed here: RuntimeWarnings, then a NaN step error
+        (["axial-integrate", "--geometry", "lobachevsky", "--b", "1", "--gamma", "0.2",
+          "--lambda-sep", "1", "--z-min=-800", "--z-max", "800", "--steps", "100"],
+         None, 2, "StepFailure: local error 1."),
+        (["axial-integrate", "--geometry", "lobachevsky", "--field", "electric", "--nu", "1",
+          "--gamma", "0.2", "--lambda-sep", "1", "--z-min=-800", "--z-max", "800",
+          "--steps", "100"], None, 2, "StepFailure"),
+    ],
+)
+def test_refusals_without_traceback(capsys, tmp_path, monkeypatch, argv, config, code, message):
+    if config:
+        path = tmp_path / "run.cfg"
+        path.write_text(config + "\n")
+        monkeypatch.setenv("COXLAB_CONFIG", str(path))
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coxlab.errors import DomainError, PoleError
+from coxlab import special_functions
+from coxlab.errors import DomainError, NonConvergence, PoleError
 from coxlab.special_functions import (
     SeriesControl,
     bessel_j_fractional,
@@ -118,6 +119,13 @@ def test_gauss_domain_and_poles():
     with pytest.raises(PoleError):
         # b - a integer degenerates the 1/x connection
         gauss_2f1(0.5, 1.5, 2.2, -10.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_gauss_non_finite_argument_is_domain_error(x):
+    # x = nan used to reach the 1/x branch and report a PoleError
+    with pytest.raises(DomainError, match="finite argument"):
+        gauss_2f1(0.5, 1.5, 2.2, x)
 
 
 def test_gauss_defining_ode_residual():
@@ -304,6 +312,41 @@ def test_hyp0f1_conjugate_symmetry():
     lhs = hyp0f1(1.4, np.conj(w))
     rhs = np.conj(hyp0f1(1.4, w))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+def test_hyp0f1_array_equals_scalar_calls_exactly():
+    rng = np.random.default_rng(3)
+    grid = np.concatenate([
+        rng.uniform(-25.0, 25.0, 40),
+        [0.0, -0.0, 1e-300, -21.0, -34.0, -45.0, 25.0],
+    ])
+    ctl = special_functions._DEFAULT_CTL
+    fallback = [x for x in grid if not special_functions._series_float((), (4 / 3,), x, ctl)[2]]
+    assert len(fallback) >= 3  # the grid exercises the mpmath re-run
+    for c in (4 / 3, 2 / 3, 0.5):
+        got = hyp0f1(c, grid)
+        want = np.array([hyp0f1(c, float(x)) for x in grid])
+        assert got.shape == grid.shape
+        assert np.all(got.real == want.real) and np.all(got.imag == want.imag)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        for x in (-45.0, 0.0, 2.5):  # one-element arrays
+            assert hyp0f1(c, np.array([x]))[0] == hyp0f1(c, x)
+    assert hyp0f1(4 / 3, np.array([])).shape == (0,)
+    # a terminating series (upper parameter -3) leaves the loop on its first
+    # zero term, even at the roots of the cubic where the sum cancels
+    roots = np.roots([-6.0 / 78.75, 6.0 / 7.5, -2.0, 1.0]).real
+    poly = np.concatenate([grid, roots])
+    got = special_functions._hyp_series_array((-3.0,), (1.5,), poly, ctl)
+    want = np.array([special_functions._hyp_series((-3.0,), (1.5,), x, ctl) for x in poly])
+    assert np.all(got == want)
+
+
+def test_hyp0f1_refuses_overflowing_sum():
+    # terms beyond double range used to be accepted: inf <= tol * inf
+    with pytest.raises(NonConvergence):
+        hyp0f1(4 / 3, -1e297)
+    with pytest.raises(NonConvergence):
+        hyp0f1(4 / 3, np.array([-1.0, -1e297]))
 
 
 def test_series_control_validation():
