@@ -115,7 +115,17 @@ def analytic_spectrum(
     On Lobachevsky space only finitely many bound levels exist; outside
     that range the entry is returned with valid=False (strict=False) or
     NoBoundState is raised (strict=True) naming the violated condition.
+    A level that overflows double raises DomainError.
     """
+    entry = _closed_form_level(spec, qn, strict)
+    for name in ("Lambda", "epsilon", "energy"):
+        value = getattr(entry, name)
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"closed-form {name} = {value} overflows double (b = {spec.b}, k = {qn.k})")
+    return entry
+
+
+def _closed_form_level(spec: BackgroundSpec, qn: QuantumNumbers, strict: bool) -> SpectrumEntry:
     if spec.field != "magnetic":
         raise ParameterError("closed-form spectra exist for the magnetic configurations")
     n, m, b = qn.n, qn.m, spec.b
@@ -123,7 +133,7 @@ def analytic_spectrum(
     if spec.geometry == "flat":
         eps_prime = 4.0 * b * (n + (m + abs(m) + 1) / 2.0)
         one = 1.0 - spec.eta**2
-        eps = eps_prime + one * qn.k**2 - 2.0 * spec.eta * b
+        eps = eps_prime + one * (qn.k * qn.k) - 2.0 * spec.eta * b
         return SpectrumEntry(
             qn=qn,
             Lambda=eps_prime,
@@ -203,13 +213,15 @@ def spectrum_matched_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedO
 # finite-volume eigensolver
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
 def _tridiag(ode: SeparatedODE, n_cells: int, r_max: float):
     """Symmetric tridiagonal discretization of -(w R')'/w - q0 on cell centers.
 
     Cell-centered nodes r_i = (i+1/2)h keep the centrifugal term finite
     and make the axis (weight -> 0) a natural boundary; the outer face
     is Dirichlet for a cutoff, natural on the sphere where sin(pi) = 0.
-    Liouville scaling u = R sqrt(w) symmetrizes the matrix.
+    Liouville scaling u = R sqrt(w) symmetrizes the matrix.  Raises
+    DomainError when an entry overflows double.
     """
     h = r_max / n_cells
     centers = (np.arange(n_cells) + 0.5) * h
@@ -219,6 +231,8 @@ def _tridiag(ode: SeparatedODE, n_cells: int, r_max: float):
     q0 = np.asarray(ode.qcoef(centers, 0.0), dtype=float)
     diag = (w_face[:-1] + w_face[1:]) / (h * h * w_cent) - q0
     off = -w_face[1:-1] / (h * h * np.sqrt(w_cent[:-1] * w_cent[1:]))
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise DomainError(f"radial matrix overflows double on {n_cells} cells")
     return centers, h, w_cent, diag, off
 
 

@@ -9,11 +9,10 @@ Precision strategy
 Series are accumulated in extended precision (``numpy.clongdouble``)
 while tracking the largest term.  The ratio peak/|sum| measures the
 digits lost to cancellation; when the running estimate exceeds the
-requested tolerance the same series loop is re-run in ``mpmath``
-arbitrary-precision arithmetic with the working precision sized from
-that estimate.  Only mpmath *arithmetic* is used - no mpmath special
-functions are called, so independent cross-checks against mpmath's own
-implementations remain meaningful.
+requested tolerance the same series loop is re-run in binary fixed
+point on Python integers, with the number of bits sized from that
+estimate.  The library needs no multiple-precision package, so the test
+suite's cross-checks against mpmath's special functions stay independent.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-import mpmath
 
 from .errors import DomainError, NonConvergence, PoleError
 
@@ -38,6 +36,8 @@ __all__ = [
 ]
 
 _EPS_LD = float(np.finfo(np.clongdouble).eps)
+_LOG2_10 = math.log2(10.0)
+_GUARD_BITS = 20  # fixed-point bits beyond dps digits, for the roundings of 700 terms
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def reciprocal_gamma(z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Generic pFq Taylor loop, extended precision first, mpmath arithmetic when
+# Generic pFq Taylor loop, extended precision first, integer fixed point when
 # cancellation eats the budget.
 # ---------------------------------------------------------------------------
 
@@ -170,31 +170,61 @@ def _series_float(nums, dens, x, ctl: SeriesControl):
     )
 
 
-def _series_mp(nums, dens, x, ctl: SeriesControl, peak: float) -> complex:
-    """Same Taylor loop in mpmath arithmetic, sized to beat the cancellation."""
-    digits_lost = math.log10(max(peak, 1.0)) + 16.0
-    dps = min(140, int(digits_lost) + 25)
-    with mpmath.workdps(dps):
-        xm = mpmath.mpc(x)
-        nm = [mpmath.mpc(p) for p in nums]
-        dm = [mpmath.mpc(q) for q in dens]
-        term = mpmath.mpc(1)
-        total = mpmath.mpc(1)
-        for k in range(ctl.max_terms):
-            ratio = mpmath.mpc(1)
-            for p in nm:
-                ratio *= p + k
-            for q in dm:
-                ratio /= q + k
-            term = term * ratio * xm / (k + 1)
-            if term == 0:
-                return complex(total)
-            total += term
-            if abs(term) <= mpmath.mpf(10) ** (-dps + 5) * max(abs(total), mpmath.mpf(1e-300)):
-                return complex(total)
-        raise NonConvergence(
-            f"pFq series (mp) did not converge in {ctl.max_terms} terms"
-        )
+def _series_fixed(nums, dens, x, ctl: SeriesControl, peak: float) -> complex:
+    """Same Taylor loop in binary fixed point, sized to beat the cancellation.
+
+    A complex value is a pair of Python ints scaled by 2**bits.  Each step's
+    products are exact and the division by prod(q + k) * (k + 1) is one
+    floor division per part, so a term takes less than one unit of 2**-bits
+    of fresh rounding per step.
+    """
+    dps = min(140, int(math.log10(max(peak, 1.0)) + 16.0) + 25)
+    bits = math.ceil(dps * _LOG2_10) + _GUARD_BITS
+
+    def fix(v: float) -> int:  # exact down to 2**-bits
+        n, d = v.as_integer_ratio()
+        return (n << bits) // d
+
+    (xr, xi), *pq = [(fix(z.real), fix(z.imag)) for z in map(complex, (x, *nums, *dens))]
+    ps, qs = pq[:len(nums)], pq[len(nums):]
+    # n * conj(d) / |d|^2 carries 2**(bits * (2 + p - q)); rescale it to 2**bits
+    shift = bits * (1 + len(nums) - len(dens))
+    # stop rule |term| <= 10**(5 - dps) * |total|, exact in squares (the float
+    # loop's 1e-300 floor on |total| lies below 2**-bits)
+    stop = 10 ** (2 * dps - 10)
+
+    def value(re: int, im: int) -> complex:
+        try:  # int / int rounds correctly: to nearest, ties to even
+            return complex(re / (1 << bits), im / (1 << bits))
+        except OverflowError:
+            raise NonConvergence(f"pFq series overflows double at |x| = {abs(x):.3g}") from None
+
+    tr, ti = sr, si = 1 << bits, 0
+    for k in range(ctl.max_terms):
+        nr, ni = tr * xr - ti * xi, tr * xi + ti * xr
+        for pr, pi in ps:
+            pr += k << bits
+            if not (pr or pi):  # terminating (polynomial) case
+                return value(sr, si)
+            nr, ni = nr * pr - ni * pi, nr * pi + ni * pr
+        dr, di = k + 1, 0
+        for qr, qi in qs:
+            qr += k << bits
+            dr, di = dr * qr - di * qi, dr * qi + di * qr
+        m = (dr * dr + di * di) << shift
+        tr, ti = (nr * dr + ni * di) // m, (ni * dr - nr * di) // m
+        if -1 <= tr <= 0 and -1 <= ti <= 0:
+            # underflow: the term fell below 2**-bits, far past the peak, where
+            # the ratios of these series only shrink; the tail left is smaller
+            # than the rounding already made
+            return value(sr, si)
+        sr += tr
+        si += ti
+        if (tr * tr + ti * ti) * stop <= sr * sr + si * si:
+            return value(sr, si)
+    raise NonConvergence(
+        f"pFq series (mp) did not converge in {ctl.max_terms} terms"
+    )
 
 
 @np.errstate(over="ignore")  # casts to double overflow silently, as complex() does
@@ -270,17 +300,17 @@ def _hyp_series(nums, dens, x, ctl: SeriesControl) -> complex:
     value, peak, ok = _series_float(nums, dens, x, ctl)
     if ok:
         return value
-    return _series_mp(nums, dens, x, ctl, peak)
+    return _series_fixed(nums, dens, x, ctl, peak)
 
 
 def _hyp_series_array(nums, dens, x: np.ndarray, ctl: SeriesControl) -> np.ndarray:
     """`_hyp_series` elementwise; elements whose cancellation check fails are
-    re-run one by one in mpmath arithmetic, each sized by its own peak."""
+    re-run one by one in fixed point, each sized by its own peak."""
     _require_regular(dens)
     flat = x.ravel()
     values, peaks, ok = _series_float_array(nums, dens, flat, ctl)
     for i in np.flatnonzero(~ok):
-        values[i] = _series_mp(nums, dens, flat[i].item(), ctl, float(peaks[i]))
+        values[i] = _series_fixed(nums, dens, flat[i].item(), ctl, float(peaks[i]))
     return values.reshape(x.shape)
 
 
@@ -310,7 +340,7 @@ def kummer_1f1(a: complex, c: complex, x: complex, ctl: SeriesControl | None = N
     The Kummer transformation M(a,c,x) = e^x M(c-a,c,-x) routes the sum
     to the half-plane Re x >= 0, which removes the dominant cancellation;
     residual cancellation (oscillatory, imaginary x) is absorbed by the
-    extended-precision/mpmath ladder of the series engine.
+    extended-precision/fixed-point ladder of the series engine.
     """
     ctl = ctl or _DEFAULT_CTL
     a = complex(a)

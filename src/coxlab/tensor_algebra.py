@@ -20,12 +20,13 @@ CLI boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
 
-from .errors import ParameterError, SingularLambda
+from .errors import DomainError, ParameterError, SingularLambda
 
 __all__ = [
     "DiagonalMetric",
@@ -222,12 +223,14 @@ def dual_tensor(fields: FieldConfig3, metric: DiagonalMetric) -> MixedTensor:
     return MixedTensor(mixed, "real")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
 def field_invariants(fields: FieldConfig3, metric: DiagonalMetric) -> Invariants:
     """Invariants I = -(g^{00} E_i E^i + B_i B^i), J = -E_i B_i / sqrt(-det g).
 
     In the flat metric these reduce to I = E^2 - B^2 and J = -(E.B).
     The returned residuals compare against the independent trace routes
-    I = (1/2) tr(F^2) and J = (1/4) tr(F* F).
+    I = (1/2) tr(F^2) and J = (1/4) tr(F* F).  Raises DomainError when
+    I^2 or J^2, the scale of the degree-4 identity, overflows double.
     """
     E, B = fields.E_arr, fields.B_arr
     g = metric.diag
@@ -247,6 +250,8 @@ def field_invariants(fields: FieldConfig3, metric: DiagonalMetric) -> Invariants
     Fx = dual_tensor(fields, metric).entries
     res_I = abs(I_val - 0.5 * np.trace(F @ F))
     res_J = abs(J_val - 0.25 * np.trace(Fx @ F))
+    if not all(map(math.isfinite, (I_val * I_val, J_val * J_val, res_I, res_J))):
+        raise DomainError(f"field invariants overflow double: I = {I_val:.3g}, J = {J_val:.3g}")
     return Invariants(I_val, J_val, float(res_I), float(res_J))
 
 

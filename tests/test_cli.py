@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import coxlab
 from coxlab import cli
 from coxlab.axial import airy_pair
 from coxlab.cli import main
@@ -270,7 +274,7 @@ def _airy_per_sample(nu, w_prime, z_min, z_max, samples, fmt):
     [
         (2.0, 1.5, -2.75, 1.25, 9),      # a node on the turning point (x = -0.0)
         (1.0, 0.0, -3.0, 3.0, 13),       # symmetric about x = 0
-        (1.0, 0.0, -4.0, 8.0, 13),       # x down to -8: x^3/9 < -30, mpmath re-run
+        (1.0, 0.0, -4.0, 8.0, 13),       # x down to -8: x^3/9 < -30, fixed-point re-run
         (0.7, -1.3, 0.4, 2.9, 1),        # one sample
         (2.6, 0.35, -1.7, 4.1, 41),
     ],
@@ -283,6 +287,27 @@ def test_airy_bytes_equal_per_sample_evaluation(capsys, fmt, nu, w_prime, z_min,
     )
     assert code == 0
     assert out == _airy_per_sample(nu, w_prime, z_min, z_max, samples, fmt)
+
+
+def test_airy_series_fallback_runs_without_mpmath():
+    script = (
+        "import sys\n"
+        "from coxlab import cli, special_functions as sf\n"
+        "runs = []\n"
+        "fixed = sf._series_fixed\n"
+        "sf._series_fixed = lambda *args: runs.append(args) or fixed(*args)\n"
+        "code = cli.main(['airy', '--nu', '1', '--w-prime', '0', '--z-min=-4',\n"
+        "                 '--z-max', '8', '--samples', '13'])\n"
+        "assert code == 0 and runs, (code, runs)  # x^3/9 < -30 takes the fallback\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(coxlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_airy_requires_positive_nu(capsys):
@@ -459,6 +484,14 @@ _FINITE = "expected a finite number"
         (["airy", "--nu", "1", "--z-max", "1e200"], None, 1, "DomainError"),
         (["airy", "--nu", "1", "--z-min", "1e99", "--z-max", "1e100", "--samples", "3"],
          None, 2, "NonConvergence"),
+        # huge finite values: an OverflowError traceback, inf rows with exit 0,
+        # numpy's infs-or-NaNs ValueError, an OverflowError from J**2
+        (["spectrum", "--k", "1e300", "--b", "1"], None, 1, "DomainError: closed-form epsilon"),
+        (["spectrum", "--b", "1e308", "--n-max", "2"], None, 1, "DomainError: closed-form Lambda"),
+        (["radial-eigen", "--geometry", "spherical", "--b", "1e300", "--grid-points", "100"],
+         None, 1, "DomainError: radial matrix overflows"),
+        (["verify-tensor", "--trials", "2", "--b", "1e300", "--nu", "1"],
+         None, 1, "DomainError: field invariants overflow"),
         # cosh z overflowed here: RuntimeWarnings, then a NaN step error
         (["axial-integrate", "--geometry", "lobachevsky", "--b", "1", "--gamma", "0.2",
           "--lambda-sep", "1", "--z-min=-800", "--z-max", "800", "--steps", "100"],

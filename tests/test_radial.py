@@ -124,6 +124,17 @@ def test_spectrum_rejects_electric():
         )
 
 
+def test_spectrum_refuses_levels_that_overflow():
+    # k**2 raised OverflowError above |k| ~ 1e154; b = 1e308 returned Lambda = inf
+    with pytest.raises(DomainError, match="epsilon"):
+        analytic_spectrum(BackgroundSpec(geometry="flat", b=1.0), QuantumNumbers(0, 0, k=1e300))
+    for geometry in ("flat", "lobachevsky", "spherical"):
+        with pytest.raises(DomainError, match="Lambda"):
+            analytic_spectrum(BackgroundSpec(geometry=geometry, b=1e308), QuantumNumbers(1, 0))
+    big = analytic_spectrum(BackgroundSpec(geometry="flat", b=1.0), QuantumNumbers(0, 0, k=1e150))
+    assert big.epsilon == 2.0 + 1e150 * 1e150
+
+
 @given(n=st.integers(0, 20), m=st.integers(-10, 10))
 @settings(max_examples=60, deadline=None)
 def test_flat_ladder_spacing_is_4b(n, m):
@@ -168,6 +179,14 @@ def test_solver_matches_spherical_spectrum(m):
     res = solve_radial_eigen(ode, 3, GridSpec(points=2000))
     exact = [analytic_spectrum(SPH1, QuantumNumbers(n, m)).Lambda for n in range(3)]
     assert np.max(np.abs(res.eigenvalues - exact)) < 1e-6 * max(map(abs, exact))
+
+
+def test_solver_refuses_matrix_that_overflows():
+    # q0 ~ b^2 overflowed into numpy's "array must not contain infs or NaNs"
+    for geometry, r_max in (("spherical", None), ("lobachevsky", 5.0)):
+        ode = spectrum_matched_ode(BackgroundSpec(geometry=geometry, b=1e300), QuantumNumbers(0, 0))
+        with pytest.raises(DomainError, match="overflows"):
+            solve_radial_eigen(ode, 1, GridSpec(points=100, r_max=r_max))
 
 
 def test_spherical_flat_limit_second_order():

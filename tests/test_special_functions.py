@@ -322,7 +322,7 @@ def test_hyp0f1_array_equals_scalar_calls_exactly():
     ])
     ctl = special_functions._DEFAULT_CTL
     fallback = [x for x in grid if not special_functions._series_float((), (4 / 3,), x, ctl)[2]]
-    assert len(fallback) >= 3  # the grid exercises the mpmath re-run
+    assert len(fallback) >= 3  # the grid exercises the fixed-point re-run
     for c in (4 / 3, 2 / 3, 0.5):
         got = hyp0f1(c, grid)
         want = np.array([hyp0f1(c, float(x)) for x in grid])
@@ -339,6 +339,91 @@ def test_hyp0f1_array_equals_scalar_calls_exactly():
     got = special_functions._hyp_series_array((-3.0,), (1.5,), poly, ctl)
     want = np.array([special_functions._hyp_series((-3.0,), (1.5,), x, ctl) for x in poly])
     assert np.all(got == want)
+
+
+def _series_mp(nums, dens, x, ctl, peak):
+    """The series fallback as it was written in mpmath arithmetic: the
+    reference that the fixed-point sum must reproduce bit for bit."""
+    dps = min(140, int(math.log10(max(peak, 1.0)) + 16.0) + 25)
+    with mpmath.workdps(dps):
+        xm = mpmath.mpc(x)
+        nm = [mpmath.mpc(p) for p in nums]
+        dm = [mpmath.mpc(q) for q in dens]
+        term = mpmath.mpc(1)
+        total = mpmath.mpc(1)
+        for k in range(ctl.max_terms):
+            ratio = mpmath.mpc(1)
+            for p in nm:
+                ratio *= p + k
+            for q in dm:
+                ratio /= q + k
+            term = term * ratio * xm / (k + 1)
+            if term == 0:
+                return complex(total)
+            total += term
+            if abs(term) <= mpmath.mpf(10) ** (-dps + 5) * max(abs(total), mpmath.mpf(1e-300)):
+                return complex(total)
+        raise NonConvergence(f"pFq series (mp) did not converge in {ctl.max_terms} terms")
+
+
+def _fallback_cases():
+    """Seeded (nums, dens, x) whose clongdouble sum fails its cancellation check."""
+    rng = np.random.default_rng(2024)
+    u = rng.uniform
+    cases = [((), (u(0.3, 4.0),), -u(30.0, 80.0)) for _ in range(124)]
+    for _ in range(14):
+        a = complex(u(0.0, 2.0), u(-2.0, 2.0))
+        cases.append(((a,), (u(0.5, 3.0),), complex(0.0, u(14.0, 30.0) * rng.choice([-1, 1]))))
+    for _ in range(6):  # a complex lower parameter
+        a, c = complex(u(0.0, 2.0), u(-2.0, 2.0)), complex(u(0.5, 3.0), u(-2.0, 2.0))
+        cases.append(((a,), (c,), complex(0.0, u(14.0, 30.0))))
+    for lo in (-24.0, -11.0, -9.0, -8.0):  # Airy branches over the CLI's z range
+        zs = np.linspace(lo, u(0.0, 7.0), 81)
+        cases += [((), (c,), z**3 / 9.0) for z in zs[zs < -6.0][::4] for c in (4 / 3, 2 / 3)]
+    for _ in range(6):  # 2F1 with conjugate parameters
+        a = complex(u(0.0, 3.0), u(15.0, 30.0))
+        cases.append(((a, a.conjugate()), (u(0.3, 4.0),), u(-0.5, -0.3)))
+    # terminating series whose sum cancels; sums that end below 2**-bits
+    cases += [((-60.0,), (1.5,), 30j), ((-60.0,), (1.5,), -30j)]
+    cases += [((), (4 / 3,), -37.8852176738614), ((), (4 / 3,), -86.41084104710735)]
+    # tail terms of one sign, which floor division would hold at -2**-bits
+    cases += [((-10.5, 2.0), (1.0,), 0.08695652173913043),
+              ((-20.5, 3.0), (1.5,), 0.22768522928110346)]
+    return cases
+
+
+def test_fixed_point_fallback_equals_mpmath_loop_bit_for_bit():
+    ctl = special_functions._DEFAULT_CTL
+    checked = 0
+    for nums, dens, x in _fallback_cases():
+        _, peak, ok = special_functions._series_float(nums, dens, x, ctl)
+        if ok:
+            continue
+        got = special_functions._series_fixed(nums, dens, x, ctl, peak)
+        want = _series_mp(nums, dens, x, ctl, peak)
+        assert got.real == want.real and got.imag == want.imag, (nums, dens, x)
+        assert math.copysign(1.0, got.imag) == math.copysign(1.0, want.imag)
+        checked += 1
+    assert checked >= 200
+
+
+def test_fixed_point_fallback_keeps_max_terms_refusal():
+    # the float pass stops within 32 terms; the deeper fixed-point sum cannot
+    ctl = SeriesControl(max_terms=32)
+    _, peak, ok = special_functions._series_float((), (4 / 3,), -50.0, ctl)
+    assert not ok
+    for fallback in (special_functions._series_fixed, _series_mp):
+        with pytest.raises(NonConvergence, match="did not converge in 32 terms"):
+            fallback((), (4 / 3,), -50.0, ctl, peak)
+    with pytest.raises(NonConvergence, match="did not converge in 32 terms"):
+        hyp0f1(4 / 3, -50.0, ctl)
+
+
+def test_fixed_point_fallback_refuses_sum_beyond_double():
+    # 1F1(1; 1; 800) = e^800: the mpmath loop returned inf here
+    ctl = SeriesControl(max_terms=3000)
+    with pytest.raises(NonConvergence, match="overflows double"):
+        special_functions._series_fixed((1.0,), (1.0,), 800.0, ctl, 1e300)
 
 
 def test_hyp0f1_refuses_overflowing_sum():

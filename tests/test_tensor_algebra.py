@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxlab.errors import ParameterError, SingularLambda
+from coxlab.errors import DomainError, ParameterError, SingularLambda
 from coxlab.tensor_algebra import (
     FLAT_METRIC,
     CharCoeffs,
@@ -95,6 +95,15 @@ def test_pure_magnetic_invariants():
     inv = field_invariants(FieldConfig3((0.0,) * 3, (0.0, 0.0, B)), FLAT_METRIC)
     assert inv.I == pytest.approx(-B * B, rel=1e-15)
     assert inv.J == pytest.approx(0.0, abs=1e-15)
+
+
+def test_invariants_refuse_overflow():
+    # I = -B^2 stays finite at B = 1e100, but the degree-4 identity needs I^2
+    for B in (1e100, 1e300):
+        with pytest.raises(DomainError, match="overflow"):
+            field_invariants(FieldConfig3((0.0, 0.0, 1.0), (0.0, 0.0, B)), FLAT_METRIC)
+    inv = field_invariants(FieldConfig3((0.0, 0.0, 1.0), (0.0, 0.0, 1e70)), FLAT_METRIC)
+    assert inv.I == pytest.approx(-1e140, rel=1e-15)
 
 
 def test_flat_cartesian_invariants():
