@@ -484,6 +484,13 @@ _FINITE = "expected a finite number"
         (["airy", "--nu", "1", "--z-max", "1e200"], None, 1, "DomainError"),
         (["airy", "--nu", "1", "--z-min", "1e99", "--z-max", "1e100", "--samples", "3"],
          None, 2, "NonConvergence"),
+        # cosh z overflowed here: RuntimeWarnings, then a NaN step error
+        (["axial-integrate", "--geometry", "lobachevsky", "--b", "1", "--gamma", "0.2",
+          "--lambda-sep", "1", "--z-min=-800", "--z-max", "800", "--steps", "100"],
+         None, 2, "StepFailure: local error 1."),
+        (["axial-integrate", "--geometry", "lobachevsky", "--field", "electric", "--nu", "1",
+          "--gamma", "0.2", "--lambda-sep", "1", "--z-min=-800", "--z-max", "800",
+          "--steps", "100"], None, 2, "StepFailure"),
         # huge finite values: an OverflowError traceback, inf rows with exit 0,
         # numpy's infs-or-NaNs ValueError, an OverflowError from J**2
         (["spectrum", "--k", "1e300", "--b", "1"], None, 1, "DomainError: closed-form epsilon"),
@@ -492,13 +499,6 @@ _FINITE = "expected a finite number"
          None, 1, "DomainError: radial matrix overflows"),
         (["verify-tensor", "--trials", "2", "--b", "1e300", "--nu", "1"],
          None, 1, "DomainError: field invariants overflow"),
-        # cosh z overflowed here: RuntimeWarnings, then a NaN step error
-        (["axial-integrate", "--geometry", "lobachevsky", "--b", "1", "--gamma", "0.2",
-          "--lambda-sep", "1", "--z-min=-800", "--z-max", "800", "--steps", "100"],
-         None, 2, "StepFailure: local error 1."),
-        (["axial-integrate", "--geometry", "lobachevsky", "--field", "electric", "--nu", "1",
-          "--gamma", "0.2", "--lambda-sep", "1", "--z-min=-800", "--z-max", "800",
-          "--steps", "100"], None, 2, "StepFailure"),
     ],
 )
 def test_refusals_without_traceback(capsys, tmp_path, monkeypatch, argv, config, code, message):
