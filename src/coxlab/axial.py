@@ -145,20 +145,32 @@ def _axial_grid(spec: BackgroundSpec, z, what: str) -> np.ndarray:
     return z
 
 
+def _require_finite(values: np.ndarray, what: str, spec: BackgroundSpec, Lambda: float) -> None:
+    if not np.isfinite(values).all():
+        raise DomainError(
+            f"effective {what} overflows double (b = {spec.b}, gamma = {spec.gamma}, "
+            f"Lambda = {Lambda})"
+        )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite U is refused below
 def effective_potential(spec: BackgroundSpec, Lambda: float, z):
     """U(z) of the curved magnetic axial problem (see module docstring).
 
     Raises PoleError where ch^4 z (cos^4 z) meets gamma^2 -- on the
     sphere the point cos^2 z = |gamma| is a genuine interior singular
     point for 0 < |gamma| < 1.  The spherical endpoints are regular for
-    gamma != 0 with U(+-pi/2) = -b/gamma.
+    gamma != 0 with U(+-pi/2) = -b/gamma.  A value that overflows double
+    raises DomainError (so does effective_force).
     """
     scalar = np.isscalar(z)
     z = _axial_grid(spec, z, "potential")
     U = _u_eff(spec.geometry, Lambda, spec.b, spec.gamma, z)
+    _require_finite(U, "potential", spec, Lambda)
     return float(U[0]) if scalar else U
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite F is refused below
 def effective_force(spec: BackgroundSpec, Lambda: float, z):
     """Axial force F_z = -dU/dz in closed form:
 
@@ -180,6 +192,7 @@ def effective_force(spec: BackgroundSpec, Lambda: float, z):
         t, s = np.tanh(z), _sech2(z)
         den = 1.0 - g * g * s * s
         F = 2.0 * t * s * (Lambda - 2.0 * b * g * s + g * g * Lambda * s * s) / (den * den)
+    _require_finite(F, "force", spec, Lambda)
     return float(F[0]) if scalar else F
 
 
@@ -199,13 +212,24 @@ def effective_force_extrema(spec: BackgroundSpec, Lambda: float) -> ExtremaResul
 
     to have roots in the admissible range (ch^2 z >= 1, 0 < cos^2 z < 1).
     For Lambda^2 > b^2 the discriminant is negative and z = 0 is the
-    unique equilibrium.
+    unique equilibrium.  A discriminant that overflows double (b^2
+    overflowing, or Lambda^2 underflowing to 0) raises DomainError.
     """
     _require_curved_magnetic(spec)
     if Lambda == 0.0:
         raise ParameterError("Lambda = 0 degenerates the stationarity quadratic")
     g, b = spec.gamma, spec.b
-    disc = (b * b / (Lambda * Lambda) - 1.0) * g * g
+    if g == 0.0:
+        disc = 0.0  # both roots are 0, never admissible; b^2/Lambda^2 may overflow
+    else:
+        L2 = Lambda * Lambda
+        disc = (b * b / L2 - 1.0) * g * g if L2 else math.inf
+        # a finite disc = base^2 - g^2 keeps base and rt, and so the roots, finite
+        if not math.isfinite(disc):
+            raise DomainError(
+                f"stationarity quadratic overflows double (b = {b}, gamma = {g}, "
+                f"Lambda = {Lambda})"
+            )
     roots: list[float] = []
     zs: list[float] = [0.0]
     if disc >= 0.0:

@@ -16,6 +16,13 @@ by the ``COXLAB_CONFIG`` environment variable, which in turn overrides the
 built-in defaults.  Keys are the long flag names without the leading dashes
 (``n-max=4``).  Unknown keys are rejected, and so are NaN and +-inf for
 any float key, whether given as a flag or in the file (exit code 1).
+Whatever the command, ``trials >= 1``, ``n-max >= 0``, ``samples >= 1``,
+``tol > 0`` and at most 10001 ``m-range`` values are required (exit code 1).
+
+verify-tensor prints a JSON report; the other commands print one table.  A
+complex value is two CSV cells, in columns ``<name>_re,<name>_im``, and a
+JSON object ``{"im", "re"}``; a footer entry is a CSV line ``# name,cells``
+(one per item of a list) and a top-level JSON field beside ``rows``.
 
 Output is deterministic for a fixed configuration and seed: floats are
 printed with 17 significant digits, JSON objects are emitted with sorted
@@ -33,7 +40,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,14 +76,7 @@ from .tensor_algebra import (
 
 SCHEMA_VERSION = 1
 
-_COMMANDS = (
-    "verify-tensor",
-    "spectrum",
-    "radial-eigen",
-    "zprofile",
-    "airy",
-    "axial-integrate",
-)
+_M_RANGE_MAX = 10_001
 
 
 def _finite_float(text: str) -> float:
@@ -90,79 +90,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# key -> (converter, default); the key set doubles as the config-file schema
-_KEYS: dict[str, tuple] = {
-    "geometry": (str, "flat"),
-    "field": (str, "magnetic"),
-    "b": (_finite_float, 0.0),
-    "nu": (_finite_float, 0.0),
-    "eta": (_finite_float, 0.0),
-    "gamma": (_finite_float, 0.0),
-    "lambda-sep": (_finite_float, 2.0),
-    "n-max": (int, 10),
-    "m-range": (str, "0"),
-    "k": (_finite_float, 0.0),
-    "z-min": (_finite_float, -3.0),
-    "z-max": (_finite_float, 3.0),
-    "samples": (int, 601),
-    "grid-points": (int, 3000),
-    "r-max": (_finite_float, None),
-    "trials": (int, 100),
-    "seed": (int, 7),
-    "tol": (_finite_float, None),
-    "format": (str, "csv"),
-    "out": (str, None),
-    "include-invalid": (bool, False),
-    "w-prime": (_finite_float, None),
-    "w": (_finite_float, 0.0),
-    "epsilon": (_finite_float, 0.0),
-    "m": (int, 0),
-    "ic-value": (_finite_float, 1.0),
-    "ic-slope": (_finite_float, 0.0),
-    "steps": (int, 1000),
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters for one CLI invocation."""
-
-    command: str
-    geometry: str
-    field: str
-    b: float
-    nu: float
-    eta: float
-    gamma: float
-    lambda_sep: float
-    n_max: int
-    m_range: tuple[int, ...]
-    k: float
-    z_min: float
-    z_max: float
-    samples: int
-    grid_points: int
-    r_max: float | None
-    trials: int
-    seed: int
-    tol: float | None
-    fmt: str
-    out: str | None
-    include_invalid: bool
-    w_prime: float | None
-    w: float
-    epsilon: float
-    m: int
-    ic_value: float
-    ic_slope: float
-    steps: int
-    fixed_field: bool  # verify-tensor: b/nu were given, use them verbatim
-
-
-# ---------------------------------------------------------------------------
-# configuration plumbing
-# ---------------------------------------------------------------------------
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -172,13 +99,63 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _convert(key: str, raw: str):
-    conv = _KEYS[key][0]
-    try:
-        return _parse_bool(raw) if conv is bool else conv(raw)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ConfigError(f"invalid value for config key {key!r}: {raw!r}") from exc
+class _Key(NamedTuple):
+    """One key: its --flag, its config-file line and its RunConfig field."""
 
+    conv: Callable[[str], object]
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    # (test, text): a resolved value failing test is refused as
+    # "<command> needs <key> <text>"; None (a command's own default) passes
+    domain: tuple[Callable[[object], bool], str] | None = None
+
+
+_KEYS = {
+    "geometry": _Key(str, "flat", ("flat", "lobachevsky", "spherical")),
+    "field": _Key(str, "magnetic", ("magnetic", "electric")),
+    "b": _Key(_finite_float, 0.0),
+    "nu": _Key(_finite_float, 0.0),
+    "eta": _Key(_finite_float, 0.0),
+    "gamma": _Key(_finite_float, 0.0),
+    "lambda-sep": _Key(_finite_float, 2.0),
+    "n-max": _Key(int, 10, domain=(lambda n: n >= 0, ">= 0")),
+    # parsed to a range or tuple of ints once resolved, so the cap is a length
+    "m-range": _Key(str, "0", domain=(
+        lambda ms: len(ms) <= _M_RANGE_MAX, f"of at most {_M_RANGE_MAX} values")),
+    "k": _Key(_finite_float, 0.0),
+    "z-min": _Key(_finite_float, -3.0),
+    "z-max": _Key(_finite_float, 3.0),
+    "samples": _Key(int, 601, domain=(lambda n: n >= 1, ">= 1")),
+    "grid-points": _Key(int, 3000),
+    "r-max": _Key(_finite_float),
+    "trials": _Key(int, 100, domain=(lambda n: n >= 1, ">= 1")),
+    "seed": _Key(int, 7),
+    "tol": _Key(_finite_float, domain=(lambda t: t > 0, "> 0")),
+    "format": _Key(str, "csv", ("csv", "json")),
+    "out": _Key(str),
+    "include-invalid": _Key(_parse_bool, False),
+    "w-prime": _Key(_finite_float, 0.0),
+    "w": _Key(_finite_float, 0.0),
+    "epsilon": _Key(_finite_float, 0.0),
+    "m": _Key(int, 0),
+    "ic-value": _Key(_finite_float, 1.0),
+    "ic-slope": _Key(_finite_float, 0.0),
+    "steps": _Key(int, 1000),
+}
+
+_FIELDS = {name: name.replace("-", "_") for name in _KEYS}
+
+
+# Fully resolved run parameters for one CLI invocation: one field per key,
+# plus fixed_field (verify-tensor: b/nu were given, use them verbatim).
+RunConfig = NamedTuple("RunConfig", [
+    ("command", str), *((field, object) for field in _FIELDS.values()), ("fixed_field", bool),
+])
+
+
+# ---------------------------------------------------------------------------
+# configuration plumbing
+# ---------------------------------------------------------------------------
 
 def _load_config_file() -> dict[str, str]:
     path = os.environ.get("COXLAB_CONFIG")
@@ -202,7 +179,7 @@ def _load_config_file() -> dict[str, str]:
     return values
 
 
-def _parse_m_range(text: str) -> tuple[int, ...]:
+def _parse_m_range(text: str) -> range | tuple[int, ...]:
     text = text.strip()
     try:
         if ":" in text:
@@ -210,7 +187,7 @@ def _parse_m_range(text: str) -> tuple[int, ...]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise ValueError
-            return tuple(range(lo, hi + 1))
+            return range(lo, hi + 1)
         if "," in text:
             return tuple(int(part) for part in text.split(","))
         return (int(text),)
@@ -225,94 +202,59 @@ def _build_parser() -> argparse.ArgumentParser:
     # built on the first main() call and reused: parse_args keeps no state
     # between calls (every flag defaults to None, resolved per call)
     common = argparse.ArgumentParser(add_help=False)
-    for key, (conv, _default) in _KEYS.items():
-        flag = "--" + key
-        if conv is bool:
-            common.add_argument(flag, action="store_const", const=True, default=None)
-        elif conv is str and key == "geometry":
-            common.add_argument(
-                flag, choices=("flat", "lobachevsky", "spherical"), default=None
-            )
-        elif conv is str and key == "field":
-            common.add_argument(flag, choices=("magnetic", "electric"), default=None)
-        elif conv is str and key == "format":
-            common.add_argument(flag, choices=("csv", "json"), default=None)
+    for name, key in _KEYS.items():
+        if key.conv is _parse_bool:
+            common.add_argument("--" + name, action="store_const", const=True, default=None)
         else:
-            common.add_argument(flag, type=conv, default=None)
+            common.add_argument("--" + name, type=key.conv, choices=key.choices, default=None)
     parser = argparse.ArgumentParser(
         prog="coxlab",
         description="Scalar-particle spectra and field-dressed tensor checks.",
         epilog="COXLAB_CONFIG may name a key=value config file; flags override it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _DISPATCH:
         sub.add_parser(name, parents=[common])
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     file_values = _load_config_file()
-    resolved: dict[str, object] = {}
-    explicit: set[str] = set()
-    for key, (_conv, default) in _KEYS.items():
-        attr = key.replace("-", "_")
-        cli_val = getattr(args, attr)
-        if cli_val is not None:
-            resolved[key] = cli_val
-            explicit.add(key)
-        elif key in file_values:
-            resolved[key] = _convert(key, file_values[key])
-            explicit.add(key)
-        else:
-            resolved[key] = default
-    return RunConfig(
-        command=args.command,
-        geometry=resolved["geometry"],
-        field=resolved["field"],
-        b=resolved["b"],
-        nu=resolved["nu"],
-        eta=resolved["eta"],
-        gamma=resolved["gamma"],
-        lambda_sep=resolved["lambda-sep"],
-        n_max=resolved["n-max"],
-        m_range=_parse_m_range(resolved["m-range"]),
-        k=resolved["k"],
-        z_min=resolved["z-min"],
-        z_max=resolved["z-max"],
-        samples=resolved["samples"],
-        grid_points=resolved["grid-points"],
-        r_max=resolved["r-max"],
-        trials=resolved["trials"],
-        seed=resolved["seed"],
-        tol=resolved["tol"],
-        fmt=resolved["format"],
-        out=resolved["out"],
-        include_invalid=resolved["include-invalid"],
-        w_prime=resolved["w-prime"],
-        w=resolved["w"],
-        epsilon=resolved["epsilon"],
-        m=resolved["m"],
-        ic_value=resolved["ic-value"],
-        ic_slope=resolved["ic-slope"],
-        steps=resolved["steps"],
-        fixed_field=("b" in explicit or "nu" in explicit),
-    )
+    values: dict[str, object] = {}
+    for name, key in _KEYS.items():
+        value = getattr(args, _FIELDS[name])
+        if value is None and name in file_values:
+            raw = file_values[name]
+            try:
+                value = key.conv(raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"invalid value for config key {name!r}: {raw!r}") from exc
+        values[_FIELDS[name]] = key.default if value is None else value
+    values["m_range"] = _parse_m_range(values["m_range"])
+    for name, key in _KEYS.items():
+        value = values[_FIELDS[name]]
+        if key.domain and value is not None and not key.domain[0](value):
+            raise ParameterError(f"{args.command} needs {name} {key.domain[1]}")
+    fixed = any(getattr(args, k) is not None or k in file_values for k in ("b", "nu"))
+    return RunConfig(command=args.command, fixed_field=fixed, **values)
 
 
 # ---------------------------------------------------------------------------
 # deterministic formatting
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    """17-significant-digit text, lossless for binary64 round trips."""
-    return "%.17g" % float(x)
+_fmt = "%.17g".__mod__  # 17 significant digits: lossless for binary64 round trips
+
+
+class _Text(str):
+    """JSON already rendered in _json_text's layout, inserted verbatim."""
 
 
 def _json_text(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
+    if isinstance(obj, _Text):
+        return obj
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -321,6 +263,8 @@ def _json_text(obj, indent: int = 0) -> str:
         return _fmt(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, complex):
+        obj = {"re": obj.real, "im": obj.imag}
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -337,25 +281,61 @@ def _json_text(obj, indent: int = 0) -> str:
     raise ConfigError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def _json_doc(payload: dict) -> str:
-    doc = dict(payload)
-    doc["schemaVersion"] = SCHEMA_VERSION
-    return _json_text(doc) + "\n"
+def _json_doc(payload: dict, command: str) -> str:
+    return _json_text({**payload, "command": command, "schemaVersion": SCHEMA_VERSION}) + "\n"
 
 
-def _csv_doc(header: list[str], rows: list[list[str]], footer: list[str]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    lines.extend(footer)
+class _Table(NamedTuple):
+    """A table command's output: JSON-only header fields, (CSV name, JSON
+    key, values) columns and (CSV name, JSON key, value) footer entries."""
+
+    header: dict
+    columns: list
+    footer: tuple = ()
+
+
+_BOOL_TEXT = {False: "false", True: "true"}.__getitem__
+# cell text per Python type of a table value; a complex value is two CSV
+# cells "re,im" and in JSON _json_text's {"im", "re"} layout at a row's depth
+_CSV_CELL = {float: _fmt, int: str, bool: _BOOL_TEXT, str: str, type(None): lambda _: "",
+             complex: lambda v: f"{_fmt(v.real)},{_fmt(v.imag)}"}
+_JSON_CELL = {float: _fmt, int: str, bool: _BOOL_TEXT, str: json.dumps,
+              type(None): lambda _: "null",
+              complex: lambda v: '{\n        "im": %s,\n        "re": %s\n      }'
+              % (_fmt(v.imag), _fmt(v.real))}
+
+
+def _cells(values, text_of: dict) -> list[str]:
+    """Cell texts of a column of Python scalars: a column of one type maps
+    one formatter over it instead of choosing one per cell."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        return list(map(text_of[kinds.pop()], values))
+    return [text_of[type(v)](v) for v in values]
+
+
+def _csv_table(table: _Table) -> str:
+    names = [f"{name}_re,{name}_im" if values and type(values[0]) is complex else name
+             for name, _, values in table.columns]
+    cells = [_cells(values, _CSV_CELL) for _, _, values in table.columns]
+    lines = [",".join(names), *map(",".join, zip(*cells))]
+    for name, _, value in table.footer:
+        for item in value if isinstance(value, list) else [value]:
+            parts = item.values() if isinstance(item, dict) else [item]
+            lines.append(",".join(["# " + name, *_cells(parts, _CSV_CELL)]))
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json_table(table: _Table, command: str) -> str:
+    # rows are rendered column by column, straight into _json_text's layout
+    fields = []
+    for _, key, values in sorted(table.columns, key=lambda column: column[1]):
+        prefix = f"      {json.dumps(key)}: "
+        fields.append([prefix + text for text in _cells(values, _JSON_CELL)])
+    rows = ["    {\n" + ",\n".join(row) + "\n    }" for row in zip(*fields)]
+    payload = {**table.header, **{key: value for _, key, value in table.footer}}
+    payload["rows"] = _Text("[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]")
+    return _json_doc(payload, command)
 
 
 def _background(cfg: RunConfig) -> BackgroundSpec:
@@ -386,8 +366,6 @@ def _draw_case(rng: np.random.Generator):
 
 
 def cmd_verify_tensor(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.trials < 1:
-        raise ParameterError("verify-tensor needs trials >= 1")
     tolerance = 1e-10 if cfg.tol is None else cfg.tol
     rng = np.random.default_rng(cfg.seed)
     res_minpoly = 0.0
@@ -440,7 +418,6 @@ def cmd_verify_tensor(cfg: RunConfig) -> tuple[str, int]:
     }
     failing = sorted(name for name, value in checks.items() if value > tolerance)
     report = {
-        "command": "verify-tensor",
         "trials": cfg.trials,
         "seed": cfg.seed,
         "tolerance": tolerance,
@@ -455,73 +432,31 @@ def cmd_verify_tensor(cfg: RunConfig) -> tuple[str, int]:
             "error: verification failed: " + ", ".join(failing),
             file=sys.stderr,
         )
-    return _json_doc(report), 0 if not failing else 2
+    return _json_doc(report, cfg.command), 0 if not failing else 2
 
 
 # ---------------------------------------------------------------------------
-# spectrum
+# table commands
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.n_max < 0:
-        raise ParameterError("spectrum needs n-max >= 0")
+def cmd_spectrum(cfg: RunConfig) -> _Table:
+    names = ("n", "m", "k", "Lambda", "epsilon", "valid", "branch", "reason")
     spec = _background(cfg)
-    entries = []
+    rows = []
     for m in cfg.m_range:
         for n in range(cfg.n_max + 1):
-            entry = analytic_spectrum(spec, QuantumNumbers(n, m, cfg.k), strict=False)
-            if entry.valid or cfg.include_invalid:
-                entries.append((n, m, entry))
-    entries.sort(key=lambda item: (item[0], item[1]))
-
-    if cfg.fmt == "json":
-        rows = [
-            {
-                "n": n,
-                "m": m,
-                "k": cfg.k,
-                "Lambda": entry.Lambda,
-                "epsilon": entry.epsilon,
-                "valid": entry.valid,
-                "branch": entry.branch,
-                "reason": entry.reason,
-            }
-            for n, m, entry in entries
-        ]
-        payload = {
-            "command": "spectrum",
-            "geometry": cfg.geometry,
-            "field": cfg.field,
-            "b": cfg.b,
-            "eta": cfg.eta,
-            "k": cfg.k,
-            "rows": rows,
-        }
-        return _json_doc(payload), 0
-
-    rows = [
-        [
-            str(n),
-            str(m),
-            _fmt(cfg.k),
-            _fmt(entry.Lambda) if entry.Lambda is not None else "",
-            _fmt(entry.epsilon) if entry.epsilon is not None else "",
-            "true" if entry.valid else "false",
-            entry.branch,
-            entry.reason,
-        ]
-        for n, m, entry in entries
-    ]
-    return _csv_doc(
-        ["n", "m", "k", "Lambda", "epsilon", "valid", "branch", "reason"], rows, []
-    ), 0
+            e = analytic_spectrum(spec, QuantumNumbers(n, m, cfg.k), strict=False)
+            if e.valid or cfg.include_invalid:
+                rows.append((n, m, cfg.k, e.Lambda, e.epsilon, e.valid, e.branch, e.reason))
+    rows.sort(key=lambda row: row[:2])
+    columns = list(zip(*rows)) or [()] * len(names)
+    return _Table(
+        {"geometry": cfg.geometry, "field": cfg.field, "b": cfg.b, "eta": cfg.eta, "k": cfg.k},
+        [(name, name, values) for name, values in zip(names, columns)],
+    )
 
 
-# ---------------------------------------------------------------------------
-# radial-eigen
-# ---------------------------------------------------------------------------
-
-def cmd_radial_eigen(cfg: RunConfig) -> tuple[str, int]:
+def cmd_radial_eigen(cfg: RunConfig) -> _Table:
     spec = _background(cfg)
     ode = assemble_radial_ode(spec, QuantumNumbers(0, cfg.m, cfg.k))
     grid = GridSpec(
@@ -530,38 +465,16 @@ def cmd_radial_eigen(cfg: RunConfig) -> tuple[str, int]:
         tol=1e-6 if cfg.tol is None else cfg.tol,
     )
     result = solve_radial_eigen(ode, cfg.n_max + 1, grid)
-    if cfg.fmt == "json":
-        rows = [
-            {
-                "index": i,
-                "eigenvalue": float(result.eigenvalues[i]),
-                "errorEstimate": float(result.error_estimates[i]),
-            }
-            for i in range(len(result.eigenvalues))
-        ]
-        payload = {
-            "command": "radial-eigen",
-            "geometry": cfg.geometry,
-            "field": cfg.field,
-            "b": cfg.b,
-            "m": cfg.m,
-            "eigenName": ode.eigen_name,
-            "gridPoints": cfg.grid_points,
-            "rows": rows,
-        }
-        return _json_doc(payload), 0
-    rows = [
-        [str(i), _fmt(result.eigenvalues[i]), _fmt(result.error_estimates[i])]
-        for i in range(len(result.eigenvalues))
-    ]
-    return _csv_doc(["index", "eigenvalue", "error_estimate"], rows, []), 0
+    return _Table(
+        {"geometry": cfg.geometry, "field": cfg.field, "b": cfg.b, "m": cfg.m,
+         "eigenName": ode.eigen_name, "gridPoints": cfg.grid_points},
+        [("index", "index", list(range(len(result.eigenvalues)))),
+         ("eigenvalue", "eigenvalue", result.eigenvalues.tolist()),
+         ("error_estimate", "errorEstimate", result.error_estimates.tolist())],
+    )
 
 
-# ---------------------------------------------------------------------------
-# zprofile
-# ---------------------------------------------------------------------------
-
-def cmd_zprofile(cfg: RunConfig) -> tuple[str, int]:
+def cmd_zprofile(cfg: RunConfig) -> _Table:
     spec = _background(cfg)
     if abs(cfg.z_min + cfg.z_max) > 1e-12 * max(1.0, abs(cfg.z_max)):
         raise ParameterError("zprofile grid must be symmetric about z = 0")
@@ -570,81 +483,29 @@ def cmd_zprofile(cfg: RunConfig) -> tuple[str, int]:
     except PoleError as exc:
         # a range straddling a pole is a bad request, not a numerical failure
         raise DomainError(str(exc)) from exc
-    extrema = [
-        {"z": eq.z, "kind": eq.kind} for eq in prof.extrema.equilibria
-    ]
-    if cfg.fmt == "json":
-        rows = [
-            {"z": float(z), "U": float(u), "Fz": float(f)}
-            for z, u, f in zip(prof.z_grid, prof.U, prof.Fz)
-        ]
-        payload = {
-            "command": "zprofile",
-            "geometry": cfg.geometry,
-            "b": cfg.b,
-            "gamma": cfg.gamma,
-            "Lambda": cfg.lambda_sep,
-            "rows": rows,
-            "extrema": extrema,
-        }
-        return _json_doc(payload), 0
-    rows = [
-        [_fmt(z), _fmt(u), _fmt(f)]
-        for z, u, f in zip(prof.z_grid, prof.U, prof.Fz)
-    ]
-    footer = [
-        f"# extremum,{_fmt(eq['z'])},{eq['kind']}" for eq in extrema
-    ]
-    return _csv_doc(["z", "U", "Fz"], rows, footer), 0
+    return _Table(
+        {"geometry": cfg.geometry, "b": cfg.b, "gamma": cfg.gamma, "Lambda": cfg.lambda_sep},
+        [("z", "z", prof.z_grid.tolist()), ("U", "U", prof.U.tolist()),
+         ("Fz", "Fz", prof.Fz.tolist())],
+        (("extremum", "extrema",
+          [{"z": eq.z, "kind": eq.kind} for eq in prof.extrema.equilibria]),),
+    )
 
 
-# ---------------------------------------------------------------------------
-# airy
-# ---------------------------------------------------------------------------
-
-def cmd_airy(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.samples < 1:
-        raise ParameterError("airy needs samples >= 1")
-    w_prime = 0.0 if cfg.w_prime is None else cfg.w_prime
-    pair = airy_pair(w_prime, cfg.nu)
+def cmd_airy(cfg: RunConfig) -> _Table:
+    pair = airy_pair(cfg.w_prime, cfg.nu)
     zs = np.linspace(cfg.z_min, cfg.z_max, cfg.samples)
     xs = pair.x_of_z(zs)
-    table = list(zip(zs.tolist(), xs.tolist(), pair.z1(xs).tolist(), pair.z2(xs).tolist()))
-    if cfg.fmt == "json":
-        rows = [
-            {
-                "z": z,
-                "x": x,
-                "Z1": {"re": z1.real, "im": z1.imag},
-                "Z2": {"re": z2.real, "im": z2.imag},
-            }
-            for z, x, z1, z2 in table
-        ]
-        payload = {
-            "command": "airy",
-            "wPrime": w_prime,
-            "nu": cfg.nu,
-            "turningPoint": pair.turning_point,
-            "wronskian": {"re": pair.wronskian.real, "im": pair.wronskian.imag},
-            "rows": rows,
-        }
-        return _json_doc(payload), 0
-    rows = [
-        [_fmt(z), _fmt(x), _fmt(z1.real), _fmt(z1.imag), _fmt(z2.real), _fmt(z2.imag)]
-        for z, x, z1, z2 in table
-    ]
-    footer = [
-        f"# turning_point,{_fmt(pair.turning_point)}",
-        f"# wronskian,{_fmt(pair.wronskian.real)},{_fmt(pair.wronskian.imag)}",
-    ]
-    return _csv_doc(["z", "x", "Z1_re", "Z1_im", "Z2_re", "Z2_im"], rows, footer), 0
+    return _Table(
+        {"wPrime": cfg.w_prime, "nu": cfg.nu},
+        [("z", "z", zs.tolist()), ("x", "x", xs.tolist()),
+         ("Z1", "Z1", pair.z1(xs).tolist()), ("Z2", "Z2", pair.z2(xs).tolist())],
+        (("turning_point", "turningPoint", pair.turning_point),
+         ("wronskian", "wronskian", pair.wronskian)),
+    )
 
 
-# ---------------------------------------------------------------------------
-# axial-integrate
-# ---------------------------------------------------------------------------
-
-def cmd_axial_integrate(cfg: RunConfig) -> tuple[str, int]:
+def cmd_axial_integrate(cfg: RunConfig) -> _Table:
     spec = _background(cfg)
     ode = assemble_axial_ode(spec, cfg.lambda_sep, epsilon=cfg.epsilon, w=cfg.w)
     sol = integrate_axial(
@@ -654,33 +515,14 @@ def cmd_axial_integrate(cfg: RunConfig) -> tuple[str, int]:
         steps=cfg.steps,
         tol=1e-9 if cfg.tol is None else cfg.tol,
     )
-    if cfg.fmt == "json":
-        rows = [
-            {
-                "z": float(sol.z[i]),
-                "Z": {"re": sol.Z[i].real, "im": sol.Z[i].imag},
-                "abs": float(abs(sol.Z[i])),
-            }
-            for i in range(len(sol.z))
-        ]
-        payload = {
-            "command": "axial-integrate",
-            "geometry": cfg.geometry,
-            "field": cfg.field,
-            "Lambda": cfg.lambda_sep,
-            "epsilon": cfg.epsilon,
-            "w": cfg.w,
-            "steps": cfg.steps,
-            "residualEstimate": float(sol.residual_estimate),
-            "rows": rows,
-        }
-        return _json_doc(payload), 0
-    rows = [
-        [_fmt(sol.z[i]), _fmt(sol.Z[i].real), _fmt(sol.Z[i].imag), _fmt(abs(sol.Z[i]))]
-        for i in range(len(sol.z))
-    ]
-    footer = [f"# residual_estimate,{_fmt(sol.residual_estimate)}"]
-    return _csv_doc(["z", "Z_re", "Z_im", "Z_abs"], rows, footer), 0
+    Z = sol.Z.tolist()
+    return _Table(
+        {"geometry": cfg.geometry, "field": cfg.field, "Lambda": cfg.lambda_sep,
+         "epsilon": cfg.epsilon, "w": cfg.w, "steps": cfg.steps},
+        # abs of a Python complex rounds like numpy's scalar abs, unlike np.abs
+        [("z", "z", sol.z.tolist()), ("Z", "Z", Z), ("Z_abs", "abs", [abs(v) for v in Z])],
+        (("residual_estimate", "residualEstimate", float(sol.residual_estimate)),),
+    )
 
 
 _DISPATCH = {
@@ -702,14 +544,19 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if (exc.code or 0) == 0 else 1
     try:
         cfg = _resolve(args)
-        text, code = _DISPATCH[cfg.command](cfg)
-        _emit(text, cfg.out)
-    except CoxlabInputError as exc:
+        out = _DISPATCH[cfg.command](cfg)
+        if isinstance(out, _Table):
+            out = (_json_table(out, cfg.command) if cfg.format == "json"
+                   else _csv_table(out)), 0
+        text, code = out
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (CoxlabInputError, CoxlabNumericalError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except CoxlabNumericalError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, CoxlabInputError) else 2
     return code
 
 

@@ -177,11 +177,15 @@ def flat_physical_energy(spec: BackgroundSpec, qn: QuantumNumbers, eps_prime: fl
     """Energy of a flat-section level from its radial eigenvalue eps'.
 
     E = k^2/2 + (eps' - 2 eta b) / (2 (1 - eta^2)), hbar = M = 1.
+    An energy that overflows double raises DomainError.
     """
     if spec.geometry != "flat" or spec.field != "magnetic":
         raise ParameterError("energy conversion applies to the flat magnetic section")
     one = 1.0 - spec.eta**2
-    return qn.k**2 / 2.0 + (eps_prime - 2.0 * spec.eta * spec.b) / (2.0 * one)
+    energy = qn.k * qn.k / 2.0 + (eps_prime - 2.0 * spec.eta * spec.b) / (2.0 * one)
+    if not math.isfinite(energy):
+        raise DomainError(f"energy = {energy} overflows double (b = {spec.b}, k = {qn.k})")
+    return energy
 
 
 def oscillator_frequency_shift(B: float, Gamma: float, M: float = 1.0) -> float:

@@ -197,6 +197,38 @@ def test_extrema_parameter_errors():
         effective_force_extrema(LOB, 0.0)
 
 
+def test_extrema_refuse_a_quadratic_that_overflows():
+    # Lambda^2 underflowing to 0 raised ZeroDivisionError; b^2 overflowing
+    # to inf returned equilibria at z = +-inf
+    for geometry in ("lobachevsky", "spherical"):
+        for b, g, L in ((10.0, 0.9, 1e-200), (1e300, 0.1, 2.0), (1e200, 0.1, -1.0)):
+            spec = BackgroundSpec(geometry=geometry, b=b, gamma=g)
+            with pytest.raises(DomainError, match="stationarity quadratic overflows"):
+                effective_force_extrema(spec, L)
+        # gamma = 0: the quadratic's roots are 0, so z = 0 stays the answer
+        for b, L in ((10.0, 1e-200), (1e300, 2.0)):
+            ext = effective_force_extrema(BackgroundSpec(geometry=geometry, b=b), L)
+            assert [e.z for e in ext.equilibria] == [0.0] and ext.roots == ()
+
+
+def test_potential_and_force_refuse_overflow():
+    # U = s (L - b g s)/(1 - g^2 s^2) overflowed to -inf with a RuntimeWarning
+    spec = BackgroundSpec(geometry="lobachevsky", b=1e307, gamma=0.999)
+    zs = np.linspace(-3.0, 3.0, 5)
+    with pytest.raises(DomainError, match="effective potential overflows"):
+        effective_potential(spec, 1.0, zs)
+    with pytest.raises(DomainError, match="effective potential overflows"):
+        effective_potential(spec, 1.0, 0.0)
+    # 2 b g s overflows in F while U = s (L - b g s)/(1 - g^2 s^2) stays finite
+    for geometry in ("lobachevsky", "spherical"):
+        strong = BackgroundSpec(geometry=geometry, b=1e308, gamma=0.5)
+        assert np.isfinite(effective_potential(strong, 1.0, 0.1))
+        with pytest.raises(DomainError, match="effective force overflows"):
+            effective_force(strong, 1.0, np.array([0.1, 0.2]))
+    with pytest.raises(DomainError):
+        potential_profile(spec, 1.0, -3.0, 3.0, 5)
+
+
 def test_potential_profile_and_pole_crossing():
     prof = potential_profile(LOB, 3.0, -2.0, 2.0, 101)
     assert prof.z_grid.shape == (101,)

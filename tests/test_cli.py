@@ -238,33 +238,41 @@ def test_airy_footer_constants(capsys):
 
 
 def _airy_per_sample(nu, w_prime, z_min, z_max, samples, fmt):
-    """The airy command as one scalar z1/z2 call per sample."""
+    """The airy command as one scalar z1/z2 call per sample, written out
+    with plain string formatting rather than the cli's writers."""
+    f = "%.17g".__mod__
     pair = airy_pair(w_prime, nu)
     rows = []
     for z in np.linspace(z_min, z_max, samples):
         x = float(pair.x_of_z(z))
-        rows.append((float(z), x, pair.z1(x), pair.z2(x)))
+        rows.append((f(z), f(x), pair.z1(x), pair.z2(x)))
     w = pair.wronskian
-    if fmt == "json":
-        return cli._json_doc({
-            "command": "airy",
-            "wPrime": w_prime,
-            "nu": nu,
-            "turningPoint": pair.turning_point,
-            "wronskian": {"re": w.real, "im": w.imag},
-            "rows": [
-                {"z": z, "x": x, "Z1": {"re": z1.real, "im": z1.imag},
-                 "Z2": {"re": z2.real, "im": z2.imag}}
-                for z, x, z1, z2 in rows
-            ],
-        })
-    f = cli._fmt
-    return cli._csv_doc(
-        ["z", "x", "Z1_re", "Z1_im", "Z2_re", "Z2_im"],
-        [[f(z), f(x), f(z1.real), f(z1.imag), f(z2.real), f(z2.imag)]
-         for z, x, z1, z2 in rows],
-        [f"# turning_point,{f(pair.turning_point)}",
-         f"# wronskian,{f(w.real)},{f(w.imag)}"],
+    if fmt == "csv":
+        lines = ["z,x,Z1_re,Z1_im,Z2_re,Z2_im"]
+        lines += [f"{z},{x},{f(a.real)},{f(a.imag)},{f(b.real)},{f(b.imag)}"
+                  for z, x, a, b in rows]
+        lines += [f"# turning_point,{f(pair.turning_point)}",
+                  f"# wronskian,{f(w.real)},{f(w.imag)}"]
+        return "\n".join(lines) + "\n"
+
+    def cplx(c, pad):
+        return f'{{\n{pad}  "im": {f(c.imag)},\n{pad}  "re": {f(c.real)}\n{pad}}}'
+
+    six = " " * 6
+    row_texts = [
+        f'    {{\n{six}"Z1": {cplx(a, six)},\n{six}"Z2": {cplx(b, six)},\n'
+        f'{six}"x": {x},\n{six}"z": {z}\n    }}'
+        for z, x, a, b in rows
+    ]
+    return (
+        '{\n  "command": "airy",\n'
+        f'  "nu": {f(nu)},\n'
+        '  "rows": [\n' + ",\n".join(row_texts) + "\n  ],\n"
+        '  "schemaVersion": 1,\n'
+        f'  "turningPoint": {f(pair.turning_point)},\n'
+        f'  "wPrime": {f(w_prime)},\n'
+        f'  "wronskian": {cplx(w, "  ")}\n'
+        "}\n"
     )
 
 
@@ -499,6 +507,29 @@ _FINITE = "expected a finite number"
          None, 1, "DomainError: radial matrix overflows"),
         (["verify-tensor", "--trials", "2", "--b", "1e300", "--nu", "1"],
          None, 1, "DomainError: field invariants overflow"),
+        # Lambda^2 underflow: ZeroDivisionError traceback; b^2 overflow:
+        # "# extremum,-inf,..." with exit 0; U overflow: RuntimeWarning, -inf row
+        (["zprofile", "--geometry", "lobachevsky", "--b", "10", "--gamma", "0.9",
+          "--lambda-sep", "1e-200"], None, 1, "DomainError: stationarity quadratic overflows"),
+        (["zprofile", "--geometry", "lobachevsky", "--b", "1e300", "--gamma", "0.1",
+          "--lambda-sep", "2", "--samples", "5"],
+         None, 1, "DomainError: stationarity quadratic overflows"),
+        (["zprofile", "--geometry", "lobachevsky", "--b", "1e307", "--gamma", "0.999",
+          "--lambda-sep", "1", "--samples", "5"],
+         None, 1, "DomainError: effective potential overflows"),
+        # key domains, whatever the command; tol <= 0 used to exit 2 as a failed check
+        (["verify-tensor", "--tol", "-1"], None, 1, "ParameterError: verify-tensor needs tol > 0"),
+        (["radial-eigen", "--geometry", "spherical", "--b", "1"], "tol=0", 1, "tol > 0"),
+        (["axial-integrate", "--geometry", "flat", "--field", "electric", "--nu", "1",
+          "--tol", "0"], None, 1, "tol > 0"),
+        (["verify-tensor", "--trials", "0"], None, 1, "trials >= 1"),
+        (["spectrum", "--n-max", "-1"], None, 1, "spectrum needs n-max >= 0"),
+        (["radial-eigen", "--geometry", "spherical", "--n-max", "-1"], None, 1, "n-max >= 0"),
+        (["zprofile", "--geometry", "lobachevsky", "--samples", "0"], None, 1, "samples >= 1"),
+        # one value over the cap; an uncapped -1e8:1e8 built a 2e8-element tuple
+        (["spectrum", "--m-range=0:10001", "--n-max", "0"],
+         None, 1, "spectrum needs m-range of at most 10001 values"),
+        (["verify-tensor", "--trials", "1"], "m-range=-5001:5001", 1, "m-range of at most 10001"),
     ],
 )
 def test_refusals_without_traceback(capsys, tmp_path, monkeypatch, argv, config, code, message):
@@ -511,6 +542,179 @@ def test_refusals_without_traceback(capsys, tmp_path, monkeypatch, argv, config,
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+def test_m_range_cap_admits_exactly_the_cap():
+    args = cli._build_parser().parse_args(["verify-tensor", "--m-range=-5000:5000"])
+    assert cli._resolve(args).m_range == range(-5000, 5001)  # 10001 values
+
+
+# one valid, non-default text per key; a new key must be added here
+_KEY_SAMPLES = {
+    "geometry": "spherical", "field": "electric", "b": "1.5", "nu": "-0.25", "eta": "0.5",
+    "gamma": "0.125", "lambda-sep": "3.5", "n-max": "4", "m-range": "-2:3", "k": "0.75",
+    "z-min": "-1.25", "z-max": "2.5", "samples": "17", "grid-points": "250", "r-max": "9",
+    "trials": "3", "seed": "11", "tol": "0.001", "format": "json", "out": "table.txt",
+    "include-invalid": None, "w-prime": "1.5", "w": "0.5", "epsilon": "2", "m": "-3",
+    "ic-value": "0.5", "ic-slope": "-1", "steps": "12",
+}
+
+
+def test_every_key_resolves_alike_from_flag_and_config(tmp_path, monkeypatch):
+    assert list(_KEY_SAMPLES) == list(cli._KEYS)
+    parser = cli._build_parser()
+    defaults = cli._resolve(parser.parse_args(["spectrum"]))
+    for key, text in _KEY_SAMPLES.items():
+        flag = ["--" + key] if text is None else [f"--{key}={text}"]
+        from_flag = cli._resolve(parser.parse_args(["spectrum", *flag]))
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"{key}={'true' if text is None else text}\n")
+        monkeypatch.setenv("COXLAB_CONFIG", str(path))
+        from_file = cli._resolve(parser.parse_args(["spectrum"]))
+        monkeypatch.delenv("COXLAB_CONFIG")
+        assert from_flag == from_file, key
+        field = key.replace("-", "_")
+        assert getattr(from_flag, field) != getattr(defaults, field), key
+        others = [f for f in from_flag._fields if f not in (field, "fixed_field")]
+        assert [getattr(from_flag, f) for f in others] == [getattr(defaults, f) for f in others]
+        assert from_flag.fixed_field == (key in ("b", "nu"))
+
+
+# Literal output of configurations whose every value is exact, so the expected
+# text is written out here and does not come from the cli's own writers.
+_PINNED = [
+    (["spectrum", "--geometry", "lobachevsky", "--b", "2", "--n-max", "2",
+      "--include-invalid"],
+     "n,m,k,Lambda,epsilon,valid,branch,reason\n"
+     "0,0,0,2,,true,,\n"
+     "1,0,0,4,,true,,\n"
+     "2,0,0,4,,false,,s + 1/2 = 2.5 exceeds b = 2.0\n"),
+    (["spectrum", "--geometry", "lobachevsky", "--b", "2", "--n-max", "2",
+      "--include-invalid", "--format", "json"],
+     """{
+  "b": 2,
+  "command": "spectrum",
+  "eta": 0,
+  "field": "magnetic",
+  "geometry": "lobachevsky",
+  "k": 0,
+  "rows": [
+    {
+      "Lambda": 2,
+      "branch": "",
+      "epsilon": null,
+      "k": 0,
+      "m": 0,
+      "n": 0,
+      "reason": "",
+      "valid": true
+    },
+    {
+      "Lambda": 4,
+      "branch": "",
+      "epsilon": null,
+      "k": 0,
+      "m": 0,
+      "n": 1,
+      "reason": "",
+      "valid": true
+    },
+    {
+      "Lambda": 4,
+      "branch": "",
+      "epsilon": null,
+      "k": 0,
+      "m": 0,
+      "n": 2,
+      "reason": "s + 1/2 = 2.5 exceeds b = 2.0",
+      "valid": false
+    }
+  ],
+  "schemaVersion": 1
+}
+"""),
+    (["verify-tensor", "--trials", "1", "--b", "0", "--nu", "0"],
+     """{
+  "checks": {
+    "deSitter": {
+      "maxResidual": 0
+    },
+    "inverseProduct": {
+      "maxResidual": 0
+    },
+    "minimalPolynomial": {
+      "maxResidual": 0
+    },
+    "newtonCayley": {
+      "maxResidual": 0
+    }
+  },
+  "command": "verify-tensor",
+  "failing": [],
+  "fixedField": true,
+  "maxResidual": 0,
+  "pass": true,
+  "schemaVersion": 1,
+  "seed": 7,
+  "tolerance": 1e-10,
+  "trials": 1
+}
+"""),
+    (["axial-integrate", "--geometry", "flat", "--field", "electric", "--nu", "1",
+      "--ic-value", "0", "--ic-slope", "0", "--steps", "2"],
+     "z,Z_re,Z_im,Z_abs\n"
+     "-3,0,0,0\n"
+     "0,0,0,0\n"
+     "3,0,0,0\n"
+     "# residual_estimate,0\n"),
+    (["axial-integrate", "--geometry", "flat", "--field", "electric", "--nu", "1",
+      "--ic-value", "0", "--ic-slope", "0", "--steps", "2", "--format", "json"],
+     """{
+  "Lambda": 2,
+  "command": "axial-integrate",
+  "epsilon": 0,
+  "field": "electric",
+  "geometry": "flat",
+  "residualEstimate": 0,
+  "rows": [
+    {
+      "Z": {
+        "im": 0,
+        "re": 0
+      },
+      "abs": 0,
+      "z": -3
+    },
+    {
+      "Z": {
+        "im": 0,
+        "re": 0
+      },
+      "abs": 0,
+      "z": 0
+    },
+    {
+      "Z": {
+        "im": 0,
+        "re": 0
+      },
+      "abs": 0,
+      "z": 3
+    }
+  ],
+  "schemaVersion": 1,
+  "steps": 2,
+  "w": 0
+}
+"""),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _PINNED)
+def test_output_bytes_pinned(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 def test_usage_errors_exit_1(capsys):

@@ -135,6 +135,17 @@ def test_spectrum_refuses_levels_that_overflow():
     assert big.epsilon == 2.0 + 1e150 * 1e150
 
 
+def test_flat_physical_energy_refuses_overflow():
+    # k**2 raised OverflowError above |k| ~ 1e154
+    spec = BackgroundSpec(geometry="flat", b=1.0)
+    with pytest.raises(DomainError, match="energy"):
+        flat_physical_energy(spec, QuantumNumbers(0, 0, k=1e300), 2.0)
+    structured = BackgroundSpec(geometry="flat", b=1.0, eta=0.999)
+    with pytest.raises(DomainError, match="energy"):  # eps' / (2 (1 - eta^2)) overflows
+        flat_physical_energy(structured, QuantumNumbers(0, 0), 1e308)
+    assert flat_physical_energy(spec, QuantumNumbers(0, 0, k=1e150), 2.0) == 1e150 * 1e150 / 2.0 + 1.0
+
+
 @given(n=st.integers(0, 20), m=st.integers(-10, 10))
 @settings(max_examples=60, deadline=None)
 def test_flat_ladder_spacing_is_4b(n, m):
