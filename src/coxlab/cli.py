@@ -126,7 +126,7 @@ _KEYS = {
     "z-min": _Key(_finite_float, -3.0),
     "z-max": _Key(_finite_float, 3.0),
     "samples": _Key(int, 601, domain=(lambda n: n >= 1, ">= 1")),
-    "grid-points": _Key(int, 3000),
+    "grid-points": _Key(int, 3000, domain=(lambda n: 16 <= n <= 1_000_000, "in [16, 1000000]")),
     "r-max": _Key(_finite_float),
     "trials": _Key(int, 100, domain=(lambda n: n >= 1, ">= 1")),
     "seed": _Key(int, 7),
@@ -229,6 +229,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                 value = key.conv(raw)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"invalid value for config key {name!r}: {raw!r}") from exc
+            if key.choices and value not in key.choices:
+                raise ConfigError(f"config key {name!r} must be one of {', '.join(key.choices)}; "
+                                  f"got {raw!r}")
         values[_FIELDS[name]] = key.default if value is None else value
     values["m_range"] = _parse_m_range(values["m_range"])
     for name, key in _KEYS.items():

@@ -13,8 +13,11 @@ Closed-form spectra (library units, curvature radius rho = 1):
 
 The numerical route discretizes the separated equation in Liouville
 (finite-volume) form on the natural weight (r, sh r, sin r) and solves
-the symmetric tridiagonal eigenproblem by Sturm bisection, with
-Richardson extrapolation over a grid doubling as the error estimate.
+the symmetric tridiagonal eigenproblem on a grid and its doubling, with
+Richardson extrapolation as the error estimate.  Sturm bisection runs on
+a small seed grid; Rayleigh-quotient iteration refines its pairs on the
+two grids, and a residual-and-Sturm-count certificate proves that they
+are the lowest levels, in order, or the two grids are bisected instead.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from .backgrounds import BackgroundSpec, QuantumNumbers, SeparatedODE, assemble_radial_ode
 from .errors import (
@@ -217,34 +221,134 @@ def spectrum_matched_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedO
 # finite-volume eigensolver
 # ---------------------------------------------------------------------------
 
+SEED_CELLS = 128  # the grid whose bisected pairs seed the refinement
+_EPS = float(np.finfo(float).eps)
+_STOP = 16.0  # residual that ends a refinement, in eps * ||T||_inf
+_MARGIN = 1e3  # rounding allowance of the index certificate, in eps * ||T||_inf
+_MAX_SOLVES = 8  # per level; a level still short of the stop falls back
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
-def _tridiag(ode: SeparatedODE, n_cells: int, r_max: float):
-    """Symmetric tridiagonal discretization of -(w R')'/w - q0 on cell centers.
+def _tridiags(ode: SeparatedODE, sizes, r_max: float):
+    """Symmetric tridiagonal discretizations of -(w R')'/w - q0 on cell centers,
+    one (centers, h, w_cent, diag, off) per cell count in `sizes`.
 
     Cell-centered nodes r_i = (i+1/2)h keep the centrifugal term finite
     and make the axis (weight -> 0) a natural boundary; the outer face
     is Dirichlet for a cutoff, natural on the sphere where sin(pi) = 0.
-    Liouville scaling u = R sqrt(w) symmetrizes the matrix.  Raises
-    DomainError when an entry overflows double.
+    Liouville scaling u = R sqrt(w) symmetrizes the matrix.  The weight
+    is evaluated once on every face and center, q0 once on every center.
+    Raises DomainError when an entry overflows double.
     """
-    h = r_max / n_cells
-    centers = (np.arange(n_cells) + 0.5) * h
-    faces = np.arange(n_cells + 1) * h
-    w_face = np.asarray(ode.weight(faces), dtype=float)
-    w_cent = np.asarray(ode.weight(centers), dtype=float)
-    q0 = np.asarray(ode.qcoef(centers, 0.0), dtype=float)
-    diag = (w_face[:-1] + w_face[1:]) / (h * h * w_cent) - q0
-    off = -w_face[1:-1] / (h * h * np.sqrt(w_cent[:-1] * w_cent[1:]))
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        raise DomainError(f"radial matrix overflows double on {n_cells} cells")
-    return centers, h, w_cent, diag, off
+    steps = [r_max / n for n in sizes]
+    centers = [(np.arange(n) + 0.5) * h for n, h in zip(sizes, steps)]
+    faces = [np.arange(n + 1) * h for n, h in zip(sizes, steps)]
+    w_all = np.asarray(ode.weight(np.concatenate(faces + centers)), dtype=float)
+    q_all = np.asarray(ode.qcoef(np.concatenate(centers), 0.0), dtype=float)
+    w_parts = np.split(w_all, np.cumsum([n + 1 for n in sizes] + list(sizes))[:-1])
+    w_faces, w_cents = w_parts[: len(sizes)], w_parts[len(sizes) :]
+    q0s = np.split(q_all, np.cumsum(sizes)[:-1])
+    out = []
+    for n, h, c, w_face, w_cent, q0 in zip(sizes, steps, centers, w_faces, w_cents, q0s):
+        diag = (w_face[:-1] + w_face[1:]) / (h * h * w_cent) - q0
+        off = -w_face[1:-1] / (h * h * np.sqrt(w_cent[:-1] * w_cent[1:]))
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+            raise DomainError(f"radial matrix overflows double on {n} cells")
+        out.append((c, h, w_cent, diag, off))
+    return out
+
+
+def _rqi(d, e, sigma: float, v, stop: float):
+    """Rayleigh-quotient iteration from shift sigma and vector v.
+
+    Each step solves (T - sigma) y = v, then moves sigma by
+    delta = y.v / y.y (to the Rayleigh quotient of y) and v to y/|y|.
+    Then (T - sigma - delta) y/|y| = (v - delta y)/|y|, so the residual
+    costs one vector expression.  Returns (sigma, residual, v) once the
+    residual is at most `stop`; None when it is not reached in
+    _MAX_SOLVES steps or a solve fails.
+    """
+    for _ in range(_MAX_SOLVES):
+        _, _, _, y, info = dgtsv(e, d - sigma, e, v, overwrite_d=1)
+        yy = float(y @ y)
+        if info != 0 or not 0.0 < yy < math.inf:
+            return None
+        delta = float(y @ v) / yy
+        norm = math.sqrt(yy)
+        res = v - delta * y
+        residual = math.sqrt(float(res @ res)) / norm
+        sigma += delta
+        v = y / norm
+        if residual <= stop:
+            return sigma, residual, v
+    return None
+
+
+def _refine(d, e, shifts, starts):
+    """Lowest len(shifts) eigenpairs of the tridiagonal (d, e), refined from
+    approximate shifts and starting vectors (columns of `starts`), or None
+    unless a certificate proves they are the lowest ones, in order.
+
+    Certificate: every residual interval sigma_k +- r_k holds an
+    eigenvalue; the intervals, widened by a rounding margin, are
+    disjoint and in order; and one Sturm count (stebz with an infinite
+    tolerance counts without bisecting) finds exactly as many
+    eigenvalues as intervals up to just above the top one.  Vectors take
+    stein's sign: the largest-magnitude component is positive.
+    """
+    count = len(shifts)
+    rows, off = np.abs(d), np.abs(e)
+    rows[:-1] += off
+    rows[1:] += off
+    t_norm = float(rows.max())  # ||T||_inf
+    stop, margin = _STOP * _EPS * t_norm, _MARGIN * _EPS * t_norm
+    sigmas, radii = np.empty(count), np.empty(count)
+    vecs = np.empty((len(d), count))
+    for k in range(count):
+        pair = _rqi(d, e, float(shifts[k]), starts[:, k], stop)
+        if pair is None:
+            return None
+        sigmas[k], radii[k], vecs[:, k] = pair
+    if not np.all(sigmas[1:] - radii[1:] - sigmas[:-1] - radii[:-1] > 2.0 * margin):
+        return None
+    top = sigmas[-1] + 2.0 * radii[-1] + margin
+    if dstebz(d, e, 1, -2.0 * t_norm - 1.0, top, 0, 0, 1e300, b"E")[0] != count:
+        return None
+    peaks = np.argmax(np.abs(vecs), axis=0)
+    vecs *= np.sign(vecs[peaks, np.arange(count)])
+    return sigmas, vecs
+
+
+def _lowest_pairs(grids, count: int):
+    """Lowest `count` eigenvalues of the coarse grid and eigenpairs of the
+    fine grid.  With a seed grid (third entry of `grids`), its bisected
+    pairs are refined on the coarse and then the fine grid; without one,
+    or when a certificate fails, both grids are bisected."""
+    (c1, _, _, d1, e1), (_, _, _, d2, e2) = grids[:2]
+    if len(grids) == 3:
+        cs, _, _, ds, es = grids[2]
+        seed_vals, seed_vecs = eigh_tridiagonal(ds, es, select="i", select_range=(0, count - 1))
+        starts = np.column_stack([np.interp(c1, cs, seed_vecs[:, k]) for k in range(count)])
+        coarse = _refine(d1, e1, seed_vals, starts)
+        if coarse is not None:
+            fine = _refine(d2, e2, coarse[0], np.repeat(coarse[1], 2, axis=0))
+            if fine is not None:
+                return coarse[0], fine[0], fine[1]
+    vals1 = eigh_tridiagonal(d1, e1, select="i", select_range=(0, count - 1), eigvals_only=True)
+    vals2, vecs = eigh_tridiagonal(d2, e2, select="i", select_range=(0, count - 1))
+    return vals1, vals2, vecs
 
 
 def solve_radial_eigen(ode: SeparatedODE, count: int, grid: GridSpec) -> EigenResult:
     """Lowest `count` eigenvalues/functions of a separated radial equation.
 
     Solves on `grid.points` and 2x cells, Richardson-extrapolates the
-    h^2 error and reports |difference|/3 as the estimate.  Raises
+    h^2 error and reports |difference|/3 as the estimate.  Above
+    SEED_CELLS cells, bisection runs only on a SEED_CELLS-cell grid; its
+    pairs are refined on both grids by Rayleigh-quotient iteration and
+    kept under an index certificate, or else both grids are bisected
+    (as they are at or below SEED_CELLS cells, or for more than
+    SEED_CELLS - 2 levels).  Raises
     GridTooCoarse when the estimate exceeds grid.tol relative to the
     eigenvalue and CutoffTooSmall when an eigenfunction carries more
     than 1e-8 of its norm in the outermost cells of a truncated domain.
@@ -269,12 +373,10 @@ def solve_radial_eigen(ode: SeparatedODE, count: int, grid: GridSpec) -> EigenRe
     if count > n1 - 2:
         raise ParameterError("count too large for the grid")
 
-    _, _, _, d1, e1 = _tridiag(ode, n1, r_max)
-    centers, h, w_cent, d2, e2 = _tridiag(ode, n2, r_max)
-    vals1 = eigh_tridiagonal(
-        d1, e1, select="i", select_range=(0, count - 1), eigvals_only=True
-    )
-    vals2, vecs = eigh_tridiagonal(d2, e2, select="i", select_range=(0, count - 1))
+    seeded = n1 > SEED_CELLS and count <= SEED_CELLS - 2
+    grids = _tridiags(ode, (n1, n2, SEED_CELLS) if seeded else (n1, n2), r_max)
+    centers, h, w_cent = grids[1][:3]
+    vals1, vals2, vecs = _lowest_pairs(grids, count)
 
     extrapolated = vals2 + (vals2 - vals1) / 3.0
     estimates = np.abs(vals2 - vals1) / 3.0

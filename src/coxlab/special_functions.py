@@ -38,20 +38,19 @@ __all__ = [
 _EPS_LD = float(np.finfo(np.clongdouble).eps)
 _LOG2_10 = math.log2(10.0)
 _GUARD_BITS = 20  # fixed-point bits beyond dps digits, for the roundings of 700 terms
+_DIRECT_RADIUS = 0.5  # gauss_2f1 sums its series untransformed for |x| up to here
 
 
 @dataclass(frozen=True)
 class SeriesControl:
     """Knobs for the series engines.
 
-    max_terms      hard cap on summed terms before NonConvergence
-    tol            relative truncation/roundoff budget (>= 10*eps)
-    direct_radius  |x| below which the Gauss series is used untransformed
+    max_terms  hard cap on summed terms before NonConvergence
+    tol        relative truncation/roundoff budget (>= 10*eps)
     """
 
     max_terms: int = 700
     tol: float = 1e-14
-    direct_radius: float = 0.5
 
     def __post_init__(self) -> None:
         if self.tol < 10 * np.finfo(float).eps:
@@ -371,7 +370,7 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
     radial solutions); the argument must be real.  Real parameters
     return a float, complex parameters the complex value.
 
-    Region map (DLMF 15.8): direct series for |x| <= direct_radius;
+    Region map (DLMF 15.8): direct series for |x| <= _DIRECT_RADIUS;
     the 1-x connection (15.8.4) for x near 1; the Pfaff transformation
     (15.8.1) for moderately negative x; the 1/x connection (15.8.2) for
     x < -2.  Connection formulas raise PoleError when their gamma
@@ -395,7 +394,7 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
             * reciprocal_gamma(c - a)
             * reciprocal_gamma(c - b)
         )
-    elif abs(x) <= ctl.direct_radius:
+    elif abs(x) <= _DIRECT_RADIUS:
         val = _gauss_series(a, b, c, x, ctl)
     elif x > 0.0:
         # 0.5 < x < 1: connection in powers of 1 - x  (DLMF 15.8.4)

@@ -530,6 +530,14 @@ _FINITE = "expected a finite number"
         (["spectrum", "--m-range=0:10001", "--n-max", "0"],
          None, 1, "spectrum needs m-range of at most 10001 values"),
         (["verify-tensor", "--trials", "1"], "m-range=-5001:5001", 1, "m-range of at most 10001"),
+        # a config value outside the declared choices printed CSV / ran airy with exit 0
+        (["spectrum", "--n-max", "0"], "format=xml", 1, "ConfigError: config key 'format'"),
+        (["airy", "--nu", "1", "--samples", "2"], "field=gravity", 1, "ConfigError"),
+        # one cell under and one over the grid-points domain
+        (["radial-eigen", "--geometry", "spherical", "--grid-points", "15"],
+         None, 1, "radial-eigen needs grid-points in [16, 1000000]"),
+        (["radial-eigen", "--geometry", "spherical"], "grid-points=1000001", 1,
+         "grid-points in [16, 1000000]"),
     ],
 )
 def test_refusals_without_traceback(capsys, tmp_path, monkeypatch, argv, config, code, message):
@@ -547,6 +555,12 @@ def test_refusals_without_traceback(capsys, tmp_path, monkeypatch, argv, config,
 def test_m_range_cap_admits_exactly_the_cap():
     args = cli._build_parser().parse_args(["verify-tensor", "--m-range=-5000:5000"])
     assert cli._resolve(args).m_range == range(-5000, 5001)  # 10001 values
+
+
+def test_grid_points_domain_admits_its_bounds():
+    for points in (16, 1_000_000):  # resolved only: a million cells is never solved here
+        args = cli._build_parser().parse_args(["radial-eigen", f"--grid-points={points}"])
+        assert cli._resolve(args).grid_points == points
 
 
 # one valid, non-default text per key; a new key must be added here

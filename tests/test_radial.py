@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal
 
+from coxlab import radial
 from coxlab.backgrounds import BackgroundSpec, QuantumNumbers, assemble_axial_ode
 from coxlab.errors import (
     CutoffTooSmall,
@@ -270,6 +272,170 @@ def test_solver_error_modes():
         GridSpec(points=100, r_max=-1.0)
     with pytest.raises(ParameterError):
         GridSpec(points=100, tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# refined eigensolver: certificate, fallback and agreement with bisection
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+WORKLOAD_CELLS = (400, 800, 1200, 1600, 3200)
+
+
+def _bound_levels(b, m):
+    """Lowest Lobachevsky levels (at most 3) bound by at least 1/2 below the
+    edge, so that a cutoff of 30 holds their tails."""
+    spec = BackgroundSpec(geometry="lobachevsky", b=b)
+    for n in range(3):
+        t = (m + abs(m)) / 2 + n + 0.5
+        if not (analytic_spectrum(spec, QuantumNumbers(n, m), strict=False).valid and t <= b - 0.5):
+            return n
+    return 3
+
+
+def _cases(seed, total, cells):
+    """Seeded requests (spec, m, levels, cells, r_max) shaped like the
+    benchmark's radial sweep, cycling through the three geometries.  Spheres
+    keep |m + 2b| >= 0.75, clear of the slowly converging antipode exponents."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < total:
+        geometry = ("flat", "lobachevsky", "spherical")[len(out) % 3]
+        n_cells, m = int(cells(rng)), int(rng.integers(-3, 4))
+        levels, r_max = 3, None
+        if geometry == "flat":
+            b = float(rng.uniform(0.5, 2.5))
+            r_max = math.sqrt(40.0 / b)  # |R|^2 r ~ exp(-b r^2): tail below 1e-8
+        elif geometry == "spherical":
+            b = float(rng.uniform(0.5, 4.0))
+            if abs(m + 2.0 * b) < 0.75:
+                continue
+        else:
+            b, r_max = float(rng.uniform(2.0, 7.0)), 30.0
+            levels = _bound_levels(b, m)
+            if levels == 0:
+                continue
+        out.append((BackgroundSpec(geometry=geometry, b=b), m, levels, n_cells, r_max))
+    return out
+
+
+def _bisected(d, e, count, vectors=False):
+    return eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1), eigvals_only=not vectors)
+
+
+def _t_norm(d, e):
+    return float(np.max(np.abs(d) + np.abs(np.r_[0.0, e]) + np.abs(np.r_[e, 0.0])))
+
+
+def _grids(spec, m, cells, r_max, seeded=True):
+    ode = spectrum_matched_ode(spec, QuantumNumbers(0, m))
+    sizes = (cells, 2 * cells, radial.SEED_CELLS) if seeded else (cells, 2 * cells)
+    return radial._tridiags(ode, sizes, r_max or math.pi)
+
+
+@pytest.mark.parametrize(
+    "spec,m,levels,cells,r_max", _cases(11, 30, lambda rng: rng.integers(100, 3201))
+)
+def test_levels_lie_within_their_own_estimates(spec, m, levels, cells, r_max):
+    ode = spectrum_matched_ode(spec, QuantumNumbers(0, m))
+    res = solve_radial_eigen(ode, levels, GridSpec(points=cells, r_max=r_max, tol=0.5))
+    exact = [analytic_spectrum(spec, QuantumNumbers(n, m)).Lambda for n in range(levels)]
+    assert np.all(np.abs(res.eigenvalues - exact) <= res.error_estimates)
+
+
+@pytest.mark.parametrize(
+    "spec,m,levels,cells,r_max", _cases(12, 12, lambda rng: rng.choice(WORKLOAD_CELLS))
+)
+def test_refined_pairs_match_bisection(spec, m, levels, cells, r_max):
+    grids = _grids(spec, m, cells, r_max)
+    vals1, vals2, vecs = radial._lowest_pairs(grids, levels)
+    for (_, _, _, d, e), vals in zip(grids, (vals1, vals2)):
+        assert np.max(np.abs(vals - _bisected(d, e, levels))) <= 4 * EPS * _t_norm(d, e)
+    _, stein = _bisected(*grids[1][3:], levels, vectors=True)
+    assert_allclose(vecs, stein, rtol=0, atol=1e-8)  # stein's sign, too
+
+
+@pytest.mark.parametrize("spec,m,levels,cells,r_max", _cases(14, 6, lambda rng: 800))
+def test_eigenfunctions_signed_unit_and_orthogonal(spec, m, levels, cells, r_max):
+    ode = spectrum_matched_ode(spec, QuantumNumbers(0, m))
+    res = solve_radial_eigen(ode, levels, GridSpec(points=cells, r_max=r_max, tol=0.5))
+    w = ode.weight(res.grid)
+    h = res.grid[1] - res.grid[0]
+    gram = (res.eigenfunctions * w) @ res.eigenfunctions.T * h
+    assert_allclose(np.diag(gram), 1.0, rtol=1e-12)
+    assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < 1e-10
+    liouville = res.eigenfunctions * np.sqrt(w)  # the solver's vectors, up to scale
+    peaks = np.argmax(np.abs(liouville), axis=1)
+    assert np.all(liouville[np.arange(levels), peaks] > 0)
+
+
+def test_certificate_refuses_pairs_that_miss_a_level():
+    (_, _, _, d, e), = radial._tridiags(spectrum_matched_ode(SPH1, QuantumNumbers(0, 1)), (400,), math.pi)
+    vals, vecs = _bisected(d, e, 4, vectors=True)
+    refined = radial._refine(d, e, vals[:3], vecs[:, :3])
+    assert refined is not None and np.max(np.abs(refined[0] - vals[:3])) <= 4 * EPS * _t_norm(d, e)
+    assert radial._refine(d, e, vals[1:], vecs[:, 1:]) is None  # skips level 0
+    # level 0 twice and level 1 missed: the Sturm count up to level 2 alone would pass
+    assert radial._refine(d, e, vals[[0, 0, 2]], vecs[:, [0, 0, 2]]) is None
+
+
+def test_failed_certificate_returns_the_bisection_answer(monkeypatch):
+    ode = spectrum_matched_ode(SPH1, QuantumNumbers(0, 1))
+    grid = GridSpec(points=800, tol=1e-3)
+    with monkeypatch.context() as patched:
+        patched.setattr(radial, "_refine", lambda *args: None)
+        want = solve_radial_eigen(ode, 3, grid)
+    sizes = []
+
+    def wrong_seed(d, e, select_range, **kw):
+        sizes.append(len(d))
+        if len(d) == radial.SEED_CELLS:  # seeds levels 1..3 in place of 0..2
+            select_range = (select_range[0] + 1, select_range[1] + 1)
+        return eigh_tridiagonal(d, e, select_range=select_range, **kw)
+
+    monkeypatch.setattr(radial, "eigh_tridiagonal", wrong_seed)
+    got = solve_radial_eigen(ode, 3, grid)
+    assert sizes == [radial.SEED_CELLS, 800, 1600]
+    for name in ("eigenvalues", "error_estimates", "eigenfunctions", "grid"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("cells,count", [(100, 3), (128, 126), (130, 126), (200, 198)])
+def test_small_grids_and_many_levels_match_bisection(cells, count):
+    ode = spectrum_matched_ode(SPH1, QuantumNumbers(0, 1))
+    res = solve_radial_eigen(ode, count, GridSpec(points=cells, tol=1e6))
+    (_, _, _, d1, e1), (_, _, _, d2, e2) = _grids(SPH1, 1, cells, None, seeded=False)
+    vals1, vals2 = _bisected(d1, e1, count), _bisected(d2, e2, count)
+    slack = 4 * EPS * (_t_norm(d1, e1) + _t_norm(d2, e2))
+    assert np.max(np.abs(res.eigenvalues - (vals2 + (vals2 - vals1) / 3.0))) <= slack
+
+
+def test_refusals_above_the_seed_grid():
+    huge = spectrum_matched_ode(BackgroundSpec(geometry="spherical", b=1e300), QuantumNumbers(0, 0))
+    with pytest.raises(DomainError, match="on 400 cells"):
+        solve_radial_eigen(huge, 1, GridSpec(points=400))
+    flat = spectrum_matched_ode(FLAT, QuantumNumbers(0, 0))
+    with pytest.raises(GridTooCoarse):
+        solve_radial_eigen(flat, 2, GridSpec(points=200, r_max=8.5, tol=1e-9))
+    free = spectrum_matched_ode(BackgroundSpec(geometry="lobachevsky", b=0.0), QuantumNumbers(0, 0))
+    with pytest.raises(CutoffTooSmall):  # box modes hug the wall
+        solve_radial_eigen(free, 2, GridSpec(points=400, r_max=20.0))
+
+
+def test_bisection_runs_only_on_the_seed_grid(monkeypatch):
+    """Workload-shaped requests take the refined path: a change that
+    silently fell back to bisection on every request would fail here."""
+    sizes = set()
+
+    def recording(d, e, **kw):
+        sizes.add(len(d))
+        return eigh_tridiagonal(d, e, **kw)
+
+    monkeypatch.setattr(radial, "eigh_tridiagonal", recording)
+    for spec, m, levels, cells, r_max in _cases(13, 45, lambda rng: rng.choice(WORKLOAD_CELLS)):
+        ode = spectrum_matched_ode(spec, QuantumNumbers(0, m))
+        solve_radial_eigen(ode, levels, GridSpec(points=cells, r_max=r_max, tol=5e-3))
+    assert sizes == {radial.SEED_CELLS}
 
 
 # ---------------------------------------------------------------------------

@@ -442,7 +442,7 @@ def test_series_control_validation():
 
 
 def test_series_control_threaded_through():
-    ctl = SeriesControl(max_terms=650, tol=1e-13, direct_radius=0.4)
+    ctl = SeriesControl(max_terms=650, tol=1e-13)
     assert gauss_2f1(0.5, 1.5, 2.3, 0.45, ctl) == pytest.approx(
         gauss_2f1(0.5, 1.5, 2.3, 0.45), rel=1e-11
     )
