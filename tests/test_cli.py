@@ -67,6 +67,115 @@ def test_verify_tensor_unattainable_tolerance(capsys):
     assert "minimalPolynomial" in err or "inverseProduct" in err
 
 
+def _verify_tensor_per_trial(argv):
+    """(exit code, stdout, stderr) of verify-tensor computed one trial at a
+    time with 4x4 library calls: the per-trial reference of the byte guard."""
+    from coxlab.errors import CoxlabInputError, CoxlabNumericalError
+    from coxlab.tensor_algebra import (
+        FLAT_METRIC, DiagonalMetric, FieldConfig3, MixedTensor, ParticleConstants,
+        build_mixed_field_tensor, dual_tensor, field_invariants, general_lambda_inverse,
+        lambda_inverse, minimal_poly_residuals, newton_char_coeffs)
+
+    cfg = cli._resolve(cli._build_parser().parse_args(argv))
+    tolerance = 1e-10 if cfg.tol is None else cfg.tol
+    rng = np.random.default_rng(cfg.seed)
+    res_minpoly = res_inverse = res_cayley = res_desitter = 0.0
+    eye = np.eye(4)
+    try:
+        for _ in range(cfg.trials):
+            if cfg.fixed_field:
+                fields = FieldConfig3((0.0, 0.0, cfg.nu), (0.0, 0.0, cfg.b))
+                metric, consts = FLAT_METRIC, ParticleConstants(1.0, 0.5)
+            else:
+                metric = DiagonalMetric(rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0),
+                                        -rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0))
+                fields = FieldConfig3(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
+                consts = ParticleConstants(rng.uniform(0.8, 1.6), rng.uniform(-0.5, 0.5))
+            F = build_mixed_field_tensor(fields, metric)
+            Fd = dual_tensor(fields, metric)
+            inv = field_invariants(fields, metric)
+            res_minpoly = max(res_minpoly, *minimal_poly_residuals(F, Fd, inv))
+            Lam = MixedTensor(consts.mu * eye + consts.lam * F.entries)
+            closed, _ = lambda_inverse(consts, F, Fd, inv)
+            general, _ = general_lambda_inverse(consts, F)
+            res_inverse = max(res_inverse,
+                              float(np.max(np.abs(Lam.entries @ closed.entries - eye))),
+                              float(np.max(np.abs(Lam.entries @ general.entries - eye))))
+            res_cayley = max(res_cayley, newton_char_coeffs(F).cayley_residual,
+                             newton_char_coeffs(Lam).cayley_residual)
+    except (CoxlabInputError, CoxlabNumericalError) as exc:
+        code = 1 if isinstance(exc, CoxlabInputError) else 2
+        return code, "", f"error: {type(exc).__name__}: {exc}\n"
+    for R in (0.5, 1.0, 2.0):
+        G = MixedTensor((R / 4.0) * eye)
+        ch = newton_char_coeffs(G)
+        exact = (R, -3.0 * R**2 / 8.0, R**3 / 16.0, -(R**4) / 256.0)
+        for got, want in zip((ch.p1, ch.p2, ch.p3, ch.p4), exact):
+            res_desitter = max(res_desitter, abs(got - want) / abs(want))
+        nil = np.linalg.matrix_power(G.entries - (R / 4.0) * eye, 4)
+        res_desitter = max(res_desitter, float(np.max(np.abs(nil))))
+    checks = {"minimalPolynomial": res_minpoly, "inverseProduct": res_inverse,
+              "newtonCayley": res_cayley, "deSitter": res_desitter}
+    failing = sorted(name for name, value in checks.items() if value > tolerance)
+    report = {
+        "trials": cfg.trials, "seed": cfg.seed, "tolerance": tolerance,
+        "fixedField": cfg.fixed_field,
+        "checks": {name: {"maxResidual": value} for name, value in checks.items()},
+        "maxResidual": max(checks.values()), "pass": not failing, "failing": failing,
+    }
+    err = "error: verification failed: " + ", ".join(failing) + "\n" if failing else ""
+    return 2 if failing else 0, cli._json_doc(report, cfg.command), err
+
+
+def _verify_tensor_configs():
+    rng = np.random.default_rng(20261018)
+    configs = []
+    for i in range(64):
+        argv = ["verify-tensor", "--trials", str(1 + i % 40), "--seed", str(rng.integers(10**6))]
+        kind = i % 8
+        if kind in (1, 2):  # fixed fields
+            argv += ["--b", repr(rng.uniform(-3, 3)), "--nu", repr(rng.uniform(-3, 3))]
+        elif kind == 3:  # fixed and singular (nu = 2) or overflowing (b = 1e200)
+            argv += ["--nu", "2"] if i % 16 == 3 else ["--b", "1e200"]
+        elif kind in (4, 5):  # tolerances on both sides of the residuals
+            argv += ["--tol", repr(float(10 ** rng.uniform(-17, -12)))]
+        configs.append(argv)
+    configs.append(["verify-tensor", "--trials", str(2 * cli._CHUNK + 37), "--seed", "4"])
+    return configs
+
+
+@pytest.mark.parametrize("argv", _verify_tensor_configs(), ids=lambda argv: " ".join(argv[2:]))
+def test_verify_tensor_bytes_equal_per_trial_loop(capsys, argv):
+    assert run(capsys, *argv) == _verify_tensor_per_trial(argv)
+
+
+def test_verify_tensor_one_inverse_call_per_chunk(capsys, monkeypatch):
+    calls = []
+    for name in ("lambda_inverse", "general_lambda_inverse"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, _fn=fn, _name=name: (
+            calls.append(_name), _fn(*args))[1])
+    code, out, _ = run(capsys, "verify-tensor", "--trials", str(2 * cli._CHUNK + 1))
+    assert code == 0 and json.loads(out)["pass"]
+    assert sorted(calls) == ["general_lambda_inverse"] * 3 + ["lambda_inverse"] * 3
+
+
+def test_verify_tensor_memory_flat_in_trials(capsys):
+    import tracemalloc
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            assert main(["verify-tensor", "--trials", str(trials)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak(1)  # parser and imports
+    assert peak(3 * cli._CHUNK) < 1.5 * peak(cli._CHUNK)
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
@@ -538,6 +647,16 @@ _FINITE = "expected a finite number"
          None, 1, "radial-eigen needs grid-points in [16, 1000000]"),
         (["radial-eigen", "--geometry", "spherical"], "grid-points=1000001", 1,
          "grid-points in [16, 1000000]"),
+        # uncapped counts allocated until numpy's _ArrayMemoryError traceback, and a
+        # negative seed reached numpy's ValueError; one past each bound
+        (["zprofile", "--geometry", "lobachevsky", "--samples", "1000001"],
+         None, 1, "zprofile needs samples >= 1 and <= 1000000"),
+        (["airy", "--nu", "1"], "samples=1000001", 1, "airy needs samples >= 1 and <= 1000000"),
+        (["axial-integrate", "--geometry", "lobachevsky", "--b", "1", "--steps", "1000001"],
+         None, 1, "axial-integrate needs steps >= 1 and <= 1000000"),
+        (["axial-integrate", "--geometry", "lobachevsky", "--b", "1", "--steps", "0"],
+         None, 1, "axial-integrate needs steps >= 1 and <= 1000000"),
+        (["verify-tensor", "--seed", "-1"], None, 1, "verify-tensor needs seed >= 0"),
     ],
 )
 def test_refusals_without_traceback(capsys, tmp_path, monkeypatch, argv, config, code, message):
@@ -561,6 +680,14 @@ def test_grid_points_domain_admits_its_bounds():
     for points in (16, 1_000_000):  # resolved only: a million cells is never solved here
         args = cli._build_parser().parse_args(["radial-eigen", f"--grid-points={points}"])
         assert cli._resolve(args).grid_points == points
+
+
+@pytest.mark.parametrize("key, bounds", [("samples", (1, 1_000_000)), ("steps", (1, 1_000_000)),
+                                         ("seed", (0,))])
+def test_count_domains_admit_their_bounds(key, bounds):
+    for value in bounds:  # resolved only: nothing this large is computed here
+        args = cli._build_parser().parse_args(["airy", f"--{key}={value}"])
+        assert getattr(cli._resolve(args), key) == value
 
 
 # one valid, non-default text per key; a new key must be added here

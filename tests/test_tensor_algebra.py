@@ -389,3 +389,151 @@ def test_ricci_extension():
     R = np.diag([1.0, 2.0, 3.0, 4.0])
     G2 = ricci_extended_matrix(F, R, 0.5)
     assert np.allclose(G2.entries, F.entries + 0.5j * R, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# stacks: (..., 4, 4) inputs equal their per-trial calls
+# ---------------------------------------------------------------------------
+
+def _stack(seed, batch):
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.5, 2.0, batch + (4,))
+    metric = DiagonalMetric(g[..., 0], -g[..., 1], -g[..., 2], -g[..., 3])
+    fields = FieldConfig3(rng.uniform(-1, 1, batch + (3,)), rng.uniform(-1, 1, batch + (3,)))
+    consts = ParticleConstants(rng.uniform(0.8, 1.6, batch), rng.uniform(-0.5, 0.5, batch))
+    G = rng.uniform(-1.5, 1.5, batch + (4, 4)) + 1j * rng.uniform(-1.5, 1.5, batch + (4, 4))
+    return fields, metric, consts, MixedTensor(G, "complex")
+
+
+def _trial(stack, k):
+    fields, metric, consts, G = stack
+    return (
+        FieldConfig3(tuple(fields.E_arr[k].tolist()), tuple(fields.B_arr[k].tolist())),
+        DiagonalMetric(*(float(np.broadcast_to(getattr(metric, f), fields.E_arr.shape[:-1])[k])
+                         for f in ("g00", "g11", "g22", "g33"))),
+        ParticleConstants(float(consts.mu[k]), float(consts.lam[k])),
+        MixedTensor(G.entries[k], "complex"),
+    )
+
+
+def _values(result, k):
+    """Entries of trial k of a stacked result, in the layout of a per-trial result."""
+    if isinstance(result, MixedTensor):
+        return result.entries[k].tolist(), result.scalar_kind
+    if isinstance(result, tuple):
+        return tuple(_values(part, k) for part in result)
+    if isinstance(result, np.ndarray):
+        return result[k].item()
+    return tuple(_values(v, k) for v in vars(result).values())
+
+
+def _plain(result):
+    """A per-trial result in the layout of _values."""
+    if isinstance(result, MixedTensor):
+        return result.entries.tolist(), result.scalar_kind
+    if isinstance(result, tuple):
+        return tuple(_plain(part) for part in result)
+    if isinstance(result, (float, complex)):
+        return result
+    return tuple(vars(result).values())
+
+
+def _identities(fields, metric, consts, G):
+    F = build_mixed_field_tensor(fields, metric)
+    Fx = dual_tensor(fields, metric)
+    inv = field_invariants(fields, metric)
+    return {
+        "build_mixed_field_tensor": F,
+        "dual_tensor": Fx,
+        "field_invariants": inv,
+        "minimal_poly_residuals": minimal_poly_residuals(F, Fx, inv),
+        "lambda_inverse": lambda_inverse(consts, F, Fx, inv),
+        "newton_char_coeffs": newton_char_coeffs(F),
+        "general_lambda_inverse": general_lambda_inverse(consts, F),
+        "newton_char_coeffs complex": newton_char_coeffs(G),
+        "general_lambda_inverse complex": general_lambda_inverse(consts, G),
+        "ricci_extended_matrix": ricci_extended_matrix(F, 0.3, 0.5),
+    }
+
+
+@pytest.mark.parametrize("batch, flat", [((9,), False), ((9,), True), ((3, 4), False)])
+def test_stacked_calls_equal_per_trial_calls(batch, flat):
+    stack = _stack(2024 + len(batch), batch)
+    if flat:  # one metric broadcast over every trial
+        stack = (stack[0], FLAT_METRIC, *stack[2:])
+    stacked = _identities(*stack)
+    for k in np.ndindex(batch):
+        single = _identities(*_trial(stack, k))
+        for name, result in stacked.items():
+            assert _values(result, k) == _plain(single[name]), (name, k)
+
+
+def test_single_matrix_keeps_scalar_types():
+    fields = FieldConfig3((0.3, -0.2, 0.5), (0.1, 0.7, -0.4))
+    G = MixedTensor(np.arange(16.0).reshape(4, 4) * (0.1 + 0.05j), "complex")
+    results = _identities(fields, FLAT_METRIC, ParticleConstants(1.2, 0.3), G)
+    for name, result in results.items():
+        parts = result if isinstance(result, tuple) else (result,)
+        for part in parts:
+            if isinstance(part, MixedTensor):
+                assert part.entries.shape == (4, 4), name
+                continue
+            values = (part,) if isinstance(part, float) else tuple(vars(part).values())
+            kinds = {type(v) for v in values}
+            assert kinds <= ({float, complex} if "complex" in name else {float}), (name, kinds)
+    assert type(FLAT_METRIC.det_g) is float and type(FLAT_METRIC.sqrt_minus_det) is float
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MixedTensor(np.zeros((3, 4))),
+        lambda: MixedTensor(np.zeros((2, 4, 3))),
+        lambda: MixedTensor(np.zeros(4)),
+        lambda: FieldConfig3((1.0, 2.0), (0.0, 0.0, 1.0)),
+        lambda: FieldConfig3(np.zeros((5, 3)), np.zeros((4, 3))),
+        lambda: FieldConfig3(np.zeros((5, 4)), np.zeros((5, 4))),
+    ],
+)
+def test_wrong_trailing_shape_refused(make):
+    with pytest.raises(ParameterError):
+        make()
+
+
+def test_stacked_invariants_refuse_first_overflowing_trial():
+    B3 = np.array([0.5, 1.0, 1e100, 2.0, 1e160])
+    stack = FieldConfig3(np.tile([0.0, 0.0, 1.0], (5, 1)), np.stack([0 * B3, 0 * B3, B3], -1))
+    with pytest.raises(DomainError) as first:
+        field_invariants(FieldConfig3((0.0, 0.0, 1.0), (0.0, 0.0, 1e100)), FLAT_METRIC)
+    with pytest.raises(DomainError) as later:
+        field_invariants(FieldConfig3((0.0, 0.0, 1.0), (0.0, 0.0, 1e160)), FLAT_METRIC)
+    assert str(first.value) != str(later.value)
+    with pytest.raises(DomainError) as got:
+        field_invariants(stack, FLAT_METRIC)
+    assert str(got.value) == str(first.value)
+
+
+def test_stacked_inverses_refuse_first_singular_trial():
+    # E = mu/lam makes D vanish; a nudge off it leaves D tiny but different
+    mu, lam = 1.0, 0.5
+    E1 = np.array([0.3, 2.0 * (1 + 4e-16), 0.7, 2.0, 1.1])
+    fields = FieldConfig3(np.stack([E1, 0 * E1, 0 * E1], -1), np.zeros((5, 3)))
+    consts = ParticleConstants(np.full(5, mu), np.full(5, lam))
+    per_trial = []
+    for k in (1, 3):
+        one = FieldConfig3((float(E1[k]), 0.0, 0.0), (0.0,) * 3)
+        F1 = build_mixed_field_tensor(one, FLAT_METRIC)
+        inv1 = field_invariants(one, FLAT_METRIC)
+        with pytest.raises(SingularLambda) as closed:
+            lambda_inverse(ParticleConstants(mu, lam), F1, dual_tensor(one, FLAT_METRIC), inv1)
+        with pytest.raises(SingularLambda) as general:
+            general_lambda_inverse(ParticleConstants(mu, lam), F1)
+        per_trial.append((str(closed.value), str(general.value)))
+    assert per_trial[0] != per_trial[1]
+    F = build_mixed_field_tensor(fields, FLAT_METRIC)
+    inv = field_invariants(fields, FLAT_METRIC)
+    with pytest.raises(SingularLambda) as closed:
+        lambda_inverse(consts, F, dual_tensor(fields, FLAT_METRIC), inv)
+    with pytest.raises(SingularLambda) as general:
+        general_lambda_inverse(consts, F)
+    assert (str(closed.value), str(general.value)) == per_trial[0]
