@@ -7,6 +7,12 @@ geometries (curvature radius rho scaled to 1 in library units):
     lobachevsky:  dS^2 = c^2 dt^2 - ch^2 z (dr^2 + sh^2 r dphi^2) - dz^2
     spherical:    dS^2 = c^2 dt^2 - cos^2 z (dr^2 + sin^2 r dphi^2) - dz^2
 
+that is, dS^2 = c^2 dt^2 - a(z)(dr^2 + w(r)^2 dphi^2) - dz^2 with
+(a, w) = (1, r), (ch^2 z, sh r), (cos^2 z, sin r).  One private `_Section`
+record per geometry holds a, w, the potentials and the chart ends; the
+local field data and the radial equation read it instead of branching
+on the geometry, so the six radial equations are one formula.
+
 A uniform magnetic field along the axis has gauge potential A_phi and
 strength parameter b (flat: b = eB/2hbar*c, curved: b = eB rho^2/hbar c);
 a uniform axial electric field has potential A_0 and strength nu
@@ -143,10 +149,81 @@ class SeparatedODE:
     note: str = ""
 
 
+@dataclass(frozen=True)
+class _Section:
+    """One spatial section dS^2 = c^2 dt^2 - a(z)(dr^2 + w(r)^2 dphi^2) - dz^2.
+
+    Radial part: the weight w, p_r = w'/w, the magnetic potential
+    A_phi(b, r), B_3 = dA_phi/dr and the chart end r_end (the singular
+    point r_end_name).  Axial part: a, p_z = a'/a, t with t' = 1/a (so
+    A_0 = -nu t and E_3 = nu/a) and the chart bound |z| < z_end.
+    ``curvature`` is the constant that f = Z sqrt(a) adds to the axial
+    equation; ``eigen`` names the radial spectral parameter per field
+    kind.  The callables take floats or arrays.
+    """
+
+    w: Callable
+    p_r: Callable
+    a_phi: Callable
+    b3: Callable
+    r_end: float
+    r_end_name: str
+    a: Callable
+    p_z: Callable
+    t: Callable
+    z_end: float
+    curvature: float
+    eigen: dict[str, str]
+
+
+def _asfloat(x) -> np.ndarray:
+    return np.asarray(x, dtype=float)
+
+
+_SECTIONS = {
+    "flat": _Section(
+        w=_asfloat, p_r=lambda r: 1.0 / _asfloat(r),
+        a_phi=lambda b, r: -b * r * r, b3=lambda b, r: -2.0 * b * r,
+        r_end=math.inf, r_end_name="infinity",
+        a=lambda z: np.ones_like(_asfloat(z)), p_z=lambda z: np.zeros_like(_asfloat(z)),
+        t=_asfloat, z_end=math.inf,
+        curvature=0.0, eigen={"magnetic": "eps_prime", "electric": "w_perp"},
+    ),
+    "lobachevsky": _Section(
+        w=lambda r: np.sinh(_asfloat(r)), p_r=lambda r: 1.0 / np.tanh(_asfloat(r)),
+        a_phi=lambda b, r: -b * (np.cosh(r) - 1.0), b3=lambda b, r: -b * np.sinh(r),
+        r_end=math.inf, r_end_name="infinity",
+        a=lambda z: np.cosh(_asfloat(z)) ** 2, p_z=lambda z: 2.0 * np.tanh(_asfloat(z)),
+        t=lambda z: np.tanh(_asfloat(z)), z_end=math.inf,
+        curvature=-1.0, eigen={"magnetic": "Lambda", "electric": "Lambda"},
+    ),
+    "spherical": _Section(
+        w=lambda r: np.sin(_asfloat(r)), p_r=lambda r: 1.0 / np.tan(_asfloat(r)),
+        a_phi=lambda b, r: b * (np.cos(r) - 1.0), b3=lambda b, r: -b * np.sin(r),
+        r_end=math.pi, r_end_name="antipode",
+        a=lambda z: np.cos(_asfloat(z)) ** 2, p_z=lambda z: -2.0 * np.tan(_asfloat(z)),
+        t=lambda z: np.tan(_asfloat(z)), z_end=math.pi / 2,
+        curvature=1.0, eigen={"magnetic": "Lambda", "electric": "Lambda"},
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # gauge potentials and local field data
 # ---------------------------------------------------------------------------
 
+def _on_chart(spec: BackgroundSpec, r: float = 0.0, z: float = 0.0) -> _Section:
+    """The section of `spec`, after refusing (r, z) off its chart:
+    r must be finite in [0, r_end] and |z| < z_end."""
+    sec = _SECTIONS[spec.geometry]
+    if not (0.0 <= r <= sec.r_end and r < math.inf):
+        raise DomainError(f"{spec.geometry} chart needs finite r in [0, {sec.r_end}], got {r}")
+    if not abs(z) < sec.z_end:
+        raise DomainError(f"{spec.geometry} chart needs finite z with |z| < {sec.z_end}, got {z}")
+    return sec
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
 def gauge_potential(spec: BackgroundSpec, coord: float) -> float:
     """A_phi(r) for magnetic configurations, A_0(z) for electric ones.
 
@@ -157,53 +234,43 @@ def gauge_potential(spec: BackgroundSpec, coord: float) -> float:
         lobachevsky electric:  A_0   = -E th z
         spherical electric:    A_0   = -E tg z,        |z| < pi/2
 
-    Coordinates outside the chart raise DomainError.
+    Coordinates off the chart, NaN or infinite raise DomainError, and
+    so does a potential that overflows double.
     """
     c = float(coord)
     if spec.field == "magnetic":
-        if spec.geometry == "flat":
-            if c < 0:
-                raise DomainError("radial coordinate must be >= 0")
-            return -spec.b * c * c
-        if spec.geometry == "lobachevsky":
-            if c < 0:
-                raise DomainError("radial coordinate must be >= 0")
-            return -spec.b * (math.cosh(c) - 1.0)
-        if not 0.0 <= c <= math.pi:
-            raise DomainError("spherical radial coordinate must lie in [0, pi]")
-        return spec.b * (math.cos(c) - 1.0)
-    # electric: axial coordinate
-    if spec.geometry == "flat":
-        return -spec.nu * c
-    if spec.geometry == "lobachevsky":
-        return -spec.nu * math.tanh(c)
-    if not abs(c) < math.pi / 2:
-        raise DomainError("spherical axial coordinate must satisfy |z| < pi/2")
-    return -spec.nu * math.tan(c)
+        A = float(_on_chart(spec, r=c).a_phi(spec.b, c))
+    else:
+        A = float(-spec.nu * _on_chart(spec, z=c).t(c))
+    if not math.isfinite(A):
+        raise DomainError(f"gauge potential overflows double at {c}")
+    return A
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
 def metric_at(spec: BackgroundSpec, r: float, z: float = 0.0) -> DiagonalMetric:
-    """Diagonal metric components at the point (r, z) on the unit-radius chart."""
-    if spec.geometry == "flat":
-        return DiagonalMetric(1.0, -1.0, -(r * r), -1.0)
-    if spec.geometry == "lobachevsky":
-        ch2 = math.cosh(z) ** 2
-        return DiagonalMetric(1.0, -ch2, -ch2 * math.sinh(r) ** 2, -1.0)
-    cz2 = math.cos(z) ** 2
-    return DiagonalMetric(1.0, -cz2, -cz2 * math.sin(r) ** 2, -1.0)
+    """Diagonal metric components at the point (r, z) on the unit-radius chart.
+
+    Points off the chart and metrics that overflow double raise DomainError.
+    """
+    sec = _on_chart(spec, r, z)
+    a = float(sec.a(z))
+    g22 = float(-a * sec.w(r) ** 2)
+    if not math.isfinite(g22):  # an infinite a makes g22 infinite or NaN too
+        raise DomainError(f"metric overflows double at r = {r}, z = {z}")
+    return DiagonalMetric(1.0, -a, g22, -1.0)
 
 
 def gamma_profile(spec: BackgroundSpec, z: float):
     """Local structure parameter gamma(z) tracking the field magnitude."""
     z = np.asarray(z, dtype=float)
-    if spec.geometry == "flat":
-        g = spec.eta if (spec.field == "magnetic" and spec.eta) else spec.gamma
-        return g * np.ones_like(z)
-    if spec.geometry == "lobachevsky":
-        return spec.gamma / np.cosh(z) ** 2
-    return spec.gamma / np.cos(z) ** 2
+    g = spec.gamma
+    if spec.geometry == "flat" and spec.field == "magnetic" and spec.eta:
+        g = spec.eta
+    return g / _SECTIONS[spec.geometry].a(z)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # metric_at/field_invariants refuse overflow
 def field_components(
     spec: BackgroundSpec, z: float, r: float = 1.0
 ) -> tuple[FieldConfig3, float]:
@@ -213,24 +280,14 @@ def field_components(
     seen locally: B^2 for flat magnetic (z-independent), b^2/ch^4 z on
     Lobachevsky (vanishing as z -> inf), b^2/cos^4 z on the sphere
     (diverging towards z = +-pi/2), and the electric analogues with
-    E_3 = E/ch^2 z on Lobachevsky.
+    E_3 = E/ch^2 z on Lobachevsky.  B_3 = dA_phi/dr and E_3 = nu/a(z).
+    Points off the chart and fields that overflow double raise DomainError.
     """
+    sec = _on_chart(spec, r, z)
     if spec.field == "magnetic":
-        if spec.geometry == "flat":
-            B3 = -2.0 * spec.b * r  # B_3 = -B r with B = 2b
-        elif spec.geometry == "lobachevsky":
-            B3 = -spec.b * math.sinh(r)
-        else:
-            B3 = -spec.b * math.sin(r)
-        fields = FieldConfig3((0.0, 0.0, 0.0), (0.0, 0.0, B3))
+        fields = FieldConfig3((0.0, 0.0, 0.0), (0.0, 0.0, float(sec.b3(spec.b, r))))
     else:
-        if spec.geometry == "flat":
-            E3 = spec.nu
-        elif spec.geometry == "lobachevsky":
-            E3 = spec.nu / math.cosh(z) ** 2
-        else:
-            E3 = spec.nu / math.cos(z) ** 2
-        fields = FieldConfig3((0.0, 0.0, E3), (0.0, 0.0, 0.0))
+        fields = FieldConfig3((0.0, 0.0, float(spec.nu / sec.a(z))), (0.0, 0.0, 0.0))
     inv = abs(field_invariants(fields, metric_at(spec, r, z)).I)
     return fields, inv
 
@@ -273,6 +330,13 @@ def flat_equivalent_magnetic_b(spec: BackgroundSpec) -> float:
 def assemble_radial_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedODE:
     """Radial equation R'' + p(r) R' + [q0(r) + s] R = 0 for the configuration.
 
+    One formula on every section, with the weight w and the magnetic
+    potential A_phi of `gauge_potential` (A_phi = 0 for the electric field):
+
+        p = w'/w,   q0 = -(m + A_phi(r))^2 / w^2
+
+    Worked cases:
+
         flat magnetic:        p = 1/r,    q0 = -(m - b r^2)^2 / r^2,     s = eps'
         lobachevsky magnetic: p = cth r,  q0 = -[m - b(ch r - 1)]^2/sh^2 r,  s = Lambda
         spherical magnetic:   p = ctg r,  q0 = -[m + b(cos r - 1)]^2/sin^2 r, s = Lambda
@@ -284,83 +348,29 @@ def assemble_radial_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedOD
     spectra in `radial` use the opposite sign convention for m (see
     radial.spectrum_matched_ode for the documented reconciliation).
     """
+    sec = _SECTIONS[spec.geometry]
     m = float(qn.m)
     b = spec.b
-    geo = spec.geometry
     magnetic = spec.field == "magnetic"
 
-    if geo == "flat":
-        def pcoef(r):
-            return 1.0 / np.asarray(r, dtype=float)
-
-        if magnetic:
-            def q0(r):
-                r = np.asarray(r, dtype=float)
-                return -((m - b * r * r) ** 2) / (r * r)
-            eigen = "eps_prime"
-        else:
-            def q0(r):
-                r = np.asarray(r, dtype=float)
-                return -(m * m) / (r * r)
-            eigen = "w_perp"
-        domain = (0.0, math.inf)
-
-        def weight(r):
-            return np.asarray(r, dtype=float)
-
-        sing = (SingularPoint("axis", 0.0, "r"), SingularPoint("infinity", math.inf, "r"))
-    elif geo == "lobachevsky":
-        def pcoef(r):
-            return 1.0 / np.tanh(np.asarray(r, dtype=float))
-
-        if magnetic:
-            def q0(r):
-                r = np.asarray(r, dtype=float)
-                return -((m - b * (np.cosh(r) - 1.0)) ** 2) / np.sinh(r) ** 2
-        else:
-            def q0(r):
-                r = np.asarray(r, dtype=float)
-                return -(m * m) / np.sinh(r) ** 2
-        eigen = "Lambda"
-        domain = (0.0, math.inf)
-
-        def weight(r):
-            return np.sinh(np.asarray(r, dtype=float))
-
-        sing = (SingularPoint("axis", 0.0, "r"), SingularPoint("infinity", math.inf, "r"))
-    else:
-        def pcoef(r):
-            return 1.0 / np.tan(np.asarray(r, dtype=float))
-
-        if magnetic:
-            def q0(r):
-                r = np.asarray(r, dtype=float)
-                return -((m + b * (np.cos(r) - 1.0)) ** 2) / np.sin(r) ** 2
-        else:
-            def q0(r):
-                r = np.asarray(r, dtype=float)
-                return -(m * m) / np.sin(r) ** 2
-        eigen = "Lambda"
-        domain = (0.0, math.pi)
-
-        def weight(r):
-            return np.sin(np.asarray(r, dtype=float))
-
-        sing = (SingularPoint("axis", 0.0, "r"), SingularPoint("antipode", math.pi, "r"))
-
     def qcoef(r, s):
-        return q0(r) + s
+        r = np.asarray(r, dtype=float)
+        u = m + sec.a_phi(b, r) if magnetic else m
+        return -(u**2) / sec.w(r) ** 2 + s
 
     return SeparatedODE(
         kind="radial",
-        geometry=geo,
+        geometry=spec.geometry,
         field_kind=spec.field,
-        domain=domain,
-        pcoef=pcoef,
+        domain=(0.0, sec.r_end),
+        pcoef=sec.p_r,
         qcoef=qcoef,
-        eigen_name=eigen,
-        weight=weight,
-        singular_points=sing,
+        eigen_name=sec.eigen[spec.field],
+        weight=sec.w,
+        singular_points=(
+            SingularPoint("axis", 0.0, "r"),
+            SingularPoint(sec.r_end_name, sec.r_end, "r"),
+        ),
         params={"m": qn.m, "n": qn.n, "k": qn.k, "b": b, "nu": spec.nu},
     )
 
@@ -413,45 +423,27 @@ def assemble_axial_ode(
     effective U exposed by axial.effective_potential.
     """
     geo = spec.geometry
+    sec = _SECTIONS[geo]
     gam = spec.gamma
     b = spec.b
     nu = spec.nu
+    pcoef, sing, schro, note = sec.p_z, (), None, ""
 
     if spec.field == "magnetic":
         if geo == "flat":
             raise ParameterError(
                 "flat magnetic axial motion is a free plane wave; no equation to assemble"
             )
-        if geo == "lobachevsky":
-            def pcoef(z):
-                return 2.0 * np.tanh(np.asarray(z, dtype=float))
-
-            def q0(z):
-                return epsilon - _u_eff("lobachevsky", Lambda, b, gam, z)
-
-            def qs(z, s):
-                # f = Z ch z:  f'' + (eps - 1 - U) f = 0
-                return (epsilon + s) - 1.0 - _u_eff("lobachevsky", Lambda, b, gam, z)
-
-            domain = (-math.inf, math.inf)
-            shift = -1.0
-        else:
-            def pcoef(z):
-                return -2.0 * np.tan(np.asarray(z, dtype=float))
-
-            def q0(z):
-                return epsilon - _u_eff("spherical", Lambda, b, gam, z)
-
-            def qs(z, s):
-                # f = Z cos z:  f'' + (eps + 1 - U) f = 0
-                return (epsilon + s) + 1.0 - _u_eff("spherical", Lambda, b, gam, z)
-
-            domain = (-math.pi / 2, math.pi / 2)
-            shift = 1.0
 
         def qcoef(z, s):
-            return q0(z) + s
+            return epsilon - _u_eff(geo, Lambda, b, gam, z) + s
 
+        def qs(z, s):
+            # f = Z sqrt(a):  f'' + (eps + curvature - U) f = 0
+            return (epsilon + s) + sec.curvature - _u_eff(geo, Lambda, b, gam, z)
+
+        eigen = "epsilon"
+        params = {"Lambda": Lambda, "b": b, "gamma": gam, "epsilon": epsilon}
         sing = (
             SingularPoint("y=0", 0.0),
             SingularPoint("y=1", 1.0),
@@ -459,135 +451,101 @@ def assemble_axial_ode(
             SingularPoint("y=-gamma", -gam),
             SingularPoint("y=infinity", math.inf),
         )
-        var = "y = ch^2 z" if geo == "lobachevsky" else "y = cos^2 z"
+        note = "singular variable y = " + ("ch^2 z" if geo == "lobachevsky" else "cos^2 z")
         schro = SeparatedODE(
             kind="axial",
             geometry=geo,
             field_kind="magnetic",
-            domain=domain,
+            domain=(-sec.z_end, sec.z_end),
             pcoef=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
             qcoef=qs,
-            eigen_name="epsilon",
+            eigen_name=eigen,
             singular_points=sing,
-            params={"Lambda": Lambda, "b": b, "gamma": gam, "epsilon": epsilon,
-                    "shift": shift},
-            note=f"normal form in f = Z * weight; singular variable {var}",
+            params={**params, "shift": sec.curvature},
+            note=f"normal form in f = Z * weight; {note}",
         )
-        return SeparatedODE(
-            kind="axial",
-            geometry=geo,
-            field_kind="magnetic",
-            domain=domain,
-            pcoef=pcoef,
-            qcoef=qcoef,
-            eigen_name="epsilon",
-            singular_points=sing,
-            params={"Lambda": Lambda, "b": b, "gamma": gam, "epsilon": epsilon},
-            schrodinger=schro,
-            note=f"singular variable {var}",
-        )
-
-    # electric configurations
-    if compton <= 0:
+    elif compton <= 0:
         raise ParameterError("compton wavelength must be positive")
-    if mu2 < 0:
+    elif mu2 < 0:
         raise ParameterError("mu2 must be non-negative")
-    if geo == "flat":
+    elif geo == "flat":
         w_prime = w - Lambda + gam * gam / ((1.0 + gam * gam) * compton * compton)
-
-        def pcoef(z):
-            return np.zeros_like(np.asarray(z, dtype=float))
 
         def qcoef(z, s):
             return w_prime + s + nu * np.asarray(z, dtype=float)
 
-        return SeparatedODE(
-            kind="axial",
-            geometry="flat",
-            field_kind="electric",
-            domain=(-math.inf, math.inf),
-            pcoef=pcoef,
-            qcoef=qcoef,
-            eigen_name="w",
-            params={"w_perp": Lambda, "w": w, "w_prime": w_prime, "nu": nu,
-                    "gamma": gam, "compton": compton},
-            note="linear-potential form; turning point at z0 = -w'/nu",
-        )
+        eigen = "w"
+        params = {"w_perp": Lambda, "w": w, "w_prime": w_prime, "nu": nu,
+                  "gamma": gam, "compton": compton}
+        note = "linear-potential form; turning point at z0 = -w'/nu"
+    else:
+        mu = math.sqrt(mu2)
+        eigen = "W"
+        params = {"Lambda": Lambda, "nu": nu, "gamma": gam, "mu2": mu2, "w": w}
+        if geo == "lobachevsky":
+            def qcoef(z, s):
+                # with D = ch^4 z + g^2 the raw coefficient is
+                #   -2 mu g sh ch (g^2 - ch^4)/D^2 - 2 mu g sh ch/D + (w + s)
+                #   + nu th z - mu2 g^2/D - Lambda/ch^2 z;
+                # the first two terms sum to -4 mu g^3 sh ch/D^2.  Written in
+                # t = th z and q = sech^2 z (E = 1 + g^2 q^2 = D q^2) it stays finite.
+                z = np.asarray(z, dtype=float)
+                t = np.tanh(z)
+                q = _sech2(z)
+                E = 1.0 + gam * gam * q * q
+                return (
+                    -4.0 * mu * gam**3 * t * q**3 / (E * E)
+                    + (w + s)
+                    + nu * t
+                    - mu2 * gam * gam * q * q / E
+                    - Lambda * q
+                )
+        else:
+            # divide the raw operator by its non-unit Z'' factor
+            note = ("raw operator divided by its (cos^4 z + 2 gamma^2)/(cos^4 z + gamma^2)"
+                    " second-derivative factor")
 
-    mu = math.sqrt(mu2)
-    if geo == "lobachevsky":
-        def pcoef(z):
-            return 2.0 * np.tanh(np.asarray(z, dtype=float))
+            def c2z(z):
+                u = np.cos(np.asarray(z, dtype=float)) ** 4
+                return (u + 2.0 * gam * gam) / (u + gam * gam)
 
-        def qcoef(z, s):
-            # with D = ch^4 z + g^2 the raw coefficient is
-            #   -2 mu g sh ch (g^2 - ch^4)/D^2 - 2 mu g sh ch/D + (w + s)
-            #   + nu th z - mu2 g^2/D - Lambda/ch^2 z;
-            # the first two terms sum to -4 mu g^3 sh ch/D^2.  Written in
-            # t = th z and q = sech^2 z (E = 1 + g^2 q^2 = D q^2) it stays finite.
-            z = np.asarray(z, dtype=float)
-            t = np.tanh(z)
-            q = _sech2(z)
-            E = 1.0 + gam * gam * q * q
-            return (
-                -4.0 * mu * gam**3 * t * q**3 / (E * E)
-                + (w + s)
-                + nu * t
-                - mu2 * gam * gam * q * q / E
-                - Lambda * q
-            )
+            def pcoef(z):
+                z = np.asarray(z, dtype=float)
+                cz = np.cos(z)
+                sz = np.sin(z)
+                u = cz**4
+                D = u + gam * gam
+                raw = (
+                    -2.0 * (sz / cz) * (gam * gam * u + 2.0 * gam**4 + u * u) / (D * D)
+                    - mu * gam * cz * cz / D
+                )
+                return raw / c2z(z)
 
-        return SeparatedODE(
-            kind="axial",
-            geometry="lobachevsky",
-            field_kind="electric",
-            domain=(-math.inf, math.inf),
-            pcoef=pcoef,
-            qcoef=qcoef,
-            eigen_name="W",
-            params={"Lambda": Lambda, "nu": nu, "gamma": gam, "mu2": mu2, "w": w},
-        )
-
-    # spherical electric: divide the raw operator by its non-unit Z'' factor
-    def c2z(z):
-        u = np.cos(np.asarray(z, dtype=float)) ** 4
-        return (u + 2.0 * gam * gam) / (u + gam * gam)
-
-    def pcoef(z):
-        z = np.asarray(z, dtype=float)
-        cz = np.cos(z)
-        sz = np.sin(z)
-        u = cz**4
-        D = u + gam * gam
-        raw = (
-            -2.0 * (sz / cz) * (gam * gam * u + 2.0 * gam**4 + u * u) / (D * D)
-            - mu * gam * cz * cz / D
-        )
-        return raw / c2z(z)
-
-    def qcoef(z, s):
-        z = np.asarray(z, dtype=float)
-        cz = np.cos(z)
-        sz = np.sin(z)
-        u = cz**4
-        D = u + gam * gam
-        raw = (
-            4.0 * mu * gam**3 * sz * cz / (D * D)
-            + (w + s)
-            + nu * np.tan(z)
-            - mu2 * gam * gam / D
-            - Lambda / (cz * cz)
-        )
-        return raw / c2z(z)
+            def qcoef(z, s):
+                z = np.asarray(z, dtype=float)
+                cz = np.cos(z)
+                sz = np.sin(z)
+                u = cz**4
+                D = u + gam * gam
+                raw = (
+                    4.0 * mu * gam**3 * sz * cz / (D * D)
+                    + (w + s)
+                    + nu * np.tan(z)
+                    - mu2 * gam * gam / D
+                    - Lambda / (cz * cz)
+                )
+                return raw / c2z(z)
 
     return SeparatedODE(
         kind="axial",
-        geometry="spherical",
-        field_kind="electric",
-        domain=(-math.pi / 2, math.pi / 2),
+        geometry=geo,
+        field_kind=spec.field,
+        domain=(-sec.z_end, sec.z_end),
         pcoef=pcoef,
         qcoef=qcoef,
-        eigen_name="W",
-        params={"Lambda": Lambda, "nu": nu, "gamma": gam, "mu2": mu2, "w": w},
-        note="raw operator divided by its (cos^4 z + 2 gamma^2)/(cos^4 z + gamma^2) second-derivative factor",
+        eigen_name=eigen,
+        singular_points=sing,
+        params=params,
+        schrodinger=schro,
+        note=note,
     )

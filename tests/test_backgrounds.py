@@ -158,6 +158,71 @@ def test_field_components_bridge_to_tensor_invariants():
     assert_allclose(inv, abs(res.I), rtol=0, atol=0)
 
 
+_GEOS = ("flat", "lobachevsky", "spherical")
+# one off-chart radial point and, on the sphere, one off-chart axial point
+_OFF_CHART = {"flat": (-0.5, None), "lobachevsky": (-0.5, None),
+              "spherical": (math.pi + 0.1, math.pi / 2)}
+
+
+@pytest.mark.parametrize("geo", _GEOS)
+@pytest.mark.parametrize("field", ["magnetic", "electric"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "off-chart"])
+def test_local_values_refuse_points_off_the_chart(geo, field, bad):
+    """NaN, infinite and off-chart coordinates raise DomainError from every
+    local-value function (they used to give nan/inf, a bare ValueError, or
+    a metric at r < 0)."""
+    spec = _spec(geo, field, b=1.0, nu=1.0)
+    r, z = _OFF_CHART[geo] if bad == "off-chart" else (float(bad), float(bad))
+    calls = [lambda: metric_at(spec, r, 0.0), lambda: field_components(spec, 0.0, r=r)]
+    if z is not None:
+        calls += [lambda: metric_at(spec, 1.0, z), lambda: field_components(spec, z, r=1.0)]
+    coord = r if field == "magnetic" else z
+    if coord is not None:
+        calls.append(lambda: gauge_potential(spec, coord))
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gauge_potential(_spec("flat", b=1e300), 1e10),
+    lambda: gauge_potential(_spec("lobachevsky", b=1.0), 800.0),
+    lambda: metric_at(_spec("lobachevsky", b=1.0), 1.0, 800.0),
+    lambda: field_components(_spec("lobachevsky", b=1e300), 0.5, r=800.0),
+    lambda: field_components(_spec("spherical", "electric", nu=1e300), 1.5707963),
+], ids=["flat-A", "lobachevsky-A", "lobachevsky-metric", "lobachevsky-B", "spherical-E"])
+def test_local_values_refuse_overflow(call):
+    with pytest.raises(DomainError, match="overflow"):
+        call()
+
+
+@pytest.mark.parametrize("geo", _GEOS)
+def test_section_relations_by_central_differences(geo):
+    """p = w'/w, B_3 = dA_phi/dr, E_3 = -dA_0/dz = nu/a and (axial) p = a'/a,
+    with w^2 and a read from the metric."""
+    h = 1e-5
+    mag, ele = _spec(geo, b=1.3), _spec(geo, "electric", nu=0.7)
+    radial = assemble_radial_ode(mag, QuantumNumbers(0, 1))
+    axial = assemble_axial_ode(mag if geo != "flat" else ele, 1.0)
+
+    def a(z):
+        return -metric_at(mag, 1.0, z).g11
+
+    for r in (0.3, 1.1, 2.4):
+        w = radial.weight
+        assert_allclose(radial.pcoef(r), (w(r + h) - w(r - h)) / (2 * h * w(r)), rtol=1e-8)
+        assert_allclose(-metric_at(mag, r, 0.0).g22, w(r) ** 2, rtol=1e-14)
+        dA = (gauge_potential(mag, r + h) - gauge_potential(mag, r - h)) / (2 * h)
+        assert_allclose(field_components(mag, 0.0, r=r)[0].B[2], dA, rtol=1e-8)
+    for z in (-1.2, 0.2, 0.9):
+        dA0 = (gauge_potential(ele, z + h) - gauge_potential(ele, z - h)) / (2 * h)
+        E3 = field_components(ele, z, r=1.0)[0].E[2]
+        assert_allclose(E3, -dA0, rtol=1e-8)
+        assert_allclose(E3, 0.7 / a(z), rtol=1e-14)
+        assert_allclose(axial.pcoef(z), (a(z + h) - a(z - h)) / (2 * h * a(z)), rtol=1e-8,
+                        atol=1e-12)
+
+
 def test_gamma_profile():
     lob = _spec("lobachevsky", b=1.0, gamma=0.4)
     assert_allclose(gamma_profile(lob, 0.0), 0.4)
@@ -183,12 +248,45 @@ def test_strength_parameter_conversions():
 # radial equations: coefficients verbatim
 # ---------------------------------------------------------------------------
 
+# The assemble_radial_ode docstring table, one row per (geometry, field), in
+# the floating-point order the library evaluates it: (p, q0 with A_phi, w).
+_RADIAL_TABLE = {
+    ("flat", "magnetic"): (
+        lambda r: 1.0 / r, lambda m, b, r: -((m - b * r * r) ** 2) / (r * r), lambda r: r),
+    ("lobachevsky", "magnetic"): (
+        lambda r: 1.0 / np.tanh(r),
+        lambda m, b, r: -((m - b * (np.cosh(r) - 1.0)) ** 2) / np.sinh(r) ** 2, np.sinh),
+    ("spherical", "magnetic"): (
+        lambda r: 1.0 / np.tan(r),
+        lambda m, b, r: -((m + b * (np.cos(r) - 1.0)) ** 2) / np.sin(r) ** 2, np.sin),
+    ("flat", "electric"): (
+        lambda r: 1.0 / r, lambda m, b, r: -(m * m) / (r * r), lambda r: r),
+    ("lobachevsky", "electric"): (
+        lambda r: 1.0 / np.tanh(r), lambda m, b, r: -(m * m) / np.sinh(r) ** 2, np.sinh),
+    ("spherical", "electric"): (
+        lambda r: 1.0 / np.tan(r), lambda m, b, r: -(m * m) / np.sin(r) ** 2, np.sin),
+}
+
+
+def _assert_radial_table(ode, m, b, rs, s):
+    """pcoef, qcoef and weight equal the table bit for bit, on the array
+    and on each of its points as a scalar."""
+    p, q0, w = _RADIAL_TABLE[ode.geometry, ode.field_kind]
+    m = float(m)
+    for r in [rs] + [float(x) for x in rs]:
+        x = np.asarray(r, dtype=float)
+        assert np.array_equal(ode.pcoef(r), p(x))
+        assert np.array_equal(ode.qcoef(r, s), q0(m, b, x) + s)
+        assert np.array_equal(ode.weight(r), w(x))
+
+
 def test_radial_flat_magnetic_coefficients():
     ode = assemble_radial_ode(_spec("flat", b=1.0), QuantumNumbers(n=0, m=2))
     rs = np.array([0.3, 1.0, 2.5])
     assert_allclose(ode.pcoef(rs), 1.0 / rs, rtol=1e-15)
     expected = 7.0 - (2.0 - rs**2) ** 2 / rs**2
     assert_allclose(ode.qcoef(rs, 7.0), expected, rtol=1e-14)
+    _assert_radial_table(ode, 2, 1.0, rs, 7.0)
     assert ode.eigen_name == "eps_prime"
     assert ode.weight(2.0) == 2.0
 
@@ -199,6 +297,7 @@ def test_radial_lobachevsky_magnetic_coefficients():
     assert_allclose(ode.pcoef(rs), np.cosh(rs) / np.sinh(rs), rtol=1e-14)
     expected = 13.0 - (1.0 - 5.0 * (np.cosh(rs) - 1.0)) ** 2 / np.sinh(rs) ** 2
     assert_allclose(ode.qcoef(rs, 13.0), expected, rtol=1e-14)
+    _assert_radial_table(ode, 1, 5.0, rs, 13.0)
     assert ode.eigen_name == "Lambda"
     assert_allclose(ode.weight(rs), np.sinh(rs))
 
@@ -209,6 +308,7 @@ def test_radial_spherical_magnetic_coefficients():
     assert_allclose(ode.pcoef(rs), np.cos(rs) / np.sin(rs), rtol=1e-13)
     expected = 4.0 - (-1.0 + 2.0 * (np.cos(rs) - 1.0)) ** 2 / np.sin(rs) ** 2
     assert_allclose(ode.qcoef(rs, 4.0), expected, rtol=1e-13)
+    _assert_radial_table(ode, -1, 2.0, rs, 4.0)
     assert ode.domain == (0.0, math.pi)
     labels = {p.label for p in ode.singular_points}
     assert labels == {"axis", "antipode"}
@@ -222,6 +322,9 @@ def test_radial_electric_coefficients():
     assert_allclose(lob.qcoef(1.0, 0.0), -4.0 / math.sinh(1.0) ** 2)
     sph = assemble_radial_ode(_spec("spherical", "electric", nu=1.0), QuantumNumbers(0, 2))
     assert_allclose(sph.qcoef(1.0, 0.0), -4.0 / math.sin(1.0) ** 2)
+    rs = np.array([0.25, 1.0, 2.0, 3.0])
+    for ode, m in ((flat, 3), (lob, 2), (sph, 2)):
+        _assert_radial_table(ode, m, 0.0, rs, 1.5)
 
 
 @given(
@@ -256,6 +359,13 @@ def test_axial_lobachevsky_magnetic_coefficients():
     schro = ode.schrodinger
     assert_allclose(schro.pcoef(zs), np.zeros(4))
     assert_allclose(schro.qcoef(zs, 0.0), ode.qcoef(zs, 0.0) - 1.0, rtol=1e-14)
+    # bit for bit, in the library's sech^2 form s = 4 e^2/(1 + e^2)^2, e = exp(-|z|)
+    e2 = np.exp(-2.0 * np.abs(zs))
+    sech2 = 4.0 * e2 / ((1.0 + e2) * (1.0 + e2))
+    U_lib = sech2 * (L - b * g * sech2) / (1.0 - g * g * sech2 * sech2)
+    assert np.array_equal(ode.pcoef(zs), 2.0 * np.tanh(zs))
+    assert np.array_equal(ode.qcoef(zs, 0.5), eps - U_lib + 0.5)
+    assert np.array_equal(schro.qcoef(zs, 0.5), (eps + 0.5) - 1.0 - U_lib)
 
 
 def test_axial_spherical_magnetic_coefficients():
@@ -269,6 +379,11 @@ def test_axial_spherical_magnetic_coefficients():
     assert_allclose(ode.qcoef(zs, 0.0), eps - U, rtol=1e-13)
     assert_allclose(ode.schrodinger.qcoef(zs, 0.0), ode.qcoef(zs, 0.0) + 1.0, rtol=1e-13)
     assert ode.domain == (-math.pi / 2, math.pi / 2)
+    # bit for bit, in the library's form
+    U_lib = (b * g + L * c2) / (c2 * c2 - g * g)
+    assert np.array_equal(ode.pcoef(zs), -2.0 * np.tan(zs))
+    assert np.array_equal(ode.qcoef(zs, 0.5), eps - U_lib + 0.5)
+    assert np.array_equal(ode.schrodinger.qcoef(zs, 0.5), (eps + 0.5) + 1.0 - U_lib)
 
 
 def test_axial_magnetic_singular_points():
