@@ -56,10 +56,10 @@ class ExtremaResult:
     """Stationary points of U: z = 0 plus the admissible quadratic roots.
 
     `roots` holds the admissible values of ch^2 z (resp. cos^2 z) from
-    the stationarity quadratic; `discriminant` is (b^2/Lambda^2 - 1) g^2,
-    negative exactly when Lambda^2 > b^2 and z = 0 is the only
-    equilibrium.  Endpoint stationarity on the sphere (z = +-pi/2) is a
-    boundary feature and not listed.
+    the stationarity quadratic; `discriminant` is (b^2/Lambda^2 - 1) g^2
+    (+-inf beyond double range), negative exactly when Lambda^2 > b^2 and
+    z = 0 is the only equilibrium.  Endpoint stationarity on the sphere
+    (z = +-pi/2) is a boundary feature and not listed.
     """
 
     equilibria: tuple[Equilibrium, ...]
@@ -181,17 +181,29 @@ def effective_force(spec: BackgroundSpec, Lambda: float, z):
     """
     scalar = np.isscalar(z)
     z = _axial_grid(spec, z, "force")
-    g, b = spec.gamma, spec.b
+    g = spec.gamma
     if spec.geometry == "spherical":
         c, s = np.cos(z), np.sin(z)
         c2 = c * c
         den = c2 * c2 - g * g
-        num = Lambda * c2 * c2 + 2.0 * b * g * c2 + g * g * Lambda
-        F = -2.0 * c * s * num / (den * den)
+
+        def force(L, b):
+            return -2.0 * c * s * (L * c2 * c2 + 2.0 * b * g * c2 + g * g * L) / (den * den)
     else:
         t, s = np.tanh(z), _sech2(z)
         den = 1.0 - g * g * s * s
-        F = 2.0 * t * s * (Lambda - 2.0 * b * g * s + g * g * Lambda * s * s) / (den * den)
+
+        def force(L, b):
+            return 2.0 * t * s * (L - 2.0 * b * g * s + g * g * L * s * s) / (den * den)
+
+    F = force(Lambda, spec.b)
+    if not np.isfinite(F).all():
+        # an intermediate such as 2 b g s overflowed.  F is linear in
+        # (Lambda, b), so evaluate it at both scaled by 2^-k and scale the
+        # result back: power-of-two scalings round nothing
+        k = math.frexp(max(abs(spec.b), abs(Lambda)))[1]
+        scaled = force(math.ldexp(Lambda, -k), math.ldexp(spec.b, -k))
+        F = np.where(np.isfinite(F), F, np.ldexp(scaled, k))
     _require_finite(F, "force", spec, Lambda)
     return float(F[0]) if scalar else F
 
@@ -212,32 +224,44 @@ def effective_force_extrema(spec: BackgroundSpec, Lambda: float) -> ExtremaResul
 
     to have roots in the admissible range (ch^2 z >= 1, 0 < cos^2 z < 1).
     For Lambda^2 > b^2 the discriminant is negative and z = 0 is the
-    unique equilibrium.  A discriminant that overflows double (b^2
-    overflowing, or Lambda^2 underflowing to 0) raises DomainError.
+    unique equilibrium.  A discriminant beyond double range (b^2
+    overflowing, or Lambda^2 underflowing to 0) is reported as +-inf, and
+    its root is taken as |base| sqrt((1 - g/base)(1 + g/base)) with
+    base = (b/L) g, so nothing squares b.  A base or root that overflows
+    double raises DomainError.
     """
     _require_curved_magnetic(spec)
     if Lambda == 0.0:
         raise ParameterError("Lambda = 0 degenerates the stationarity quadratic")
     g, b = spec.gamma, spec.b
+    base = (b / Lambda) * g
+
+    def overflow() -> DomainError:
+        return DomainError(
+            f"stationarity quadratic overflows double (b = {b}, gamma = {g}, Lambda = {Lambda})"
+        )
+
+    if not math.isfinite(base):
+        raise overflow()
     if g == 0.0:
         disc = 0.0  # both roots are 0, never admissible; b^2/Lambda^2 may overflow
     else:
         L2 = Lambda * Lambda
         disc = (b * b / L2 - 1.0) * g * g if L2 else math.inf
-        # a finite disc = base^2 - g^2 keeps base and rt, and so the roots, finite
-        if not math.isfinite(disc):
-            raise DomainError(
-                f"stationarity quadratic overflows double (b = {b}, gamma = {g}, "
-                f"Lambda = {Lambda})"
-            )
+        if not math.isfinite(disc):  # beyond double: keep the sign of base^2 - g^2
+            disc = math.copysign(math.inf, abs(base) - abs(g))
     roots: list[float] = []
     zs: list[float] = [0.0]
     if disc >= 0.0:
-        rt = math.sqrt(disc)
-        base = (b / Lambda) * g
+        if disc < math.inf:
+            rt = math.sqrt(disc)
+        else:  # sqrt(base^2 - g^2) without squaring b; |g / base| <= 1 here
+            rt = abs(base) * math.sqrt((1.0 - g / base) * (1.0 + g / base))
         if spec.geometry == "lobachevsky":
             for cand in (base + rt, base - rt):
                 if cand >= 1.0 + 1e-12:
+                    if cand == math.inf:
+                        raise overflow()
                     roots.append(cand)
                     z0 = math.acosh(math.sqrt(cand))
                     zs.extend([z0, -z0])

@@ -251,23 +251,35 @@ def gauge_potential(spec: BackgroundSpec, coord: float) -> float:
 def metric_at(spec: BackgroundSpec, r: float, z: float = 0.0) -> DiagonalMetric:
     """Diagonal metric components at the point (r, z) on the unit-radius chart.
 
-    Points off the chart and metrics that overflow double raise DomainError.
+    Points off the chart, points where g_phiphi vanishes (the axis, or
+    w(r)^2 below double range next to it) and metrics that overflow double
+    raise DomainError.
     """
     sec = _on_chart(spec, r, z)
     a = float(sec.a(z))
     g22 = float(-a * sec.w(r) ** 2)
     if not math.isfinite(g22):  # an infinite a makes g22 infinite or NaN too
         raise DomainError(f"metric overflows double at r = {r}, z = {z}")
+    if g22 == 0.0:  # on the axis, or w(r)^2 below the least double
+        near = "" if r == 0.0 else "w(r)^2 below double range near "
+        raise DomainError(
+            f"g_phiphi = 0 at r = {r}, z = {z} ({near}the axis r = 0, "
+            f"a coordinate singularity of the {spec.geometry} chart)"
+        )
     return DiagonalMetric(1.0, -a, g22, -1.0)
 
 
 def gamma_profile(spec: BackgroundSpec, z: float):
-    """Local structure parameter gamma(z) tracking the field magnitude."""
+    """Local structure parameter gamma(z) = gamma / a(z) tracking the field
+    magnitude.  Where a = ch^2 z overflows (|z| > 355 on Lobachevsky) it is
+    gamma sech^2 z from `_sech2`, which stays finite."""
     z = np.asarray(z, dtype=float)
     g = spec.gamma
     if spec.geometry == "flat" and spec.field == "magnetic" and spec.eta:
         g = spec.eta
-    return g / _SECTIONS[spec.geometry].a(z)
+    with np.errstate(over="ignore"):
+        a = _SECTIONS[spec.geometry].a(z)
+    return np.where(np.isfinite(a), g / a, g * _sech2(z))[()]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # metric_at/field_invariants refuse overflow

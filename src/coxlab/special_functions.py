@@ -64,16 +64,17 @@ _DEFAULT_CTL = SeriesControl()
 
 def _near_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
     """True when z sits (numerically) on a pole of Gamma."""
-    zr, zi = float(np.real(z)), float(np.imag(z))
-    if abs(zi) > tol:
+    z = complex(z)  # numpy scalars too; clongdouble parts round to double
+    if abs(z.imag) > tol:
         return False
+    zr = z.real
     n = round(zr)
     return n <= 0 and abs(zr - n) <= tol * max(1.0, abs(zr))
 
 
 def _near_int(z: complex, tol: float = 1e-8) -> bool:
-    zr, zi = float(np.real(z)), float(np.imag(z))
-    return abs(zi) <= tol and abs(zr - round(zr)) <= tol
+    z = complex(z)
+    return abs(z.imag) <= tol and abs(z.real - round(z.real)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -133,34 +134,49 @@ def reciprocal_gamma(z: complex) -> complex:
 # cancellation eats the budget.
 # ---------------------------------------------------------------------------
 
+def _clongdouble_params(nums, dens):
+    """The parameters in clongdouble, converted once per series: the first
+    upper one (None for 0Fq), the other upper ones and the lower ones.
+
+    p + k has no negative-zero part, so a term ratio started from p0 + k
+    holds the same bits as one started from one * (p0 + k).
+    """
+    ps = [np.clongdouble(p) for p in nums]
+    return (ps[0] if ps else None), ps[1:], [np.clongdouble(q) for q in dens]
+
+
 def _series_float(nums, dens, x, ctl: SeriesControl):
     """Sum pFq in clongdouble.  Returns (value, peak, ok)."""
+    p0, ps, qs = _clongdouble_params(nums, dens)
+    one = np.clongdouble(1.0)
     xl = np.clongdouble(x)
-    term = np.clongdouble(1.0)
-    total = np.clongdouble(1.0)
+    term = total = one
+    tol = ctl.tol
     peak = 1.0
     small_streak = 0
     for k in range(ctl.max_terms):
-        ratio = np.clongdouble(1.0)
-        for p in nums:
-            ratio *= np.clongdouble(p) + k
-        for q in dens:
-            ratio /= np.clongdouble(q) + k
+        ratio = one if p0 is None else p0 + k
+        for p in ps:
+            ratio = ratio * (p + k)
+        for q in qs:
+            ratio = ratio / (q + k)
         term = term * ratio * xl / (k + 1)
         if term == 0:  # terminating (polynomial) case
             total_c = complex(total)
             return total_c, peak, True
         total += term
         a = abs(complex(term))
-        peak = max(peak, a)
-        if a <= ctl.tol * max(abs(complex(total)), 1e-300):
+        if a > peak:  # as max(peak, a): a NaN a keeps peak
+            peak = a
+        size = abs(complex(total))
+        if a <= tol * (1e-300 if size < 1e-300 else size):
             small_streak += 1
             if small_streak >= 2:
                 total_c = complex(total)
                 if not cmath.isfinite(total_c):
                     raise NonConvergence(f"pFq series overflows double at |x| = {abs(x):.3g}")
                 lost = _EPS_LD * peak * math.sqrt(k + 1.0)
-                ok = lost <= ctl.tol * max(abs(total_c), 1e-300)
+                ok = lost <= tol * max(abs(total_c), 1e-300)
                 return total_c, peak, ok
         else:
             small_streak = 0
@@ -256,12 +272,14 @@ def _series_float_array(nums, dens, x: np.ndarray, ctl: SeriesControl):
             live[keep], xl[keep], term[keep], total[keep], peak[keep], streak[keep]
         )
 
+    p0, ps, qs = _clongdouble_params(nums, dens)
+    one = np.clongdouble(1.0)
     for k in range(ctl.max_terms):
-        ratio = np.clongdouble(1.0)
-        for p in nums:
-            ratio *= np.clongdouble(p) + k
-        for q in dens:
-            ratio /= np.clongdouble(q) + k
+        ratio = one if p0 is None else p0 + k
+        for p in ps:
+            ratio = ratio * (p + k)
+        for q in qs:
+            ratio = ratio / (q + k)
         term = term * ratio * xl / (k + 1)
         zero = term == 0  # terminating (polynomial) case
         if zero.any():
@@ -403,8 +421,9 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
                 "1-x connection formula degenerates: c - a - b is an integer"
             )
         y = 1.0 - x
+        gc = gamma_complex(c)
         t1 = (
-            gamma_complex(c)
+            gc
             * gamma_complex(c - a - b)
             * reciprocal_gamma(c - a)
             * reciprocal_gamma(c - b)
@@ -412,7 +431,7 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
         )
         t2 = (
             complex(y) ** (c - a - b)
-            * gamma_complex(c)
+            * gc
             * gamma_complex(a + b - c)
             * reciprocal_gamma(a)
             * reciprocal_gamma(b)
@@ -428,8 +447,9 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
         if _near_int(b - a):
             raise PoleError("1/x connection formula degenerates: b - a is an integer")
         u = 1.0 / x
+        gc = gamma_complex(c)
         t1 = (
-            gamma_complex(c)
+            gc
             * gamma_complex(b - a)
             * reciprocal_gamma(b)
             * reciprocal_gamma(c - a)
@@ -437,7 +457,7 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
             * _gauss_series(a, a - c + 1.0, a - b + 1.0, u, ctl)
         )
         t2 = (
-            gamma_complex(c)
+            gc
             * gamma_complex(a - b)
             * reciprocal_gamma(a)
             * reciprocal_gamma(c - b)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -199,9 +200,10 @@ def test_extrema_parameter_errors():
 
 def test_extrema_refuse_a_quadratic_that_overflows():
     # Lambda^2 underflowing to 0 raised ZeroDivisionError; b^2 overflowing
-    # to inf returned equilibria at z = +-inf
+    # to inf returned equilibria at z = +-inf.  What overflows now is
+    # base = (b/L) g itself, or on Lobachevsky the root base + sqrt(base^2 - g^2)
     for geometry in ("lobachevsky", "spherical"):
-        for b, g, L in ((10.0, 0.9, 1e-200), (1e300, 0.1, 2.0), (1e200, 0.1, -1.0)):
+        for b, g, L in ((1e300, 0.1, 1e-200), (1e308, 1.0, 0.55), (-1e200, 0.1, 1e-200)):
             spec = BackgroundSpec(geometry=geometry, b=b, gamma=g)
             with pytest.raises(DomainError, match="stationarity quadratic overflows"):
                 effective_force_extrema(spec, L)
@@ -209,6 +211,79 @@ def test_extrema_refuse_a_quadratic_that_overflows():
         for b, L in ((10.0, 1e-200), (1e300, 2.0)):
             ext = effective_force_extrema(BackgroundSpec(geometry=geometry, b=b), L)
             assert [e.z for e in ext.equilibria] == [0.0] and ext.roots == ()
+    # base = 1e308 is finite; the Lobachevsky root base + sqrt(base^2 - g^2) is not
+    with pytest.raises(DomainError, match="stationarity quadratic overflows"):
+        effective_force_extrema(BackgroundSpec(geometry="lobachevsky", b=1e308, gamma=1.0), 1.0)
+
+
+def _mp_roots(geometry, b, g, L):
+    """The admissible roots of the stationarity quadratic in 50 digits."""
+    with mpmath.workdps(50):
+        base = mpmath.mpf(b) / L * g
+        disc = base * base - mpmath.mpf(g) ** 2
+        if disc < 0:
+            return []
+        if geometry == "lobachevsky":
+            cands = (base + mpmath.sqrt(disc), base - mpmath.sqrt(disc))
+            return [float(c) for c in cands if c >= 1 + 1e-12]
+        cands = (-base + mpmath.sqrt(disc), -base - mpmath.sqrt(disc))
+        return [float(c) for c in cands if 1e-12 < c < 1 - 1e-12]
+
+
+def test_extrema_answer_where_only_b_squared_overflows():
+    """b^2 beyond double or Lambda^2 below it, with finite roots: these were
+    refused, and the root is now taken without squaring b."""
+    spec = BackgroundSpec(geometry="lobachevsky", b=1e200, gamma=0.1)
+    ext = effective_force_extrema(spec, 1.0)
+    assert ext.discriminant == math.inf
+    assert_allclose(ext.roots, [2e199], rtol=1e-15)
+    z_star = math.acosh(math.sqrt(2e199))
+    assert 230.1 < z_star < 230.2
+    assert [e.z for e in ext.equilibria] == [-z_star, 0.0, z_star]
+    assert [e.kind for e in ext.equilibria] == ["maximum", "minimum", "maximum"]
+    F = effective_force(spec, 1.0, np.array([z_star - 0.01, z_star + 0.01]))
+    assert F[0] < 0 < F[1]  # U has its maximum there
+    for geometry in ("lobachevsky", "spherical"):
+        for b, g, L in ((10.0, 0.9, 1e-200), (1e300, 0.1, 2.0), (1e200, 0.1, -1.0),
+                        (-1e250, 0.7, 3.0), (0.0, 0.5, 1e-200)):
+            ext = effective_force_extrema(BackgroundSpec(geometry=geometry, b=b, gamma=g), L)
+            assert_allclose(ext.roots, _mp_roots(geometry, b, g, L), rtol=1e-14)
+            assert len(ext.equilibria) == 1 + 2 * len(ext.roots)
+
+
+def _mp_force(geometry, b, g, L, z):
+    """The documented closed form of F in 40 digits."""
+    with mpmath.workdps(40):
+        b, g, L, z = (mpmath.mpf(v) for v in (b, g, L, z))
+        if geometry == "lobachevsky":
+            c, s = mpmath.cosh(z), mpmath.sinh(z)
+            return 2 * c * s * (L * c**4 - 2 * b * g * c**2 + g * g * L) / (c**4 - g * g) ** 2
+        c, s = mpmath.cos(z), mpmath.sin(z)
+        return -2 * c * s * (L * c**4 + 2 * b * g * c**2 + g * g * L) / (c**4 - g * g) ** 2
+
+
+@pytest.mark.parametrize("geometry, g", [("lobachevsky", 0.9), ("spherical", 0.5)])
+def test_force_answers_wherever_the_documented_force_is_finite(geometry, g):
+    """b = 1e308: 2 b g s overflowed and F was refused, although finite."""
+    b, L = 1e308, 1.0
+    spec = BackgroundSpec(geometry=geometry, b=b, gamma=g)
+    answered = refused = 0
+    for z in np.linspace(-1.5, 1.5, 61):
+        want = _mp_force(geometry, b, g, L, z)
+        if abs(want) <= mpmath.mpf("1.7e308"):
+            assert_allclose(effective_force(spec, L, z), float(want), rtol=1e-12)
+            answered += 1
+        elif abs(want) >= mpmath.mpf("1.8e308"):
+            with pytest.raises(DomainError, match="effective force overflows"):
+                effective_force(spec, L, z)
+            refused += 1
+    assert answered >= 20 and refused >= 4
+    # where nothing overflows, the values are those of the plain formula
+    plain = BackgroundSpec(geometry=geometry, b=1.7, gamma=g)
+    zs = np.linspace(-1.4, 1.4, 29)
+    got = effective_force(plain, L, zs)
+    want = [float(_mp_force(geometry, 1.7, g, L, z)) for z in zs]
+    assert_allclose(got, want, rtol=1e-12, atol=1e-300)
 
 
 def test_potential_and_force_refuse_overflow():
@@ -219,12 +294,12 @@ def test_potential_and_force_refuse_overflow():
         effective_potential(spec, 1.0, zs)
     with pytest.raises(DomainError, match="effective potential overflows"):
         effective_potential(spec, 1.0, 0.0)
-    # 2 b g s overflows in F while U = s (L - b g s)/(1 - g^2 s^2) stays finite
-    for geometry in ("lobachevsky", "spherical"):
-        strong = BackgroundSpec(geometry=geometry, b=1e308, gamma=0.5)
-        assert np.isfinite(effective_potential(strong, 1.0, 0.1))
+    # F itself lies beyond double (|F| = 4.1e308 and 5.5e308) while U stays finite
+    for geometry, g in (("lobachevsky", 0.9), ("spherical", 0.5)):
+        strong = BackgroundSpec(geometry=geometry, b=1e308, gamma=g)
+        assert np.isfinite(effective_potential(strong, 1.0, 0.5))
         with pytest.raises(DomainError, match="effective force overflows"):
-            effective_force(strong, 1.0, np.array([0.1, 0.2]))
+            effective_force(strong, 1.0, np.array([0.1, 0.5]))
     with pytest.raises(DomainError):
         potential_profile(spec, 1.0, -3.0, 3.0, 5)
 

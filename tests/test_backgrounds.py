@@ -234,6 +234,41 @@ def test_gamma_profile():
     assert_allclose(gamma_profile(flat, [0.0, 2.0]), [0.3, 0.3])
 
 
+def test_gamma_profile_lobachevsky_beyond_cosh_range():
+    """gamma sech^2 z stays finite, without an overflow warning, where
+    ch^2 z overflows (|z| > 355), and agrees with gamma / ch^2 z to 2 ulp
+    wherever that is finite."""
+    lob = _spec("lobachevsky", b=1.0, gamma=0.37)
+    far = gamma_profile(lob, [400.0, -400.0, 1e4, 360.0])
+    assert np.all(np.isfinite(far)) and np.all(far >= 0.0)
+    assert far[3] > 0.0  # 4 g e^(-720): subnormal, not flushed to 0
+    assert gamma_profile(lob, 1e4) == 0.0
+    zs = np.concatenate([np.linspace(-355.0, 355.0, 20001),
+                         np.random.default_rng(8).uniform(-3.0, 3.0, 2000)])
+    with np.errstate(over="ignore"):
+        ch2 = np.cosh(zs) ** 2
+    assert np.isfinite(ch2).all()
+    want = 0.37 / ch2
+    got = gamma_profile(lob, zs)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+
+@pytest.mark.parametrize("geo", _GEOS)
+@pytest.mark.parametrize("field", ["magnetic", "electric"])
+def test_axis_is_a_coordinate_singularity(geo, field):
+    """r = 0 raised ParameterError from the metric's signature check."""
+    spec = _spec(geo, field, b=1.0, nu=1.0)
+    singular = rf"the axis r = 0, a coordinate singularity of the {geo} chart\)"
+    for call in (lambda: metric_at(spec, 0.0, 0.25), lambda: field_components(spec, 0.25, r=0.0)):
+        with pytest.raises(DomainError, match=r"g_phiphi = 0 at r = 0.0, z = 0.25 \(" + singular):
+            call()
+    # off the axis w(r)^2 underflows to 0 below r ~ 1.5e-154: the same refusal, named as such
+    below = r"g_phiphi = 0 at r = 1e-170, z = 0.25 \(w\(r\)\^2 below double range near "
+    with pytest.raises(DomainError, match=below + singular):
+        metric_at(spec, 1e-170, 0.25)
+    assert metric_at(spec, 1e-3, 0.25).g22 < 0.0
+
+
 def test_strength_parameter_conversions():
     assert magnetic_strength_parameter(2.0, 1.0, "flat") == 1.0
     assert magnetic_strength_parameter(0.05, 10.0, "lobachevsky") == 5.0

@@ -288,6 +288,25 @@ def test_zprofile_spherical_endpoint_value(capsys):
         assert abs(float(row[1]) - (-0.8)) < 0.01 * 0.8
 
 
+@pytest.mark.parametrize("b, gamma, lam, root", [
+    ("10", "0.9", "1e-200", 1.8e201),  # Lambda^2 underflows to 0
+    ("1e300", "0.1", "2", 1e299),  # b^2 overflows
+])
+def test_zprofile_answers_where_only_b_squared_overflows(capsys, b, gamma, lam, root):
+    """Both were refused as overflowing; their equilibria ch^2 z = root are finite."""
+    code, out, err = run(
+        capsys, "zprofile", "--geometry", "lobachevsky", "--b", b, "--gamma", gamma,
+        "--lambda-sep", lam, "--samples", "5",
+    )
+    assert (code, err) == (0, "")
+    z_star = math.acosh(math.sqrt(root))
+    extrema = [ln for ln in out.splitlines() if ln.startswith("# extremum")]
+    assert [float(ln.split(",")[1]) for ln in extrema] == pytest.approx(
+        [-z_star, 0.0, z_star], rel=1e-14)
+    _, rows = csv_rows(out)
+    assert all(math.isfinite(float(c)) for row in rows for c in row)
+
+
 def test_zprofile_requires_symmetric_grid(capsys):
     code, _, err = run(
         capsys, "zprofile", "--geometry", "lobachevsky", "--b", "1",
@@ -404,6 +423,153 @@ def test_airy_bytes_equal_per_sample_evaluation(capsys, fmt, nu, w_prime, z_min,
     )
     assert code == 0
     assert out == _airy_per_sample(nu, w_prime, z_min, z_max, samples, fmt)
+
+
+# airy stdout recorded before the series loop stopped converting its
+# parameters on every term: later work on the series engine must leave
+# these bytes as they are
+_AIRY_GOLDEN = [
+    # a node on the turning point (x = -0)
+    (['airy', '--nu', '2', '--w-prime', '1.5', '--z-min=-2.75', '--z-max=1.25',
+      '--samples', '5'],
+     'z,x,Z1_re,Z1_im,Z2_re,Z2_im\n'
+     '-2.75,2.5198420997897464,4.3540222431346045,2.5137959141313813,4.3885494801508633,-2.5337302237170927\n'
+     '-1.75,1.2599210498948732,0.86946515563007432,0.50198594165402322,1.0927870456772679,-0.63092089498870629\n'
+     '-0.75,-0,-0,0,0.80578183347450383,-0.46521835846461485\n'
+     '0.25,-1.2599210498948732,-0.62250147637786535,-0.35940139495769996,0.55460422075410709,-0.32020089614608627\n'
+     '1.25,-2.5198420997897464,-0.13762355552189776,-0.079456996827401052,-0.42300051290432966,0.24421945999266439\n'
+     '# turning_point,-0.75\n'
+     '# wronskian,-0.63111403892052187,-5.5511151231257827e-17\n'),
+    (['airy', '--nu', '2', '--w-prime', '1.5', '--z-min=-2.75', '--z-max=1.25',
+      '--samples', '3', '--format', 'json'],
+     """{
+  "command": "airy",
+  "nu": 2,
+  "rows": [
+    {
+      "Z1": {
+        "im": 2.5137959141313813,
+        "re": 4.3540222431346045
+      },
+      "Z2": {
+        "im": -2.5337302237170927,
+        "re": 4.3885494801508633
+      },
+      "x": 2.5198420997897464,
+      "z": -2.75
+    },
+    {
+      "Z1": {
+        "im": 0,
+        "re": -0
+      },
+      "Z2": {
+        "im": -0.46521835846461485,
+        "re": 0.80578183347450383
+      },
+      "x": -0,
+      "z": -0.75
+    },
+    {
+      "Z1": {
+        "im": -0.079456996827401052,
+        "re": -0.13762355552189776
+      },
+      "Z2": {
+        "im": 0.24421945999266439,
+        "re": -0.42300051290432966
+      },
+      "x": -2.5198420997897464,
+      "z": 1.25
+    }
+  ],
+  "schemaVersion": 1,
+  "turningPoint": -0.75,
+  "wPrime": 1.5,
+  "wronskian": {
+    "im": -5.5511151231257827e-17,
+    "re": -0.63111403892052187
+  }
+}
+"""),
+    # x = -8: x^3/9 < -30 takes the fixed-point re-run
+    (['airy', '--nu', '1', '--w-prime', '0', '--z-min=-4', '--z-max=8',
+      '--samples', '4'],
+     'z,x,Z1_re,Z1_im,Z2_re,Z2_im\n'
+     '-4,4,54.934292857563214,31.716328769055856,54.93645255411765,-31.717575670442919\n'
+     '0,-0,-0,0,0.80578183347450383,-0.46521835846461485\n'
+     '4,-4,0.33672476480880087,0.19440813360517456,0.177248099937038,-0.10233423821199854\n'
+     '8,-8,-0.15722073693026128,-0.090771434788877683,-0.27684162785555783,0.15983458836530048\n'
+     '# turning_point,-0\n'
+     '# wronskian,-0.63111403892052187,-5.5511151231257827e-17\n'),
+    # both samples on the fixed-point re-run
+    (['airy', '--nu', '1', '--w-prime', '0', '--z-min=7', '--z-max=8',
+      '--samples', '2', '--format', 'json'],
+     """{
+  "command": "airy",
+  "nu": 1,
+  "rows": [
+    {
+      "Z1": {
+        "im": -0.0096163021141326167,
+        "re": -0.0166559238426097
+      },
+      "Z2": {
+        "im": -0.23185990443606277,
+        "re": 0.40159313472132535
+      },
+      "x": -7,
+      "z": 7
+    },
+    {
+      "Z1": {
+        "im": -0.090771434788877683,
+        "re": -0.15722073693026128
+      },
+      "Z2": {
+        "im": 0.15983458836530048,
+        "re": -0.27684162785555783
+      },
+      "x": -8,
+      "z": 8
+    }
+  ],
+  "schemaVersion": 1,
+  "turningPoint": -0,
+  "wPrime": 0,
+  "wronskian": {
+    "im": -5.5511151231257827e-17,
+    "re": -0.63111403892052187
+  }
+}
+"""),
+    # one sample
+    (['airy', '--nu', '0.7', '--w-prime', '-1.3', '--z-min=0.4', '--z-max=2.9',
+      '--samples', '1'],
+     'z,x,Z1_re,Z1_im,Z2_re,Z2_im\n'
+     '0.40000000000000002,1.2938029739677896,0.90442121063952086,0.52216782942353457,1.1182717786494105,-0.6456345124303986\n'
+     '# turning_point,1.8571428571428574\n'
+     '# wronskian,-0.63111403892052187,-5.5511151231257827e-17\n'),
+    (['airy', '--nu', '2.6', '--w-prime', '0.35', '--z-min=-1.7', '--z-max=4.1',
+      '--samples', '7'],
+     'z,x,Z1_re,Z1_im,Z2_re,Z2_im\n'
+     '-1.7,2.152511649612213,2.5943508286768373,1.4978491493089008,2.6569885511264091,-1.5340130552265854\n'
+     '-0.73333333333333328,0.82327841144054348,0.50640240916997348,0.29237156725255919,0.88212530462913485,-0.50929528208661146\n'
+     '0.23333333333333339,-0.50595482673112635,-0.29401197515140609,-0.16974789299863788,0.78846271474334284,-0.45521916060305201\n'
+     '1.2,-1.8351880649027958,-0.5990951128334655,-0.3458877246645905,0.13272466556050888,-0.076628621389462831\n'
+     '2.166666666666667,-3.1644213030744663,0.41732696494652455,0.24094383555196547,-0.52295565609109507,0.30192858881843099\n'
+     '3.1333333333333329,-4.4936545412461344,-0.15878313418749501,-0.0916734852659227,0.49669798399350845,-0.28676871476459648\n'
+     '4.0999999999999996,-5.8228877794178056,0.093111006566906407,0.053757664705920423,-0.45058651134927558,0.26014624362071853\n'
+     '# turning_point,-0.13461538461538461\n'
+     '# wronskian,-0.63111403892052187,-5.5511151231257827e-17\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _AIRY_GOLDEN)
+def test_airy_bytes_golden(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 def test_airy_series_fallback_runs_without_mpmath():
@@ -616,12 +782,14 @@ _FINITE = "expected a finite number"
          None, 1, "DomainError: radial matrix overflows"),
         (["verify-tensor", "--trials", "2", "--b", "1e300", "--nu", "1"],
          None, 1, "DomainError: field invariants overflow"),
-        # Lambda^2 underflow: ZeroDivisionError traceback; b^2 overflow:
-        # "# extremum,-inf,..." with exit 0; U overflow: RuntimeWarning, -inf row
-        (["zprofile", "--geometry", "lobachevsky", "--b", "10", "--gamma", "0.9",
-          "--lambda-sep", "1e-200"], None, 1, "DomainError: stationarity quadratic overflows"),
+        # b/Lambda overflow (Lambda^2 underflow gave a ZeroDivisionError traceback,
+        # b^2 overflow "# extremum,-inf,..." with exit 0); U overflow:
+        # RuntimeWarning, -inf row
         (["zprofile", "--geometry", "lobachevsky", "--b", "1e300", "--gamma", "0.1",
-          "--lambda-sep", "2", "--samples", "5"],
+          "--lambda-sep", "1e-200", "--samples", "5"],
+         None, 1, "DomainError: stationarity quadratic overflows"),
+        (["zprofile", "--geometry", "spherical", "--b", "1e300", "--gamma", "0.1",
+          "--lambda-sep", "1e-200", "--z-min=-1", "--z-max=1", "--samples", "5"],
          None, 1, "DomainError: stationarity quadratic overflows"),
         (["zprofile", "--geometry", "lobachevsky", "--b", "1e307", "--gamma", "0.999",
           "--lambda-sep", "1", "--samples", "5"],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath
@@ -432,6 +433,137 @@ def test_hyp0f1_refuses_overflowing_sum():
         hyp0f1(4 / 3, -1e297)
     with pytest.raises(NonConvergence):
         hyp0f1(4 / 3, np.array([-1.0, -1e297]))
+
+
+def _series_float_per_term(nums, dens, x, ctl):
+    """`_series_float` as first written, converting every parameter to
+    clongdouble again on every term: the reference that the loop with its
+    conversions hoisted must reproduce bit for bit."""
+    xl = np.clongdouble(x)
+    term = np.clongdouble(1.0)
+    total = np.clongdouble(1.0)
+    peak = 1.0
+    small_streak = 0
+    for k in range(ctl.max_terms):
+        ratio = np.clongdouble(1.0)
+        for p in nums:
+            ratio *= np.clongdouble(p) + k
+        for q in dens:
+            ratio /= np.clongdouble(q) + k
+        term = term * ratio * xl / (k + 1)
+        if term == 0:
+            return complex(total), peak, True
+        total += term
+        a = abs(complex(term))
+        peak = max(peak, a)
+        if a <= ctl.tol * max(abs(complex(total)), 1e-300):
+            small_streak += 1
+            if small_streak >= 2:
+                total_c = complex(total)
+                if not cmath.isfinite(total_c):
+                    raise NonConvergence(f"pFq series overflows double at |x| = {abs(x):.3g}")
+                lost = special_functions._EPS_LD * peak * math.sqrt(k + 1.0)
+                return total_c, peak, lost <= ctl.tol * max(abs(total_c), 1e-300)
+        else:
+            small_streak = 0
+    raise NonConvergence(
+        f"pFq series did not converge in {ctl.max_terms} terms (|x| = {abs(x):.3g})"
+    )
+
+
+def _outcome(fn, *args):
+    """A result with the signs of its zeros made visible, or the exception."""
+    try:
+        value, peak, ok = fn(*args)
+    except NonConvergence as exc:
+        return "NonConvergence", str(exc)
+    parts = (value.real, value.imag)
+    return parts, tuple(math.copysign(1.0, v) for v in parts), peak, ok
+
+
+def _signed_zero_cases():
+    """Seeded (nums, dens, x) across the direct region, with conjugate
+    pairs, parameters with +-0.0 parts and terminating series."""
+    rng = np.random.default_rng(13)
+    u = rng.uniform
+    z0 = (0.0, -0.0)
+    cases = []
+    for _ in range(40):  # 2F1 with conjugate parameters, |x| up to the direct radius
+        a = complex(u(-3.0, 3.0), u(-20.0, 20.0))
+        cases.append(((a, a.conjugate()), (u(0.3, 4.0),), u(-0.5, 0.5)))
+    for _ in range(40):  # real parameters written with +-0.0 imaginary parts
+        a, b, c = (complex(u(-4.0, 4.0), rng.choice(z0)) for _ in range(3))
+        x = float(rng.choice([u(-0.5, 0.5), -0.5, 0.5, 0.0, -0.0]))
+        cases.append(((a, b), (c,), x))
+    for _ in range(20):  # 1F1 at complex x, parameters with signed zero parts
+        a = complex(rng.choice(z0 + (u(-3.0, 3.0),)), rng.choice(z0))
+        c = complex(u(0.5, 3.0), rng.choice(z0))
+        cases.append(((a,), (c,), complex(u(-8.0, 8.0), rng.choice(z0 + (u(-8.0, 8.0),)))))
+    for n in (1, 3, 10, 25):  # terminating polynomials, the upper -n with a signed zero part
+        for x in (0.5, -0.5, 0.25j, complex(-0.0, -0.0)):
+            cases.append(((complex(-n, -0.0), u(0.5, 2.0)), (u(0.5, 3.0),), x))
+            cases.append(((-float(n),), (complex(u(0.5, 3.0), -0.0),), x))
+    cases += [((), (c,), x) for c in (4 / 3, 2 / 3, complex(1.5, -0.0))
+              for x in (0.0, -0.0, 1e-300, -21.0, 25.0)]
+    return cases
+
+
+def test_series_loop_equals_per_term_conversion_bit_for_bit():
+    ctl = special_functions._DEFAULT_CTL
+    cases = _signed_zero_cases() + _fallback_cases()
+    for nums, dens, x in cases:
+        got = _outcome(special_functions._series_float, nums, dens, x, ctl)
+        want = _outcome(_series_float_per_term, nums, dens, x, ctl)
+        assert got == want, (nums, dens, x)
+    # refusals keep their text: too few terms, a sum beyond double, and
+    # non-finite parameters (invalid input, which runs out of terms)
+    refused = [
+        ((0.5, 1.5), (2.3,), 0.45, SeriesControl(max_terms=10)),
+        ((1e300, 1e300), (0.5,), 0.3, ctl),
+        ((math.inf, 1.0), (2.0,), 0.3, ctl),
+        ((complex(1.0, math.inf), 1.0), (2.0,), 0.3, ctl),
+        ((math.nan,), (1.0,), 0.5, ctl),
+        ((), (1.5,), math.inf, ctl),
+    ]
+    with np.errstate(all="ignore"):
+        for nums, dens, x, c in refused:
+            got = _outcome(special_functions._series_float, nums, dens, x, c)
+            assert got == _outcome(_series_float_per_term, nums, dens, x, c)
+            assert got[0] == "NonConvergence"
+
+
+def _near_nonpositive_int_np(z, tol=1e-12):
+    zr, zi = float(np.real(z)), float(np.imag(z))
+    if abs(zi) > tol:
+        return False
+    n = round(zr)
+    return n <= 0 and abs(zr - n) <= tol * max(1.0, abs(zr))
+
+
+def _near_int_np(z, tol=1e-8):
+    zr, zi = float(np.real(z)), float(np.imag(z))
+    return abs(zi) <= tol and abs(zr - round(zr)) <= tol
+
+
+@pytest.mark.parametrize("z", [
+    0, -3, 5, 10**400, 2.5, -2.0, 0.0, -0.0, -2.0 + 1e-13, -1e-13, 1e-9, 7.0 - 3e-9,
+    complex(-2.0, 1e-13), complex(-2.0, 1e-3), complex(-0.0, -0.0), complex(3.0, -0.0),
+    np.float32(-2.0), np.float64(-4.0), np.float64(-0.0), np.complex128(-1.0 + 0.0j),
+    np.clongdouble(complex(-3.0, 0.0)), np.clongdouble(-3) + np.longdouble(1e-19),
+    np.clongdouble(complex(2.5, -0.0)),
+    math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(0.0, math.inf),
+    complex(-math.inf, 0.0), np.float64(math.nan), np.clongdouble(complex(math.inf, 0.0)),
+])
+def test_pole_tests_read_parts_like_numpy(z):
+    for new, old in ((special_functions._near_nonpositive_int, _near_nonpositive_int_np),
+                     (special_functions._near_int, _near_int_np)):
+        outcomes = []
+        for fn in (new, old):
+            try:
+                outcomes.append(fn(z))
+            except (ValueError, OverflowError) as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1], (new.__name__, z)
 
 
 def test_series_control_validation():
