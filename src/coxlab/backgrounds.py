@@ -132,7 +132,9 @@ class SeparatedODE:
 
     ``pcoef``, ``qcoef`` and ``weight`` must accept arrays of x and return
     arrays of the same shape (or scalars, for constant coefficients):
-    integrators evaluate them once over all their nodes.
+    integrators evaluate them once over all their nodes.  Radial
+    equations also carry ``q0_weighted(x, w)``, the same q0 from the
+    weight w already evaluated at x, so a grid evaluates the weight once.
     """
 
     kind: str
@@ -143,6 +145,7 @@ class SeparatedODE:
     qcoef: Callable
     eigen_name: str
     weight: Callable | None = None
+    q0_weighted: Callable | None = None
     singular_points: tuple[SingularPoint, ...] = ()
     params: dict = field(default_factory=dict)
     schrodinger: "SeparatedODE | None" = None
@@ -365,10 +368,13 @@ def assemble_radial_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedOD
     b = spec.b
     magnetic = spec.field == "magnetic"
 
+    def q0_weighted(r, w):
+        u = m + sec.a_phi(b, r) if magnetic else m
+        return -(u**2) / w**2
+
     def qcoef(r, s):
         r = np.asarray(r, dtype=float)
-        u = m + sec.a_phi(b, r) if magnetic else m
-        return -(u**2) / sec.w(r) ** 2 + s
+        return q0_weighted(r, sec.w(r)) + s
 
     return SeparatedODE(
         kind="radial",
@@ -379,6 +385,7 @@ def assemble_radial_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedOD
         qcoef=qcoef,
         eigen_name=sec.eigen[spec.field],
         weight=sec.w,
+        q0_weighted=q0_weighted,
         singular_points=(
             SingularPoint("axis", 0.0, "r"),
             SingularPoint(sec.r_end_name, sec.r_end, "r"),

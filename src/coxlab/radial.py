@@ -14,20 +14,28 @@ Closed-form spectra (library units, curvature radius rho = 1):
 The numerical route discretizes the separated equation in Liouville
 (finite-volume) form on the natural weight (r, sh r, sin r) and solves
 the symmetric tridiagonal eigenproblem on a grid and its doubling, with
-Richardson extrapolation as the error estimate.  Sturm bisection runs on
-a small seed grid; Rayleigh-quotient iteration refines its pairs on the
-two grids, and a residual-and-Sturm-count certificate proves that they
-are the lowest levels, in order, or the two grids are bisected instead.
+Richardson extrapolation as the error estimate.  One assembly serves the
+two grids and a small seed grid: the weight is evaluated once on the
+doubled grid's faces and centers, whose faces are the grid's own faces
+and centers, and q0 is formed from the weight in hand.  Sturm bisection
+runs on the seed grid only, to a loose tolerance, because its pairs only
+start Rayleigh-quotient iteration on the grid.  The doubled grid starts
+from the Richardson prediction of its values (seed and grid values,
+error ~ h^2) and from the grid's vectors interpolated onto its centers.
+On both grids a residual-and-Sturm-count certificate proves that the
+refined pairs are the lowest levels, in order, or the two grids are
+bisected instead.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstebz
+from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 from .backgrounds import BackgroundSpec, QuantumNumbers, SeparatedODE, assemble_radial_ode
 from .errors import (
@@ -36,6 +44,7 @@ from .errors import (
     GridTooCoarse,
     InvalidEta,
     NoBoundState,
+    NonConvergence,
     ParameterError,
 )
 from .special_functions import SeriesControl, gamma_complex, gauss_2f1
@@ -87,6 +96,8 @@ class GridSpec:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        if not isinstance(self.points, numbers.Integral):
+            raise ParameterError(f"grid points must be an integer, got {self.points!r}")
         if self.points < 16:
             raise ParameterError("grid needs at least 16 cells")
         if self.r_max is not None and not self.r_max > 0:
@@ -223,39 +234,75 @@ def spectrum_matched_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedO
 
 SEED_CELLS = 128  # the grid whose bisected pairs seed the refinement
 _EPS = float(np.finfo(float).eps)
+_SEED_TOL = 1e-9  # seed bisection tolerance in ||T_seed||_inf; loose: the certificate proves the index
 _STOP = 16.0  # residual that ends a refinement, in eps * ||T||_inf
 _MARGIN = 1e3  # rounding allowance of the index certificate, in eps * ||T||_inf
 _MAX_SOLVES = 8  # per level; a level still short of the stop falls back
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
+class _Grid(NamedTuple):
+    """One discretization: cell centers, step h, weight w at the centers,
+    the symmetric tridiagonal (d, e) and its norm ||T||_inf."""
+
+    centers: np.ndarray
+    h: float
+    w: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    norm: float
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # refused below
 def _tridiags(ode: SeparatedODE, sizes, r_max: float):
     """Symmetric tridiagonal discretizations of -(w R')'/w - q0 on cell centers,
-    one (centers, h, w_cent, diag, off) per cell count in `sizes`.
+    one _Grid per cell count in `sizes`.
 
     Cell-centered nodes r_i = (i+1/2)h keep the centrifugal term finite
     and make the axis (weight -> 0) a natural boundary; the outer face
     is Dirichlet for a cutoff, natural on the sphere where sin(pi) = 0.
-    Liouville scaling u = R sqrt(w) symmetrizes the matrix.  The weight
-    is evaluated once on every face and center, q0 once on every center.
+    Liouville scaling u = R sqrt(w) symmetrizes the matrix.  A grid of n
+    cells lives on the 2n+1 nodes k h/2: faces at even k, centers at odd
+    k.  A count whose double is also in `sizes` evaluates nothing: its
+    nodes are the double's faces, the same numbers bit for bit.  So the
+    weight runs once on every node, and q0 once on every center from
+    the weight in hand (`q0_weighted`).
     Raises DomainError when an entry overflows double.
     """
-    steps = [r_max / n for n in sizes]
-    centers = [(np.arange(n) + 0.5) * h for n, h in zip(sizes, steps)]
-    faces = [np.arange(n + 1) * h for n, h in zip(sizes, steps)]
-    w_all = np.asarray(ode.weight(np.concatenate(faces + centers)), dtype=float)
-    q_all = np.asarray(ode.qcoef(np.concatenate(centers), 0.0), dtype=float)
-    w_parts = np.split(w_all, np.cumsum([n + 1 for n in sizes] + list(sizes))[:-1])
-    w_faces, w_cents = w_parts[: len(sizes)], w_parts[len(sizes) :]
-    q0s = np.split(q_all, np.cumsum(sizes)[:-1])
+    nodes, weights = {}, {}
+    for n in sorted(sizes, reverse=True):  # a double before its half
+        if 2 * n in nodes:
+            nodes[n], weights[n] = nodes[2 * n][::2], weights[2 * n][::2]
+        else:
+            nodes[n] = np.arange(2 * n + 1) * (r_max / (2 * n))
+            weights[n] = np.asarray(ode.weight(nodes[n]), dtype=float)
     out = []
-    for n, h, c, w_face, w_cent, q0 in zip(sizes, steps, centers, w_faces, w_cents, q0s):
-        diag = (w_face[:-1] + w_face[1:]) / (h * h * w_cent) - q0
+    for n in sizes:
+        h, centers, w_face, w_cent = r_max / n, nodes[n][1::2], weights[n][::2], weights[n][1::2]
+        diag = (w_face[:-1] + w_face[1:]) / (h * h * w_cent) - ode.q0_weighted(centers, w_cent)
         off = -w_face[1:-1] / (h * h * np.sqrt(w_cent[:-1] * w_cent[1:]))
-        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        rows, off_abs = np.abs(diag), np.abs(off)
+        rows[:-1] += off_abs
+        rows[1:] += off_abs
+        norm = float(rows.max())  # inf or nan when an entry is
+        if not math.isfinite(norm):
             raise DomainError(f"radial matrix overflows double on {n} cells")
-        out.append((c, h, w_cent, diag, off))
+        out.append(_Grid(centers, h, w_cent, diag, off, norm))
     return out
+
+
+def _bisect(d, e, count: int, tol: float = 0.0, vectors: bool = True):
+    """Lowest `count` eigenvalues of the tridiagonal (d, e) by Sturm
+    bisection to absolute tolerance `tol` (0: LAPACK's default, about
+    eps ||T||), with unit eigenvectors (as rows) by inverse iteration
+    when `vectors`.  Raises NonConvergence when LAPACK reports a failure
+    (entries whose squares overflow make the Sturm sequence fail)."""
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, 1, count, tol, b"B")
+    if info == 0 and m == count and vectors:
+        z, info = dstein(d, e, w[:m], iblock, isplit)
+    if info != 0 or m != count:
+        raise NonConvergence(f"Sturm bisection failed on {len(d)} cells (LAPACK info {info})")
+    order = np.argsort(w[:m])
+    return (w[order], z.T[order]) if vectors else w[order]
 
 
 def _rqi(d, e, sigma: float, v, stop: float):
@@ -284,58 +331,74 @@ def _rqi(d, e, sigma: float, v, stop: float):
     return None
 
 
-def _refine(d, e, shifts, starts):
-    """Lowest len(shifts) eigenpairs of the tridiagonal (d, e), refined from
-    approximate shifts and starting vectors (columns of `starts`), or None
+def _refine(grid, shifts, starts):
+    """Lowest len(shifts) eigenpairs of a grid from _tridiags, refined from
+    approximate shifts and starting vectors (rows of `starts`), or None
     unless a certificate proves they are the lowest ones, in order.
 
     Certificate: every residual interval sigma_k +- r_k holds an
     eigenvalue; the intervals, widened by a rounding margin, are
     disjoint and in order; and one Sturm count (stebz with an infinite
     tolerance counts without bisecting) finds exactly as many
-    eigenvalues as intervals up to just above the top one.  Vectors take
-    stein's sign: the largest-magnitude component is positive.
+    eigenvalues as intervals up to just above the top one.
     """
+    d, e, t_norm = grid.d, grid.e, grid.norm
     count = len(shifts)
-    rows, off = np.abs(d), np.abs(e)
-    rows[:-1] += off
-    rows[1:] += off
-    t_norm = float(rows.max())  # ||T||_inf
     stop, margin = _STOP * _EPS * t_norm, _MARGIN * _EPS * t_norm
     sigmas, radii = np.empty(count), np.empty(count)
-    vecs = np.empty((len(d), count))
+    vecs = np.empty((count, len(d)))
     for k in range(count):
-        pair = _rqi(d, e, float(shifts[k]), starts[:, k], stop)
+        pair = _rqi(d, e, float(shifts[k]), starts[k], stop)
         if pair is None:
             return None
-        sigmas[k], radii[k], vecs[:, k] = pair
+        sigmas[k], radii[k], vecs[k] = pair
     if not np.all(sigmas[1:] - radii[1:] - sigmas[:-1] - radii[:-1] > 2.0 * margin):
         return None
     top = sigmas[-1] + 2.0 * radii[-1] + margin
     if dstebz(d, e, 1, -2.0 * t_norm - 1.0, top, 0, 0, 1e300, b"E")[0] != count:
         return None
-    peaks = np.argmax(np.abs(vecs), axis=0)
-    vecs *= np.sign(vecs[peaks, np.arange(count)])
     return sigmas, vecs
 
 
+def _halved(vecs):
+    """Rows of values at cell centers, linearly interpolated onto the
+    centers of the grid with half the step (constant beyond the outer
+    centers): each cell's two halves sit a quarter step either side."""
+    out = np.empty((len(vecs), 2 * vecs.shape[1]))
+    out[:, 2::2] = 0.75 * vecs[:, 1:] + 0.25 * vecs[:, :-1]
+    out[:, 1:-1:2] = 0.75 * vecs[:, :-1] + 0.25 * vecs[:, 1:]
+    out[:, 0], out[:, -1] = vecs[:, 0], vecs[:, -1]
+    return out
+
+
 def _lowest_pairs(grids, count: int):
-    """Lowest `count` eigenvalues of the coarse grid and eigenpairs of the
-    fine grid.  With a seed grid (third entry of `grids`), its bisected
-    pairs are refined on the coarse and then the fine grid; without one,
-    or when a certificate fails, both grids are bisected."""
-    (c1, _, _, d1, e1), (_, _, _, d2, e2) = grids[:2]
+    """Lowest `count` eigenvalues of the coarse grid and eigenpairs (vectors
+    as rows, in stein's sign: the largest-magnitude component is positive)
+    of the fine grid.
+
+    With a seed grid (third entry of `grids`), its pairs, bisected to a
+    loose tolerance, are refined on the coarse grid.  The fine grid then
+    starts from the Richardson prediction of its values from the seed
+    and coarse ones, and from the coarse vectors interpolated onto its
+    centers.  Without a seed grid, or when a certificate fails, both
+    grids are bisected.
+    """
+    coarse, fine = grids[:2]
     if len(grids) == 3:
-        cs, _, _, ds, es = grids[2]
-        seed_vals, seed_vecs = eigh_tridiagonal(ds, es, select="i", select_range=(0, count - 1))
-        starts = np.column_stack([np.interp(c1, cs, seed_vecs[:, k]) for k in range(count)])
-        coarse = _refine(d1, e1, seed_vals, starts)
-        if coarse is not None:
-            fine = _refine(d2, e2, coarse[0], np.repeat(coarse[1], 2, axis=0))
-            if fine is not None:
-                return coarse[0], fine[0], fine[1]
-    vals1 = eigh_tridiagonal(d1, e1, select="i", select_range=(0, count - 1), eigvals_only=True)
-    vals2, vecs = eigh_tridiagonal(d2, e2, select="i", select_range=(0, count - 1))
+        seed = grids[2]
+        seed_vals, seed_vecs = _bisect(seed.d, seed.e, count, _SEED_TOL * seed.norm)
+        starts = [np.interp(coarse.centers, seed.centers, v) for v in seed_vecs]
+        refined = _refine(coarse, seed_vals, starts)
+        if refined is not None:
+            h1, h2, hs = coarse.h**2, fine.h**2, seed.h**2  # lambda(h) ~ lambda + c h^2
+            shifts = refined[0] + (refined[0] - seed_vals) * ((h2 - h1) / (h1 - hs))
+            top = _refine(fine, shifts, _halved(refined[1]))
+            if top is not None:
+                vecs = top[1]
+                vecs *= np.sign(vecs[np.arange(count), np.argmax(np.abs(vecs), axis=1)])[:, None]
+                return refined[0], top[0], vecs
+    vals1 = _bisect(coarse.d, coarse.e, count, vectors=False)
+    vals2, vecs = _bisect(fine.d, fine.e, count)
     return vals1, vals2, vecs
 
 
@@ -343,20 +406,24 @@ def solve_radial_eigen(ode: SeparatedODE, count: int, grid: GridSpec) -> EigenRe
     """Lowest `count` eigenvalues/functions of a separated radial equation.
 
     Solves on `grid.points` and 2x cells, Richardson-extrapolates the
-    h^2 error and reports |difference|/3 as the estimate.  Above
-    SEED_CELLS cells, bisection runs only on a SEED_CELLS-cell grid; its
-    pairs are refined on both grids by Rayleigh-quotient iteration and
-    kept under an index certificate, or else both grids are bisected
+    h^2 error and reports |difference|/3 as the estimate.  The two grids
+    and, above SEED_CELLS cells, a SEED_CELLS-cell seed grid come from
+    one assembly.  Bisection runs only on the seed grid, to a tolerance
+    of _SEED_TOL * ||T||; its pairs are refined on the coarse grid by
+    Rayleigh-quotient iteration, and the fine grid starts from shifts
+    Richardson-predicted from the seed and coarse values.  Refined pairs
+    are kept under an index certificate, or else both grids are bisected
     (as they are at or below SEED_CELLS cells, or for more than
-    SEED_CELLS - 2 levels).  Raises
-    GridTooCoarse when the estimate exceeds grid.tol relative to the
-    eigenvalue and CutoffTooSmall when an eigenfunction carries more
-    than 1e-8 of its norm in the outermost cells of a truncated domain.
+    SEED_CELLS - 2 levels).  Raises GridTooCoarse when the estimate
+    exceeds grid.tol relative to the eigenvalue, CutoffTooSmall when an
+    eigenfunction carries more than 1e-8 of its norm in the outermost
+    cells of a truncated domain, DomainError when the matrix overflows
+    double and NonConvergence when LAPACK's bisection fails.
     Eigenfunctions come back on the fine grid, normalized to
     sum(w R^2 h) = 1.
     """
-    if ode.kind != "radial" or ode.weight is None:
-        raise ParameterError("solve_radial_eigen needs a radial equation with a weight")
+    if ode.kind != "radial" or ode.weight is None or ode.q0_weighted is None:
+        raise ParameterError("solve_radial_eigen needs a radial equation (weight and q0_weighted)")
     if count < 1:
         raise ParameterError("count must be >= 1")
 
@@ -375,20 +442,18 @@ def solve_radial_eigen(ode: SeparatedODE, count: int, grid: GridSpec) -> EigenRe
 
     seeded = n1 > SEED_CELLS and count <= SEED_CELLS - 2
     grids = _tridiags(ode, (n1, n2, SEED_CELLS) if seeded else (n1, n2), r_max)
-    centers, h, w_cent = grids[1][:3]
+    centers, h, w_cent = grids[1].centers, grids[1].h, grids[1].w
     vals1, vals2, vecs = _lowest_pairs(grids, count)
 
     extrapolated = vals2 + (vals2 - vals1) / 3.0
     estimates = np.abs(vals2 - vals1) / 3.0
 
-    # back to R, unit norm in the weighted measure
-    funcs = (vecs / np.sqrt(w_cent)[:, None]).T
-    norms = np.sqrt(np.sum(w_cent * funcs**2, axis=1) * h)
-    funcs = funcs / norms[:, None]
+    # back to R; unit vectors have unit norm in the weighted measure
+    funcs = vecs / np.sqrt(w_cent * h)
 
     if not compact:
         tail = max(3, n2 // 50)
-        tail_mass = np.sum(w_cent[-tail:] * funcs[:, -tail:] ** 2, axis=1) * h
+        tail_mass = np.sum(vecs[:, -tail:] ** 2, axis=1)  # sum(w R^2 h) over the tail
         worst = float(np.max(tail_mass))
         if worst > 1e-8:
             raise CutoffTooSmall(

@@ -13,6 +13,9 @@ requested tolerance the same series loop is re-run in binary fixed
 point on Python integers, with the number of bits sized from that
 estimate.  The library needs no multiple-precision package, so the test
 suite's cross-checks against mpmath's special functions stay independent.
+
+Every public function refuses a non-finite parameter with ParameterError
+and a non-finite argument with DomainError before any series runs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PoleError
+from .errors import DomainError, NonConvergence, ParameterError, PoleError
 
 __all__ = [
     "SeriesControl",
@@ -72,6 +75,18 @@ def _near_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
     return n <= 0 and abs(zr - n) <= tol * max(1.0, abs(zr))
 
 
+def _require_finite(name: str, params=(), args=()) -> None:
+    """ParameterError for a non-finite parameter, DomainError for a
+    non-finite argument: one test per value at a public entry, so the
+    series loops never see inf or NaN."""
+    for p in params:
+        if not cmath.isfinite(p):
+            raise ParameterError(f"{name} needs finite parameters, got {p}")
+    for x in args:
+        if not cmath.isfinite(x):
+            raise DomainError(f"{name} needs a finite argument, got {x}")
+
+
 def _near_int(z: complex, tol: float = 1e-8) -> bool:
     z = complex(z)
     return abs(z.imag) <= tol and abs(z.real - round(z.real)) <= tol
@@ -106,9 +121,12 @@ def gamma_complex(z: complex) -> complex:
     """Gamma function for complex argument.
 
     Lanczos sum for Re z >= 1/2, reflection formula otherwise.
-    Raises PoleError at (numerically) nonpositive integers.
+    Raises PoleError at (numerically) nonpositive integers and
+    DomainError for a non-finite z.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"gamma_complex needs a finite argument, got {z}")
     if _near_nonpositive_int(z):
         raise PoleError(f"gamma pole at z = {z}")
     if z.real < 0.5:
@@ -124,6 +142,9 @@ def gamma_complex(z: complex) -> complex:
 
 def reciprocal_gamma(z: complex) -> complex:
     """1/Gamma(z), returning exactly 0 at the poles (entire function)."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"reciprocal_gamma needs a finite argument, got {z}")
     if _near_nonpositive_int(z):
         return 0.0 + 0.0j
     return 1.0 / gamma_complex(z)
@@ -340,8 +361,13 @@ def hyp0f1(c: complex, x, ctl: SeriesControl | None = None):
     scalar loop, which is several times cheaper for a single point.
     """
     ctl = ctl or _DEFAULT_CTL
+    _require_finite("hyp0f1", params=(c,))
     if np.ndim(x):
-        return _hyp_series_array((), (c,), np.asarray(x), ctl)
+        x = np.asarray(x)
+        if not np.isfinite(x).all():
+            raise DomainError("hyp0f1 needs finite arguments")
+        return _hyp_series_array((), (c,), x, ctl)
+    _require_finite("hyp0f1", args=(x,))
     if x == 0:
         return 1.0 + 0.0j
     return _hyp_series((), (c,), x, ctl)
@@ -363,6 +389,7 @@ def kummer_1f1(a: complex, c: complex, x: complex, ctl: SeriesControl | None = N
     a = complex(a)
     c = complex(c)
     x = complex(x)
+    _require_finite("kummer_1f1", (a, c), (x,))
     if _near_nonpositive_int(c):
         raise PoleError(f"1F1 lower parameter c = {c} is a nonpositive integer")
     if x == 0:
@@ -397,10 +424,9 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
     ctl = ctl or _DEFAULT_CTL
     a, b, c, x = complex(a), complex(b), complex(c), float(x)
     real_params = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
+    _require_finite("gauss_2f1", (a, b, c), (x,))
     if _near_nonpositive_int(c):
         raise PoleError(f"2F1 lower parameter c = {c} is a nonpositive integer")
-    if not math.isfinite(x):
-        raise DomainError(f"gauss_2f1 needs a finite argument, got x = {x}")
     if x > 1.0:
         raise DomainError("gauss_2f1 is defined on the real line only for x <= 1")
     if x == 1.0:
@@ -484,6 +510,7 @@ def bessel_j_fractional(nu_order: float, y: complex, ctl: SeriesControl | None =
     ctl = ctl or _DEFAULT_CTL
     nu = float(nu_order)
     y = complex(y)
+    _require_finite("bessel_j_fractional", (nu,), (y,))
     if _near_nonpositive_int(nu + 1.0):
         raise PoleError(f"order nu = {nu} has 1/Gamma(nu+1) on a pole; use integer-order routines")
     if y == 0:

@@ -572,6 +572,36 @@ def test_airy_bytes_golden(capsys, argv, expected):
     assert out == expected
 
 
+# one radial-eigen run per geometry: any drift of the refined eigenvalues shows here
+_RADIAL_GOLDEN = [
+    (['radial-eigen', '--geometry', 'flat', '--b', '1', '--m=1', '--n-max', '2', '--r-max', '7',
+      '--grid-points', '600', '--tol', '1e-4'],
+     'index,eigenvalue,error_estimate\n'
+     '0,1.9999999998592615,8.506764548036708e-06\n'
+     '1,6.0000000001420508,4.2534903257340773e-05\n'
+     '2,10.000000002465272,0.00011059335699729426\n'),
+    (['radial-eigen', '--geometry', 'lobachevsky', '--b', '5', '--m=-1', '--n-max', '2',
+      '--r-max', '30', '--grid-points', '1200', '--tol', '1e-4'],
+     'index,eigenvalue,error_estimate\n'
+     '0,12.999999978791985,0.0001301818029949923\n'
+     '1,19.000000045576449,0.00037766105454532334\n'
+     '2,23.000000226836267,0.00045601257593830269\n'),
+    (['radial-eigen', '--geometry', 'spherical', '--b', '1.5', '--m=2', '--n-max', '2',
+      '--grid-points', '400', '--tol', '1e-3'],
+     'index,eigenvalue,error_estimate\n'
+     '0,1.4999999999817184,3.1324215229814691e-06\n'
+     '1,6.4999999998011022,3.4617263550510792e-05\n'
+     '2,13.499999998402,0.00015541534969247076\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _RADIAL_GOLDEN)
+def test_radial_eigen_bytes_golden(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 def test_airy_series_fallback_runs_without_mpmath():
     script = (
         "import sys\n"
@@ -825,6 +855,12 @@ _FINITE = "expected a finite number"
         (["axial-integrate", "--geometry", "lobachevsky", "--b", "1", "--steps", "0"],
          None, 1, "axial-integrate needs steps >= 1 and <= 1000000"),
         (["verify-tensor", "--seed", "-1"], None, 1, "verify-tensor needs seed >= 0"),
+        # degenerate cutoffs: numpy's LinAlgError traceback from stebz, and
+        # divide-by-zero RuntimeWarnings ahead of the refusal
+        (["radial-eigen", "--geometry", "flat", "--b", "1", "--r-max", "1e-100",
+          "--grid-points", "400"], None, 2, "NonConvergence: Sturm bisection failed"),
+        (["radial-eigen", "--geometry", "flat", "--b", "1", "--r-max", "1e-300",
+          "--grid-points", "400"], None, 1, "DomainError: radial matrix overflows"),
     ],
 )
 def test_refusals_without_traceback(capsys, tmp_path, monkeypatch, argv, config, code, message):

@@ -20,6 +20,7 @@ from coxlab.errors import (
     GridTooCoarse,
     InvalidEta,
     NoBoundState,
+    NonConvergence,
     ParameterError,
 )
 from coxlab.radial import (
@@ -272,6 +273,9 @@ def test_solver_error_modes():
         GridSpec(points=100, r_max=-1.0)
     with pytest.raises(ParameterError):
         GridSpec(points=100, tol=0.0)
+    for points in (200.5, 200.0, "200", None):  # 200.5 leaked a TypeError from slicing
+        with pytest.raises(ParameterError, match="integer"):
+            GridSpec(points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +353,11 @@ def test_levels_lie_within_their_own_estimates(spec, m, levels, cells, r_max):
 def test_refined_pairs_match_bisection(spec, m, levels, cells, r_max):
     grids = _grids(spec, m, cells, r_max)
     vals1, vals2, vecs = radial._lowest_pairs(grids, levels)
-    for (_, _, _, d, e), vals in zip(grids, (vals1, vals2)):
-        assert np.max(np.abs(vals - _bisected(d, e, levels))) <= 4 * EPS * _t_norm(d, e)
-    _, stein = _bisected(*grids[1][3:], levels, vectors=True)
-    assert_allclose(vecs, stein, rtol=0, atol=1e-8)  # stein's sign, too
+    for grid, vals in zip(grids, (vals1, vals2)):
+        slack = 4 * EPS * _t_norm(grid.d, grid.e)
+        assert np.max(np.abs(vals - _bisected(grid.d, grid.e, levels))) <= slack
+    _, stein = _bisected(grids[1].d, grids[1].e, levels, vectors=True)
+    assert_allclose(vecs, stein.T, rtol=0, atol=1e-8)  # stein's sign, too
 
 
 @pytest.mark.parametrize("spec,m,levels,cells,r_max", _cases(14, 6, lambda rng: 800))
@@ -370,13 +375,15 @@ def test_eigenfunctions_signed_unit_and_orthogonal(spec, m, levels, cells, r_max
 
 
 def test_certificate_refuses_pairs_that_miss_a_level():
-    (_, _, _, d, e), = radial._tridiags(spectrum_matched_ode(SPH1, QuantumNumbers(0, 1)), (400,), math.pi)
+    grid, = radial._tridiags(spectrum_matched_ode(SPH1, QuantumNumbers(0, 1)), (400,), math.pi)
+    d, e = grid.d, grid.e
     vals, vecs = _bisected(d, e, 4, vectors=True)
-    refined = radial._refine(d, e, vals[:3], vecs[:, :3])
+    rows = vecs.T
+    refined = radial._refine(grid, vals[:3], rows[:3])
     assert refined is not None and np.max(np.abs(refined[0] - vals[:3])) <= 4 * EPS * _t_norm(d, e)
-    assert radial._refine(d, e, vals[1:], vecs[:, 1:]) is None  # skips level 0
+    assert radial._refine(grid, vals[1:], rows[1:]) is None  # skips level 0
     # level 0 twice and level 1 missed: the Sturm count up to level 2 alone would pass
-    assert radial._refine(d, e, vals[[0, 0, 2]], vecs[:, [0, 0, 2]]) is None
+    assert radial._refine(grid, vals[[0, 0, 2]], rows[[0, 0, 2]]) is None
 
 
 def test_failed_certificate_returns_the_bisection_answer(monkeypatch):
@@ -386,14 +393,16 @@ def test_failed_certificate_returns_the_bisection_answer(monkeypatch):
         patched.setattr(radial, "_refine", lambda *args: None)
         want = solve_radial_eigen(ode, 3, grid)
     sizes = []
+    bisect = radial._bisect
 
-    def wrong_seed(d, e, select_range, **kw):
+    def wrong_seed(d, e, count, *args, **kw):
         sizes.append(len(d))
-        if len(d) == radial.SEED_CELLS:  # seeds levels 1..3 in place of 0..2
-            select_range = (select_range[0] + 1, select_range[1] + 1)
-        return eigh_tridiagonal(d, e, select_range=select_range, **kw)
+        if len(d) != radial.SEED_CELLS:
+            return bisect(d, e, count, *args, **kw)
+        vals, vecs = bisect(d, e, count + 1, *args, **kw)  # seeds levels 1..3 in place of 0..2
+        return vals[1:], vecs[1:]
 
-    monkeypatch.setattr(radial, "eigh_tridiagonal", wrong_seed)
+    monkeypatch.setattr(radial, "_bisect", wrong_seed)
     got = solve_radial_eigen(ode, 3, grid)
     assert sizes == [radial.SEED_CELLS, 800, 1600]
     for name in ("eigenvalues", "error_estimates", "eigenfunctions", "grid"):
@@ -404,9 +413,9 @@ def test_failed_certificate_returns_the_bisection_answer(monkeypatch):
 def test_small_grids_and_many_levels_match_bisection(cells, count):
     ode = spectrum_matched_ode(SPH1, QuantumNumbers(0, 1))
     res = solve_radial_eigen(ode, count, GridSpec(points=cells, tol=1e6))
-    (_, _, _, d1, e1), (_, _, _, d2, e2) = _grids(SPH1, 1, cells, None, seeded=False)
-    vals1, vals2 = _bisected(d1, e1, count), _bisected(d2, e2, count)
-    slack = 4 * EPS * (_t_norm(d1, e1) + _t_norm(d2, e2))
+    coarse, fine = _grids(SPH1, 1, cells, None, seeded=False)
+    vals1, vals2 = _bisected(coarse.d, coarse.e, count), _bisected(fine.d, fine.e, count)
+    slack = 4 * EPS * (_t_norm(coarse.d, coarse.e) + _t_norm(fine.d, fine.e))
     assert np.max(np.abs(res.eigenvalues - (vals2 + (vals2 - vals1) / 3.0))) <= slack
 
 
@@ -426,16 +435,61 @@ def test_bisection_runs_only_on_the_seed_grid(monkeypatch):
     """Workload-shaped requests take the refined path: a change that
     silently fell back to bisection on every request would fail here."""
     sizes = set()
+    bisect = radial._bisect
 
-    def recording(d, e, **kw):
+    def recording(d, e, *args, **kw):
         sizes.add(len(d))
-        return eigh_tridiagonal(d, e, **kw)
+        return bisect(d, e, *args, **kw)
 
-    monkeypatch.setattr(radial, "eigh_tridiagonal", recording)
+    monkeypatch.setattr(radial, "_bisect", recording)
     for spec, m, levels, cells, r_max in _cases(13, 45, lambda rng: rng.choice(WORKLOAD_CELLS)):
         ode = spectrum_matched_ode(spec, QuantumNumbers(0, m))
         solve_radial_eigen(ode, levels, GridSpec(points=cells, r_max=r_max, tol=5e-3))
     assert sizes == {radial.SEED_CELLS}
+
+
+@pytest.mark.parametrize("spec,m,cells,r_max", [
+    (FLAT, 2, 400, 6.0), (LOB5, -1, 1600, 30.0), (SPH1, 1, 256, None),  # 256: seed cut from coarse
+])
+def test_shared_assembly_equals_standalone_grids(spec, m, cells, r_max):
+    shared = _grids(spec, m, cells, r_max)
+    ode = spectrum_matched_ode(spec, QuantumNumbers(0, m))
+    for n, grid in zip((cells, 2 * cells, radial.SEED_CELLS), shared):
+        (alone,) = radial._tridiags(ode, (n,), r_max or math.pi)
+        assert (grid.h, grid.norm) == (alone.h, alone.norm)
+        for field in ("centers", "w", "d", "e"):
+            assert np.array_equal(getattr(grid, field), getattr(alone, field))
+
+
+def test_fine_grid_starts_near_its_levels(monkeypatch):
+    """Richardson-predicted shifts and interpolated coarse vectors leave the
+    fine grid close to one solve per level; the bare coarse values, with
+    each coarse vector entry repeated, take 1.65 here."""
+    sizes = []
+    solve = radial.dgtsv
+
+    def recording(dl, d, *args, **kw):
+        sizes.append(len(d))
+        return solve(dl, d, *args, **kw)
+
+    monkeypatch.setattr(radial, "dgtsv", recording)
+    fine = levels = 0
+    for spec, m, count, cells, r_max in _cases(13, 45, lambda rng: rng.choice(WORKLOAD_CELLS)):
+        sizes.clear()
+        ode = spectrum_matched_ode(spec, QuantumNumbers(0, m))
+        solve_radial_eigen(ode, count, GridSpec(points=cells, r_max=r_max, tol=5e-3))
+        fine += sizes.count(2 * cells)
+        levels += count
+    assert fine / levels <= 1.25
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_degenerate_cutoffs_are_refused_without_warnings():
+    ode = spectrum_matched_ode(FLAT, QuantumNumbers(0, 0))
+    with pytest.raises(DomainError, match="overflows"):  # h^2 underflows: divide-by-zero warnings
+        solve_radial_eigen(ode, 1, GridSpec(points=400, r_max=1e-300))
+    with pytest.raises(NonConvergence, match="LAPACK info"):  # squared entries overflow in stebz
+        solve_radial_eigen(ode, 1, GridSpec(points=400, r_max=1e-100))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from coxlab import special_functions
-from coxlab.errors import DomainError, NonConvergence, PoleError
+from coxlab.errors import DomainError, NonConvergence, ParameterError, PoleError
 from coxlab.special_functions import (
     SeriesControl,
     bessel_j_fractional,
@@ -127,6 +127,33 @@ def test_gauss_non_finite_argument_is_domain_error(x):
     # x = nan used to reach the 1/x branch and report a PoleError
     with pytest.raises(DomainError, match="finite argument"):
         gauss_2f1(0.5, 1.5, 2.2, x)
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("call, error", [
+    # each raised a bare OverflowError
+    (lambda: gauss_2f1(1.0, 2.0, _INF, 0.3), ParameterError),
+    (lambda: kummer_1f1(1.0, _INF, 0.3), ParameterError),
+    (lambda: gamma_complex(_INF), DomainError),
+    (lambda: reciprocal_gamma(_INF), DomainError),
+    # each raised a bare ValueError
+    (lambda: hyp0f1(_NAN, 0.5), ParameterError),
+    (lambda: gamma_complex(_NAN), DomainError),
+    (lambda: bessel_j_fractional(_NAN, 1.0), ParameterError),
+    # each summed 700 terms into NonConvergence
+    (lambda: kummer_1f1(1.0, 2.0, _INF), DomainError),
+    (lambda: bessel_j_fractional(0.5, _INF), DomainError),
+    # a RuntimeWarning; the array form too
+    (lambda: hyp0f1(1.5, _INF), DomainError),
+    (lambda: hyp0f1(1.5, np.array([0.5, _NAN])), DomainError),
+    (lambda: gauss_2f1(complex(1.0, _NAN), 2.0, 3.0, 0.3), ParameterError),
+    (lambda: kummer_1f1(1.0, 2.0, complex(0.5, _INF)), DomainError),
+])
+def test_non_finite_inputs_are_refused(call, error):
+    with pytest.raises(error, match="finite"):
+        call()
 
 
 def test_gauss_defining_ode_residual():
