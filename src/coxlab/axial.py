@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -422,10 +423,52 @@ _RKF_BERR = (
 
 
 def _scalar_rows(a: np.ndarray):
-    """Rows of `a` as lists of Python floats, converted 1024 rows at a
+    """Rows of `a` as lists of Python scalars, converted 1024 rows at a
     time so long grids never hold every coefficient as a Python object."""
     for j in range(0, len(a), 1024):
         yield from a[j : j + 1024].tolist()
+
+
+def _rkf_pass(u, v, h, P, Q, store):
+    """Fehlberg 4(5) steps of Z'' + p Z' + q Z = 0 from (Z, Z') = (u, v)
+    over the coefficient rows P, Q (one value per stage node).
+
+    Returns four `store()` containers with one entry per step: Z and Z'
+    after the step and the embedded differences of the Z' and Z'' stage
+    sums (the local error estimate is h times their larger modulus).
+    The stage expressions take floats or complex numbers alike.
+    """
+    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
+     (a50, a51, a52, a53, a54)) = _RKF_A
+    b0, _, b2, b3, b4, _ = _RKF_B4
+    e0, _, e2, e3, e4, e5 = _RKF_BERR
+    out = Z, dZ, eZ, edZ = store(), store(), store(), store()
+    Z_add, dZ_add, eZ_add, edZ_add = Z.append, dZ.append, eZ.append, edZ.append
+    # stage j evaluates f = (v, -(p v + q u)) at (u_j, v_j); k_j = (v_j, g_j)
+    for (p0, p1, p2, p3, p4, p5), (q0, q1, q2, q3, q4, q5) in zip(P, Q):
+        v1 = v
+        g1 = -(p0 * v + q0 * u)
+        v2 = v + h * (a10 * g1)
+        g2 = -(p1 * v2 + q1 * (u + h * (a10 * v1)))
+        v3 = v + h * (a20 * g1 + a21 * g2)
+        g3 = -(p2 * v3 + q2 * (u + h * (a20 * v1 + a21 * v2)))
+        v4 = v + h * (a30 * g1 + a31 * g2 + a32 * g3)
+        g4 = -(p3 * v4 + q3 * (u + h * (a30 * v1 + a31 * v2 + a32 * v3)))
+        v5 = v + h * (a40 * g1 + a41 * g2 + a42 * g3 + a43 * g4)
+        g5 = -(p4 * v5 + q4 * (u + h * (a40 * v1 + a41 * v2 + a42 * v3 + a43 * v4)))
+        v6 = v + h * (a50 * g1 + a51 * g2 + a52 * g3 + a53 * g4 + a54 * g5)
+        g6 = -(p5 * v6 + q5 * (u + h * (a50 * v1 + a51 * v2 + a52 * v3 + a53 * v4 + a54 * v5)))
+        u = u + h * (b0 * v1 + b2 * v3 + b3 * v4 + b4 * v5)
+        v = v + h * (b0 * g1 + b2 * g3 + b3 * g4 + b4 * g5)
+        Z_add(u)
+        dZ_add(v)
+        eZ_add(e0 * v1 + e2 * v3 + e3 * v4 + e4 * v5 + e5 * v6)
+        edZ_add(e0 * g1 + e2 * g3 + e3 * g4 + e4 * g5 + e5 * g6)
+    return out
+
+
+def _float_store():
+    return array("d")
 
 
 def integrate_axial(
@@ -439,13 +482,21 @@ def integrate_axial(
 
     Fehlberg's 4(5) pair advances the fourth-order solution; the
     embedded fifth-order difference monitors the local error and raises
-    StepFailure when a step exceeds `tol` relative to the local solution
-    scale max(1, |Z|, |Z'|).  The summed estimates are reported as
-    residual_estimate.  Complex initial data is supported.
+    StepFailure at the first step whose estimate exceeds `tol` relative
+    to the local solution scale max(1, |Z|, |Z'|).  The summed estimates
+    are reported as residual_estimate.  Complex initial data is supported.
 
     The equation is linear with coefficients fixed at assembly, so p and
-    q are evaluated once, as arrays over all 6 * steps stage nodes; only
-    the step recurrence itself runs sequentially, on Python scalars.
+    q are evaluated once, as arrays over all 6 * steps stage nodes, and
+    only the step recurrence runs sequentially, on Python scalars.  The
+    assembled p and q are real, so the real and imaginary parts of
+    (Z, Z') follow the same real recurrence: real data take one pass on
+    floats, complex data one per part (complex coefficients, one pass on
+    complex numbers).  Error estimates, scales, the failure test and the
+    left-to-right sum run on arrays after the loop.  Results and failures
+    equal those of the recurrence in complex arithmetic bit for bit; where
+    a value turns non-finite, the integration is redone in complex
+    arithmetic, whose inf/NaN propagation then decides the failure.
     Non-finite input or tol <= 0 raises ParameterError and a range
     leaving ``ode.domain`` raises DomainError.
     """
@@ -471,47 +522,52 @@ def integrate_axial(
     h = (z1 - z0) / steps
     zs = z0 + h * np.arange(steps + 1)
     nodes = zs[:-1, None] + h * np.array(_RKF_C)
-    P = _scalar_rows(np.broadcast_to(ode.pcoef(nodes), nodes.shape))
-    Q = _scalar_rows(np.broadcast_to(ode.qcoef(nodes, 0.0), nodes.shape))
+    p = np.broadcast_to(ode.pcoef(nodes), nodes.shape)
+    q = np.broadcast_to(ode.qcoef(nodes, 0.0), nodes.shape)
+    del nodes
 
-    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
-     (a50, a51, a52, a53, a54)) = _RKF_A
-    b0, _, b2, b3, b4, _ = _RKF_B4
-    e0, _, e2, e3, e4, e5 = _RKF_BERR
-    Z, dZ = [u], [v]
-    total_err = 0.0
-    # stage j evaluates f = (v, -(p v + q u)) at (u_j, v_j); k_j = (v_j, g_j)
-    for i, (p0, p1, p2, p3, p4, p5), (q0, q1, q2, q3, q4, q5) in zip(range(steps), P, Q):
-        v1 = v
-        g1 = -(p0 * v + q0 * u)
-        v2 = v + h * (a10 * g1)
-        g2 = -(p1 * v2 + q1 * (u + h * (a10 * v1)))
-        v3 = v + h * (a20 * g1 + a21 * g2)
-        g3 = -(p2 * v3 + q2 * (u + h * (a20 * v1 + a21 * v2)))
-        v4 = v + h * (a30 * g1 + a31 * g2 + a32 * g3)
-        g4 = -(p3 * v4 + q3 * (u + h * (a30 * v1 + a31 * v2 + a32 * v3)))
-        v5 = v + h * (a40 * g1 + a41 * g2 + a42 * g3 + a43 * g4)
-        g5 = -(p4 * v5 + q4 * (u + h * (a40 * v1 + a41 * v2 + a42 * v3 + a43 * v4)))
-        v6 = v + h * (a50 * g1 + a51 * g2 + a52 * g3 + a53 * g4 + a54 * g5)
-        g6 = -(p5 * v6 + q5 * (u + h * (a50 * v1 + a51 * v2 + a52 * v3 + a53 * v4 + a54 * v5)))
-        u = u + h * (b0 * v1 + b2 * v3 + b3 * v4 + b4 * v5)
-        v = v + h * (b0 * g1 + b2 * g3 + b3 * g4 + b4 * g5)
-        err = h * max(
-            abs(e0 * v1 + e2 * v3 + e3 * v4 + e4 * v5 + e5 * v6),
-            abs(e0 * g1 + e2 * g3 + e3 * g4 + e4 * g5 + e5 * g6),
+    def sweep(u0, v0, store):
+        out = _rkf_pass(u0, v0, h, _scalar_rows(p), _scalar_rows(q), store)
+        return [np.asarray(r) for r in out]
+
+    def complex_sweep():
+        return [(r.real, r.imag) for r in sweep(u, v, list)]
+
+    # (real part, imaginary part) of Z, Z' and the two stage-sum differences
+    if np.iscomplexobj(p) or np.iscomplexobj(q):
+        parts = complex_sweep()
+    else:
+        parts = list(zip(
+            sweep(u.real, v.real, _float_store),
+            sweep(u.imag, v.imag, _float_store) if u.imag or v.imag else [0.0] * 4,
+        ))
+        if not all(np.isfinite(x).all() for pair in parts for x in pair):
+            parts = complex_sweep()
+    del p, q
+    (Zr, Zi), (dZr, dZi), eZ, edZ = parts
+
+    # the loop's per-step bookkeeping in its order and rounding: |.| as
+    # np.hypot of the parts (abs() of a Python complex), err = h *
+    # max(|eZ|, |edZ|) and scale = max(1, |Z|, |Z'|) with Python's max
+    # (the first of equal or NaN-compared values wins)
+    aZ, adZ = np.hypot(*eZ), np.hypot(*edZ)
+    err = h * np.where(adZ > aZ, adZ, aZ)
+    aZ, adZ = np.hypot(Zr, Zi), np.hypot(dZr, dZi)
+    scale = np.where(aZ > 1.0, aZ, 1.0)
+    scale = np.where(adZ > scale, adZ, scale)
+    failed = ~(err <= tol * scale)
+    if failed.any():
+        i = int(failed.argmax())
+        raise StepFailure(
+            f"local error {err[i]:.3e} at z = {zs[i]:.6g} exceeds tol*scale = "
+            f"{tol * scale[i]:.3e}; increase steps"
         )
-        scale = max(1.0, abs(u), abs(v))
-        if not err <= tol * scale:
-            raise StepFailure(
-                f"local error {err:.3e} at z = {zs[i]:.6g} exceeds tol*scale = "
-                f"{tol * scale:.3e}; increase steps"
-            )
-        total_err += err
-        Z.append(u)
-        dZ.append(v)
+    Z = np.empty(steps + 1, complex)
+    dZ = np.empty(steps + 1, complex)
+    Z[0], dZ[0] = u, v
+    Z.real[1:], Z.imag[1:], dZ.real[1:], dZ.imag[1:] = Zr, Zi, dZr, dZi
     return AxialSolution(
-        z=zs, Z=np.array(Z, dtype=complex), dZ=np.array(dZ, dtype=complex),
-        residual_estimate=total_err,
+        z=zs, Z=Z, dZ=dZ, residual_estimate=float(np.cumsum(err)[-1]),
     )
 
 

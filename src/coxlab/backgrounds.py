@@ -78,9 +78,12 @@ class BackgroundSpec:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("rho", "b", "nu", "eta", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        isfinite = math.isfinite
+        if not (isfinite(self.rho) and isfinite(self.b) and isfinite(self.nu)
+                and isfinite(self.eta) and isfinite(self.gamma)):
+            for name in ("rho", "b", "nu", "eta", "gamma"):
+                if not isfinite(getattr(self, name)):
+                    raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.geometry not in _GEOMETRIES:
             raise ParameterError(f"unknown geometry {self.geometry!r}")
         if self.field not in _FIELDS:

@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 from .backgrounds import BackgroundSpec, QuantumNumbers, SeparatedODE, assemble_radial_ode
 from .errors import (
@@ -96,7 +95,7 @@ class GridSpec:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not isinstance(self.points, numbers.Integral):
+        if type(self.points) is not int and not isinstance(self.points, numbers.Integral):
             raise ParameterError(f"grid points must be an integer, got {self.points!r}")
         if self.points < 16:
             raise ParameterError("grid needs at least 16 cells")
@@ -288,6 +287,30 @@ def _tridiags(ode: SeparatedODE, sizes, r_max: float):
             raise DomainError(f"radial matrix overflows double on {n} cells")
         out.append(_Grid(centers, h, w_cent, diag, off, norm))
     return out
+
+
+def _lapack_on_first_call(name: str):
+    """Stand-in for LAPACK routine `name`: its first call imports scipy's
+    LAPACK wrappers (most of a cold start for the commands that never
+    solve a radial problem) and rebinds every stand-in still in place to
+    its routine, so later calls go straight to LAPACK."""
+
+    def first_call(*args, **kwargs):
+        from scipy.linalg import lapack
+
+        module = globals()
+        for routine in ("dgtsv", "dstebz", "dstein"):
+            if getattr(module[routine], "lapack_stand_in", False):
+                module[routine] = getattr(lapack, routine)
+        return getattr(lapack, name)(*args, **kwargs)
+
+    first_call.lapack_stand_in = True
+    return first_call
+
+
+dgtsv = _lapack_on_first_call("dgtsv")
+dstebz = _lapack_on_first_call("dstebz")
+dstein = _lapack_on_first_call("dstein")
 
 
 def _bisect(d, e, count: int, tol: float = 0.0, vectors: bool = True):

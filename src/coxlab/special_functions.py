@@ -56,10 +56,10 @@ class SeriesControl:
     tol: float = 1e-14
 
     def __post_init__(self) -> None:
-        if self.tol < 10 * np.finfo(float).eps:
-            raise ValueError("tol below 10*machine epsilon is not honest")
-        if self.max_terms < 10:
-            raise ValueError("max_terms too small to be useful")
+        if not self.tol >= 10 * np.finfo(float).eps:  # NaN included
+            raise ParameterError("tol below 10*machine epsilon is not honest")
+        if not self.max_terms >= 10:
+            raise ParameterError("max_terms too small to be useful")
 
 
 _DEFAULT_CTL = SeriesControl()
@@ -122,7 +122,8 @@ def gamma_complex(z: complex) -> complex:
 
     Lanczos sum for Re z >= 1/2, reflection formula otherwise.
     Raises PoleError at (numerically) nonpositive integers and
-    DomainError for a non-finite z.
+    DomainError for a non-finite z or where |Gamma| (or, by reflection,
+    |Gamma(1 - z)|) exceeds the double range.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -137,17 +138,39 @@ def gamma_complex(z: complex) -> complex:
     for k in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[k] / (w + k)
     t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
+    try:
+        return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        # t^(w + 1/2) alone leaves the double range (Re z above about 143),
+        # before exp(-t) brings the product back: add the logarithms instead
+        log_gamma = (w + 0.5) * cmath.log(t) - t + cmath.log(math.sqrt(2.0 * math.pi) * acc)
+    try:
+        return cmath.exp(log_gamma)
+    except OverflowError:
+        raise DomainError(f"Gamma({z}) exceeds the double range") from None
 
 
 def reciprocal_gamma(z: complex) -> complex:
-    """1/Gamma(z), returning exactly 0 at the poles (entire function)."""
+    """1/Gamma(z), returning exactly 0 at the poles (entire function).
+
+    Returns 0 too where |Gamma(z)| exceeds the double range for
+    Re z >= 1/2, so that the reciprocal lies below 1/DBL_MAX.  Where
+    Gamma(1 - z) exceeds it left of that, or Gamma(z) underflows to 0,
+    1/Gamma(z) overflows and DomainError is raised.
+    """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"reciprocal_gamma needs a finite argument, got {z}")
     if _near_nonpositive_int(z):
         return 0.0 + 0.0j
-    return 1.0 / gamma_complex(z)
+    try:
+        return 1.0 / gamma_complex(z)
+    except ZeroDivisionError:  # Gamma(z) underflowed to 0
+        raise DomainError(f"1/Gamma({z}) exceeds the double range") from None
+    except DomainError:
+        if z.real < 0.5:
+            raise
+        return 0.0 + 0.0j
 
 
 # ---------------------------------------------------------------------------

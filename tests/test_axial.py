@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -17,6 +18,8 @@ from coxlab.axial import (
     _RKF_B4,
     _RKF_BERR,
     _RKF_C,
+    AxialSolution,
+    _scalar_rows,
     airy_pair,
     effective_force,
     effective_force_extrema,
@@ -575,6 +578,195 @@ def test_integrate_axial_nan_local_error_is_a_step_failure():
     )
     with pytest.raises(StepFailure, match=r"local error nan at z = 0\.5 "):
         integrate_axial(ode, (1.0, 0.0), (0.0, 1.0), steps=100)
+
+
+def _complex_loop(ode, ic_left, z_range, steps, tol=1e-9):
+    """The integrator's former recurrence, kept verbatim as the bit-level
+    reference: every stage in Python complex arithmetic and the error
+    bookkeeping inside the loop."""
+    z0, z1 = float(z_range[0]), float(z_range[1])
+    u, v = complex(ic_left[0]), complex(ic_left[1])
+    h = (z1 - z0) / steps
+    zs = z0 + h * np.arange(steps + 1)
+    nodes = zs[:-1, None] + h * np.array(_RKF_C)
+    P = _scalar_rows(np.broadcast_to(ode.pcoef(nodes), nodes.shape))
+    Q = _scalar_rows(np.broadcast_to(ode.qcoef(nodes, 0.0), nodes.shape))
+
+    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
+     (a50, a51, a52, a53, a54)) = _RKF_A
+    b0, _, b2, b3, b4, _ = _RKF_B4
+    e0, _, e2, e3, e4, e5 = _RKF_BERR
+    Z, dZ = [u], [v]
+    total_err = 0.0
+    # stage j evaluates f = (v, -(p v + q u)) at (u_j, v_j); k_j = (v_j, g_j)
+    for i, (p0, p1, p2, p3, p4, p5), (q0, q1, q2, q3, q4, q5) in zip(range(steps), P, Q):
+        v1 = v
+        g1 = -(p0 * v + q0 * u)
+        v2 = v + h * (a10 * g1)
+        g2 = -(p1 * v2 + q1 * (u + h * (a10 * v1)))
+        v3 = v + h * (a20 * g1 + a21 * g2)
+        g3 = -(p2 * v3 + q2 * (u + h * (a20 * v1 + a21 * v2)))
+        v4 = v + h * (a30 * g1 + a31 * g2 + a32 * g3)
+        g4 = -(p3 * v4 + q3 * (u + h * (a30 * v1 + a31 * v2 + a32 * v3)))
+        v5 = v + h * (a40 * g1 + a41 * g2 + a42 * g3 + a43 * g4)
+        g5 = -(p4 * v5 + q4 * (u + h * (a40 * v1 + a41 * v2 + a42 * v3 + a43 * v4)))
+        v6 = v + h * (a50 * g1 + a51 * g2 + a52 * g3 + a53 * g4 + a54 * g5)
+        g6 = -(p5 * v6 + q5 * (u + h * (a50 * v1 + a51 * v2 + a52 * v3 + a53 * v4 + a54 * v5)))
+        u = u + h * (b0 * v1 + b2 * v3 + b3 * v4 + b4 * v5)
+        v = v + h * (b0 * g1 + b2 * g3 + b3 * g4 + b4 * g5)
+        err = h * max(
+            abs(e0 * v1 + e2 * v3 + e3 * v4 + e4 * v5 + e5 * v6),
+            abs(e0 * g1 + e2 * g3 + e3 * g4 + e4 * g5 + e5 * g6),
+        )
+        scale = max(1.0, abs(u), abs(v))
+        if not err <= tol * scale:
+            raise StepFailure(
+                f"local error {err:.3e} at z = {zs[i]:.6g} exceeds tol*scale = "
+                f"{tol * scale:.3e}; increase steps"
+            )
+        total_err += err
+        Z.append(u)
+        dZ.append(v)
+    return AxialSolution(
+        z=zs, Z=np.array(Z, dtype=complex), dZ=np.array(dZ, dtype=complex),
+        residual_estimate=total_err,
+    )
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except StepFailure as exc:
+        return str(exc)
+
+
+def _assert_same_outcome(ode, ic, z_range, steps, tol=1e-9):
+    ref = _outcome(_complex_loop, ode, ic, z_range, steps, tol)
+    got = _outcome(integrate_axial, ode, ic, z_range, steps, tol)
+    if isinstance(ref, str):
+        assert got == ref
+        return "failed"
+    assert np.array_equal(got.z, ref.z)
+    assert np.array_equal(got.Z, ref.Z)
+    assert np.array_equal(got.dZ, ref.dZ)
+    assert got.residual_estimate == ref.residual_estimate
+    return "solved"
+
+
+def _seeded_axial_cases(seed=2024):
+    rng = np.random.default_rng(seed)
+    odes = []
+    for name, (spec, Lambda, kw, z_range) in _ASSEMBLED.items():
+        ode = assemble_axial_ode(spec, Lambda, **kw)
+        odes.append((f"{name}", ode, z_range))
+        if ode.schrodinger is not None:
+            odes.append((f"{name}/schrodinger", ode.schrodinger, z_range))
+    for name, ode, (lo, hi) in odes:
+        for data in ("real", "complex"):
+            for steps in (1, int(rng.integers(2, 60)), int(rng.integers(60, 801)), 800):
+                ic = (complex(rng.uniform(-1, 1)), complex(rng.uniform(-1, 1)))
+                if data == "complex":
+                    ic = (ic[0] + 1j * rng.uniform(-1, 1), ic[1] + 1j * rng.uniform(-1, 1))
+                tol = float(10.0 ** rng.uniform(-10, -3))
+                yield pytest.param(ode, ic, (lo, hi), steps, tol,
+                                   id=f"{name}-{data}-{steps}")
+
+
+@pytest.mark.parametrize("ode, ic, z_range, steps, tol", _seeded_axial_cases())
+def test_integrate_axial_reproduces_complex_loop_bit_for_bit(ode, ic, z_range, steps, tol):
+    """Real and imaginary parts as separate real passes give the complex
+    loop's z, Z, dZ and residual_estimate exactly, or its StepFailure."""
+    _assert_same_outcome(ode, ic, z_range, steps, tol)
+
+
+def test_integrate_axial_bit_identity_covers_solutions_and_failures():
+    outcomes = {_assert_same_outcome(*case.values) for case in _seeded_axial_cases()}
+    assert outcomes == {"solved", "failed"}
+
+
+def test_integrate_axial_complex_coefficients_take_the_complex_loop():
+    ode = SeparatedODE(
+        kind="axial", geometry="flat", field_kind="electric",
+        domain=(-math.inf, math.inf), pcoef=lambda z: 0.1j * z,
+        qcoef=lambda z, s: 1.0 + 0.3j * np.cos(z) + s, eigen_name="w",
+    )
+    for ic in [(1.0, 0.0), (1.0 - 0.5j, 0.2 + 0.1j)]:
+        assert _assert_same_outcome(ode, ic, (-2.0, 3.0), 400) == "solved"
+    assert _assert_same_outcome(ode, (1.0, 0.5j), (-2.0, 3.0), 4) == "failed"
+
+
+def test_integrate_axial_complex_data_fails_at_the_same_step():
+    """A step failure past the first step of complex data names the same
+    step and values as the complex loop."""
+    spec = BackgroundSpec(geometry="flat", field="electric", nu=50.0)
+    ode = assemble_axial_ode(spec, 0.0, w=0.0)
+    ic = (0.3 + 1.0j, -0.2 + 0.4j)
+    message = _outcome(integrate_axial, ode, ic, (0.0, 3.0), 600)
+    assert message == _outcome(_complex_loop, ode, ic, (0.0, 3.0), 600)
+    assert message.startswith("local error 1.322e-09 at z = 1.6 ")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])
+@pytest.mark.parametrize("ic", [(1.0, 0.0), (1.0 + 0.5j, -0.3j)])
+def test_integrate_axial_non_finite_values_fail_like_the_complex_loop(bad, ic):
+    """Coefficients that turn NaN, infinite or overflowing past z = 0.5
+    fail at the complex loop's step with its message, without warnings."""
+    ode = SeparatedODE(
+        kind="axial", geometry="flat", field_kind="electric",
+        domain=(-math.inf, math.inf), pcoef=lambda z: np.zeros_like(z),
+        qcoef=lambda z, s: np.where(z > 0.5, bad, 1.0 + s), eigen_name="w",
+    )
+    assert _assert_same_outcome(ode, ic, (0.0, 1.0), 100) == "failed"
+
+
+@pytest.mark.parametrize("ic", [(1.0, 0.3), (1.0 + 0.5j, -0.3j)])
+def test_integrate_axial_nan_in_one_error_sum_follows_python_max(ic):
+    """A NaN met only at the mid-step stage node enters the Z'' error sum
+    but not the step itself.  The complex loop's max(|eZ|, NaN) keeps
+    |eZ|, so it accepts that step and the NaN goes unnoticed; the array
+    bookkeeping reproduces that outcome, not a stricter one."""
+    h = 0.01
+    mid_step = (h * np.arange(100)[:, None] + h * np.array(_RKF_C))[40, 5]
+    ode = SeparatedODE(
+        kind="axial", geometry="flat", field_kind="electric",
+        domain=(-math.inf, math.inf),
+        pcoef=lambda z: np.where(z == mid_step, math.nan, 0.0),
+        qcoef=lambda z, s: 1.0 + s + 0.0 * z, eigen_name="w",
+    )
+    _assert_same_outcome(ode, ic, (0.0, 1.0), 100)
+
+
+def test_integrate_axial_peak_memory_below_the_complex_loop():
+    """Per-step results live in float arrays, not Python objects, and the
+    coefficients are converted in chunks: the traced peak of a complex-
+    data integration stays below what the complex loop holds at once at
+    its end (node array, one coefficient chunk each for p and q, and two
+    lists of Python complex)."""
+    steps = 2048  # two whole chunks, so the loop ends holding a full one
+    ode = SeparatedODE(
+        kind="axial", geometry="flat", field_kind="electric",
+        domain=(-math.inf, math.inf), pcoef=lambda z: 0.0,
+        qcoef=lambda z, s: 1.0 + s, eigen_name="w",
+    )
+    h = 3.0 / steps
+    tracemalloc.start()
+    try:
+        nodes = h * np.arange(steps)[:, None] + h * np.array(_RKF_C)
+        P = _scalar_rows(np.broadcast_to(0.0, nodes.shape))
+        Q = _scalar_rows(np.broadcast_to(1.0, nodes.shape))
+        for _ in zip(range(steps), P, Q):
+            pass
+        Z = [complex(k, 1.0) for k in range(steps + 1)]
+        dZ = [complex(k, 2.0) for k in range(steps + 1)]
+        held = tracemalloc.get_traced_memory()[0]
+        del nodes, P, Q, Z, dZ
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        integrate_axial(ode, (1.0 + 0.5j, 0.2j), (0.0, 3.0), steps)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < held
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from coxlab import radial
 from coxlab.backgrounds import BackgroundSpec, QuantumNumbers, assemble_axial_ode
@@ -407,6 +411,23 @@ def test_failed_certificate_returns_the_bisection_answer(monkeypatch):
     assert sizes == [radial.SEED_CELLS, 800, 1600]
     for name in ("eigenvalues", "error_estimates", "eigenfunctions", "grid"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """LAPACK is imported by the first radial solve, not by the CLI."""
+    src = str(Path(radial.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, coxlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_lapack_stand_ins_are_replaced_by_the_routines():
+    solve_radial_eigen(spectrum_matched_ode(SPH1, QuantumNumbers(0, 1)), 2,
+                       GridSpec(points=800, tol=1e-3))
+    for name in ("dgtsv", "dstebz", "dstein"):
+        assert getattr(radial, name) is getattr(lapack, name)
 
 
 @pytest.mark.parametrize("cells,count", [(100, 3), (128, 126), (130, 126), (200, 198)])

@@ -70,6 +70,24 @@ def test_gamma_vs_mpmath():
         assert mp_rel(gamma_complex(z), mpmath.gamma(mpmath.mpc(z))) <= 1e-12
 
 
+def test_gamma_beyond_the_power_range_vs_mpmath():
+    """Re z above about 143: t^(w + 1/2) overflows alone, Gamma does not."""
+    for z in (150.0, 171.5, 160.0 + 30.0j, -150.5):
+        assert mp_rel(gamma_complex(z), mpmath.gamma(mpmath.mpc(z))) <= 1e-12
+        assert mp_rel(reciprocal_gamma(z), mpmath.rgamma(mpmath.mpc(z))) <= 1e-12
+
+
+def test_gamma_overflow_is_refused_and_its_reciprocal_is_zero():
+    for z in (171.7, 200.0, -200.5, 1e6 + 1.0j):
+        with pytest.raises(DomainError, match="exceeds the double range"):
+            gamma_complex(z)
+    for z in (171.7, 200.0, 1e6 + 1.0j):
+        assert reciprocal_gamma(z) == 0.0
+    for z in (-200.5, 0.5 + 1000.0j):
+        with pytest.raises(DomainError, match="exceeds the double range"):
+            reciprocal_gamma(z)
+
+
 def test_gamma_conjugate_symmetry():
     z = 1.3 + 0.9j
     assert gamma_complex(z.conjugate()) == pytest.approx(
@@ -598,6 +616,13 @@ def test_series_control_validation():
         SeriesControl(tol=1e-17)
     with pytest.raises(ValueError):
         SeriesControl(max_terms=3)
+
+
+@pytest.mark.parametrize("kw", [dict(tol=1e-17), dict(tol=math.nan), dict(tol=-1.0),
+                                dict(max_terms=3), dict(max_terms=math.nan)])
+def test_series_control_refusals_are_typed(kw):
+    with pytest.raises(ParameterError):
+        SeriesControl(**kw)
 
 
 def test_series_control_threaded_through():
