@@ -1,14 +1,19 @@
 """Axial problems: effective potentials, linear-field solutions, integration.
 
-For the curved magnetic configurations the axial equation in normal form
-is governed by the effective potential
+For the curved magnetic configurations the axial equation is one problem
+in y = a(z) (ch^2 z on Lobachevsky space, cos^2 z on the sphere); in
+normal form it is governed by the effective potential
 
-    lobachevsky: U = -(b g - Lambda ch^2 z)/(ch^4 z - g^2)
-    spherical:   U = +(b g + Lambda cos^2 z)/(cos^4 z - g^2),   g = gamma,
+    U = (kappa b g + Lambda y)/(y^2 - g^2),   g = gamma,
 
-whose force field and equilibria are exposed here in closed form.  The
-flat electric equation Z'' + (w' + nu z) Z = 0 is solved exactly by a
-pair of Airy-type branches built from 0F1 kernels.  A fixed-step
+where kappa = +1 (sphere) or -1 (Lobachevsky) is the curvature of the
+section.  Its poles, equilibria and local forms are one formula in kappa,
+the chart's y range and z(y), all read from `backgrounds._SECTIONS`;
+U, its force field and the pole test keep one overflow-safe closed form
+per section there.
+
+The flat electric equation Z'' + (w' + nu z) Z = 0 is solved exactly by
+a pair of Airy-type branches built from 0F1 kernels.  A fixed-step
 Fehlberg 4(5) integrator provides the independent numerical route for
 any assembled axial equation.
 """
@@ -23,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .backgrounds import BackgroundSpec, SeparatedODE, _sech2, _u_eff
+from .backgrounds import _SECTIONS, BackgroundSpec, SeparatedODE, _Section
 from .errors import DomainError, ParameterError, PoleError, StepFailure
 from .special_functions import SeriesControl, gamma_complex, hyp0f1
 
@@ -118,32 +123,26 @@ class LocalForm:
 # effective potential, force, equilibria (curved magnetic)
 # ---------------------------------------------------------------------------
 
-def _require_curved_magnetic(spec: BackgroundSpec) -> None:
+def _require_curved_magnetic(spec: BackgroundSpec) -> _Section:
+    """The section of a curved magnetic `spec`; anything else is refused."""
     if spec.field != "magnetic" or spec.geometry == "flat":
         raise ParameterError(
             "effective axial potentials exist for the curved magnetic configurations"
         )
+    return _SECTIONS[spec.geometry]
 
 
-def _axial_grid(spec: BackgroundSpec, z, what: str) -> np.ndarray:
-    """z as a 1-D float array; refuses points off the spherical chart and
-    points where ch^4 z (cos^4 z) meets gamma^2."""
-    _require_curved_magnetic(spec)
+def _axial_grid(spec: BackgroundSpec, z, what: str) -> tuple[_Section, np.ndarray]:
+    """The section and z as a 1-D float array; refuses points off the
+    chart and points where ch^4 z (cos^4 z) meets gamma^2."""
+    sec = _require_curved_magnetic(spec)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     g = spec.gamma
-    tol = _POLE_TOL * max(1.0, g * g)
-    if spec.geometry == "spherical":
-        if np.any(np.abs(z) > math.pi / 2 + 1e-12):
-            raise DomainError("spherical axial coordinate requires |z| <= pi/2")
-        c2 = np.cos(z) ** 2
-        pole = np.abs(c2 * c2 - g * g) < tol
-    else:
-        # |ch^4 z - g^2| < tol in s = sech^2 z, finite where ch^4 z overflows
-        s = _sech2(z)
-        pole = np.abs(1.0 - g * g * s * s) < tol * s * s
-    if np.any(pole):
+    if np.any(np.abs(z) > sec.z_end + 1e-12):
+        raise DomainError(f"{spec.geometry} axial coordinate requires |z| <= {sec.z_end_name}")
+    if np.any(sec.pole(g, z, _POLE_TOL * max(1.0, g * g))):
         raise PoleError(f"effective {what} pole: ch^4/cos^4 z meets gamma^2 = {g * g}")
-    return z
+    return sec, z
 
 
 def _require_finite(values: np.ndarray, what: str, spec: BackgroundSpec, Lambda: float) -> None:
@@ -165,8 +164,8 @@ def effective_potential(spec: BackgroundSpec, Lambda: float, z):
     raises DomainError (so does effective_force).
     """
     scalar = np.isscalar(z)
-    z = _axial_grid(spec, z, "potential")
-    U = _u_eff(spec.geometry, Lambda, spec.b, spec.gamma, z)
+    sec, z = _axial_grid(spec, z, "potential")
+    U = sec.u(Lambda, spec.b, spec.gamma, z)
     _require_finite(U, "potential", spec, Lambda)
     return float(U[0]) if scalar else U
 
@@ -181,22 +180,8 @@ def effective_force(spec: BackgroundSpec, Lambda: float, z):
         spherical:   F = -2 cos z sin z (L cos^4 z + 2 b g cos^2 z + g^2 L)/(cos^4 z - g^2)^2
     """
     scalar = np.isscalar(z)
-    z = _axial_grid(spec, z, "force")
-    g = spec.gamma
-    if spec.geometry == "spherical":
-        c, s = np.cos(z), np.sin(z)
-        c2 = c * c
-        den = c2 * c2 - g * g
-
-        def force(L, b):
-            return -2.0 * c * s * (L * c2 * c2 + 2.0 * b * g * c2 + g * g * L) / (den * den)
-    else:
-        t, s = np.tanh(z), _sech2(z)
-        den = 1.0 - g * g * s * s
-
-        def force(L, b):
-            return 2.0 * t * s * (L - 2.0 * b * g * s + g * g * L * s * s) / (den * den)
-
+    sec, z = _axial_grid(spec, z, "force")
+    force = sec.force(spec.gamma, z)
     F = force(Lambda, spec.b)
     if not np.isfinite(F).all():
         # an intermediate such as 2 b g s overflowed.  F is linear in
@@ -218,20 +203,21 @@ def _classify(spec: BackgroundSpec, Lambda: float, z: float) -> str:
 def effective_force_extrema(spec: BackgroundSpec, Lambda: float) -> ExtremaResult:
     """All interior equilibria of U.
 
-    Stationarity away from z = 0 requires the quadratic
+    Stationarity away from z = 0 requires the quadratic in y = a(z)
 
-        lobachevsky: ch^2 z = (b/L) g +- sqrt((b^2/L^2 - 1) g^2),
-        spherical:  cos^2 z = -(b/L) g +- sqrt((b^2/L^2 - 1) g^2),
+        y = -kappa (b/L) g +- sqrt((b^2/L^2 - 1) g^2)
 
-    to have roots in the admissible range (ch^2 z >= 1, 0 < cos^2 z < 1).
-    For Lambda^2 > b^2 the discriminant is negative and z = 0 is the
-    unique equilibrium.  A discriminant beyond double range (b^2
+    (kappa = -1 Lobachevsky, y = ch^2 z; +1 sphere, y = cos^2 z) to have
+    roots at least 1e-12 inside the chart's y range (ch^2 z >= 1,
+    0 <= cos^2 z <= 1).  For Lambda^2 > b^2 the discriminant is negative
+    and z = 0 is the unique equilibrium.  A discriminant beyond double range (b^2
     overflowing, or Lambda^2 underflowing to 0) is reported as +-inf, and
     its root is taken as |base| sqrt((1 - g/base)(1 + g/base)) with
     base = (b/L) g, so nothing squares b.  A base or root that overflows
-    double raises DomainError.
+    double raises DomainError; an infinite root beyond the sphere's
+    range is simply not admissible.
     """
-    _require_curved_magnetic(spec)
+    sec = _require_curved_magnetic(spec)
     if Lambda == 0.0:
         raise ParameterError("Lambda = 0 degenerates the stationarity quadratic")
     g, b = spec.gamma, spec.b
@@ -258,43 +244,33 @@ def effective_force_extrema(spec: BackgroundSpec, Lambda: float) -> ExtremaResul
             rt = math.sqrt(disc)
         else:  # sqrt(base^2 - g^2) without squaring b; |g / base| <= 1 here
             rt = abs(base) * math.sqrt((1.0 - g / base) * (1.0 + g / base))
-        if spec.geometry == "lobachevsky":
-            for cand in (base + rt, base - rt):
-                if cand >= 1.0 + 1e-12:
-                    if cand == math.inf:
-                        raise overflow()
-                    roots.append(cand)
-                    z0 = math.acosh(math.sqrt(cand))
-                    zs.extend([z0, -z0])
-        else:
-            for cand in (-base + rt, -base - rt):
-                if 1e-12 < cand < 1.0 - 1e-12:
-                    roots.append(cand)
-                    z0 = math.acos(math.sqrt(cand))
-                    zs.extend([z0, -z0])
+        lo, hi = sec.y_range
+        mid = -sec.curvature * base
+        for cand in (mid + rt, mid - rt):
+            if lo + 1e-12 <= cand <= hi - 1e-12:
+                if cand == math.inf:
+                    raise overflow()
+                roots.append(cand)
+                z0 = sec.z_of_y(cand)
+                zs.extend([z0, -z0])
     eq = tuple(
         Equilibrium(z=z, kind=_classify(spec, Lambda, z)) for z in sorted(zs)
     )
     return ExtremaResult(equilibria=eq, discriminant=disc, roots=tuple(roots))
 
 
-def _pole_locations(spec: BackgroundSpec) -> tuple[float, ...]:
-    """z values where the denominator ch^4 z - gamma^2 (cos^4 z - gamma^2)
-    vanishes, i.e. where U has an interior pole."""
-    g = abs(spec.gamma)
-    if spec.geometry == "spherical":
-        if 0.0 < g < 1.0:
-            zp = math.acos(math.sqrt(g))
-            return (-zp, zp)
-        if g == 1.0:
-            return (0.0,)
-        return ()
-    if g > 1.0:
-        zp = math.acosh(math.sqrt(g))
-        return (-zp, zp)
-    if g == 1.0:
+def _pole_locations(sec: _Section, gamma: float) -> tuple[float, ...]:
+    """z values where the denominator y^2 - gamma^2 vanishes inside the
+    chart, i.e. where U has an interior pole: y = |gamma| strictly inside
+    the y range, or y = a(0) = 1, its closed end (a pole at z = 0)."""
+    y = abs(gamma)
+    if y == 1.0:
         return (0.0,)
-    return ()
+    lo, hi = sec.y_range
+    if not lo < y < hi:
+        return ()
+    zp = sec.z_of_y(y)
+    return (-zp, zp)
 
 
 def potential_profile(
@@ -309,7 +285,8 @@ def potential_profile(
         raise ParameterError("need at least 2 samples")
     if not z_min < z_max:
         raise ParameterError("need z_min < z_max")
-    for zp in _pole_locations(spec):
+    sec = _require_curved_magnetic(spec)
+    for zp in _pole_locations(sec, spec.gamma):
         if z_min <= zp <= z_max:
             raise PoleError(
                 f"range [{z_min:g}, {z_max:g}] crosses the potential pole at z = {zp:.6g}"
@@ -374,11 +351,12 @@ def airy_pair(w_prime: float, nu: float, ctl: SeriesControl | None = None) -> Ai
         return c2 * series(2.0 / 3.0, x)
 
     def dz1(x: float) -> complex:
-        u = x**3 / 9.0
+        u = cube9(x)  # x**3 below cannot overflow once this has not
         return c1 * (hyp0f1(4.0 / 3.0, u, ctl) + (x**3 / 4.0) * hyp0f1(7.0 / 3.0, u, ctl))
 
     def dz2(x: float) -> complex:
-        return c2 * (x * x / 2.0) * hyp0f1(5.0 / 3.0, x**3 / 9.0, ctl)
+        u = cube9(x)
+        return c2 * (x * x / 2.0) * hyp0f1(5.0 / 3.0, u, ctl)
 
     nu13 = nu ** (1.0 / 3.0)
     z_turn = -w_prime / nu
@@ -467,10 +445,6 @@ def _rkf_pass(u, v, h, P, Q, store):
     return out
 
 
-def _float_store():
-    return array("d")
-
-
 def integrate_axial(
     ode: SeparatedODE,
     ic_left: tuple[complex, complex],
@@ -483,8 +457,10 @@ def integrate_axial(
     Fehlberg's 4(5) pair advances the fourth-order solution; the
     embedded fifth-order difference monitors the local error and raises
     StepFailure at the first step whose estimate exceeds `tol` relative
-    to the local solution scale max(1, |Z|, |Z'|).  The summed estimates
-    are reported as residual_estimate.  Complex initial data is supported.
+    to the local solution scale max(1, |Z|, |Z'|), or where Z, Z', either
+    embedded stage-sum difference, the estimate or the scale is not
+    finite.  The summed estimates are reported as residual_estimate.
+    Complex initial data is supported.
 
     The equation is linear with coefficients fixed at assembly, so p and
     q are evaluated once, as arrays over all 6 * steps stage nodes, and
@@ -493,12 +469,10 @@ def integrate_axial(
     (Z, Z') follow the same real recurrence: real data take one pass on
     floats, complex data one per part (complex coefficients, one pass on
     complex numbers).  Error estimates, scales, the failure test and the
-    left-to-right sum run on arrays after the loop.  Results and failures
-    equal those of the recurrence in complex arithmetic bit for bit; where
-    a value turns non-finite, the integration is redone in complex
-    arithmetic, whose inf/NaN propagation then decides the failure.
-    Non-finite input or tol <= 0 raises ParameterError and a range
-    leaving ``ode.domain`` raises DomainError.
+    left-to-right sum run on arrays after the loop.  Finite results and
+    tolerance failures equal those of the recurrence in complex arithmetic
+    bit for bit.  Non-finite input or tol <= 0 raises ParameterError and
+    a range leaving ``ode.domain`` raises DomainError.
     """
     if ode.kind != "axial":
         raise ParameterError("integrate_axial expects an axial equation")
@@ -526,41 +500,35 @@ def integrate_axial(
     q = np.broadcast_to(ode.qcoef(nodes, 0.0), nodes.shape)
     del nodes
 
-    def sweep(u0, v0, store):
+    def sweep(u0, v0, store=lambda: array("d")):
         out = _rkf_pass(u0, v0, h, _scalar_rows(p), _scalar_rows(q), store)
         return [np.asarray(r) for r in out]
 
-    def complex_sweep():
-        return [(r.real, r.imag) for r in sweep(u, v, list)]
-
     # (real part, imaginary part) of Z, Z' and the two stage-sum differences
     if np.iscomplexobj(p) or np.iscomplexobj(q):
-        parts = complex_sweep()
+        parts = [(r.real, r.imag) for r in sweep(u, v, list)]
     else:
         parts = list(zip(
-            sweep(u.real, v.real, _float_store),
-            sweep(u.imag, v.imag, _float_store) if u.imag or v.imag else [0.0] * 4,
+            sweep(u.real, v.real),
+            sweep(u.imag, v.imag) if u.imag or v.imag else [0.0] * 4,
         ))
-        if not all(np.isfinite(x).all() for pair in parts for x in pair):
-            parts = complex_sweep()
     del p, q
     (Zr, Zi), (dZr, dZi), eZ, edZ = parts
 
-    # the loop's per-step bookkeeping in its order and rounding: |.| as
-    # np.hypot of the parts (abs() of a Python complex), err = h *
-    # max(|eZ|, |edZ|) and scale = max(1, |Z|, |Z'|) with Python's max
-    # (the first of equal or NaN-compared values wins)
-    aZ, adZ = np.hypot(*eZ), np.hypot(*edZ)
-    err = h * np.where(adZ > aZ, adZ, aZ)
-    aZ, adZ = np.hypot(Zr, Zi), np.hypot(dZr, dZi)
-    scale = np.where(aZ > 1.0, aZ, 1.0)
-    scale = np.where(adZ > scale, adZ, scale)
-    failed = ~(err <= tol * scale)
+    # the loop's per-step bookkeeping in its rounding: |.| as np.hypot of
+    # the parts (abs() of a Python complex), err = h max(|eZ|, |edZ|) and
+    # scale = max(1, |Z|, |Z'|).  np.maximum carries a NaN through, and
+    # hypot an inf, so a non-finite part leaves err or scale non-finite
+    with np.errstate(over="ignore"):  # an overflow is a non-finite failure
+        err = h * np.maximum(np.hypot(*eZ), np.hypot(*edZ))
+        scale = np.maximum(1.0, np.maximum(np.hypot(Zr, Zi), np.hypot(dZr, dZi)))
+        bound = tol * scale
+        failed = ~(err <= bound) | ~np.isfinite(err) | ~np.isfinite(scale)
     if failed.any():
         i = int(failed.argmax())
         raise StepFailure(
             f"local error {err[i]:.3e} at z = {zs[i]:.6g} exceeds tol*scale = "
-            f"{tol * scale[i]:.3e}; increase steps"
+            f"{bound[i]:.3e}; increase steps"
         )
     Z = np.empty(steps + 1, complex)
     dZ = np.empty(steps + 1, complex)
@@ -579,7 +547,8 @@ def singular_local_form(
     spec: BackgroundSpec, Lambda: float, point: str, epsilon: float = 0.0
 ) -> LocalForm:
     """Leading local behaviour at a singular point of the axial equation in
-    the variable y = cos^2 z (sphere) or y = ch^2 z (Lobachevsky).
+    the variable y = a(z) = cos^2 z (sphere, kappa = +1) or ch^2 z
+    (Lobachevsky, kappa = -1):
 
         y ~ 1:        Z = exp(+-sqrt(A (y-1)))
         y ~ 0:        Z = y^(-1/2) exp(+-sqrt(C y))
@@ -587,69 +556,55 @@ def singular_local_form(
         y ~ +-gamma:  confluent-type local equation with lower
                       parameter c = 0 and accessory coefficient a
 
-    Spherical coefficients: A = eps - (b g + L)/(1 - g^2), C = -eps - b/g,
-    D = (-1 +- sqrt(eps + 1))/2, a(+-g) = (L +- b)/(4(3 -+ 4g)).
-    Lobachevsky analogues (derived by the same residue reduction):
-    A = -eps + (L - b g)/(1 - g^2), C = eps - b/g,
-    D = (-1 +- sqrt(1 - eps))/2, a(+g) = (L - b)/(4(3 - 4g)),
-    a(-g) = (L + b)/(4(3 + 4g)).  Requires gamma != 0 (at gamma = 0 the
-    points y = +-gamma merge with y = 0 and the classification changes).
+    with g = gamma and the coefficients (one residue reduction for both
+    sections)
+
+        A = kappa eps - kappa (kappa b g + L)/(1 - g^2),   C = -kappa eps - b/g,
+        D = (-1 +- sqrt(kappa eps + 1))/2,   a(+-g) = (L +- kappa b)/(4(3 -+ 4g)).
+
+    Requires gamma != 0 (at gamma = 0 the points y = +-gamma merge with
+    y = 0 and the classification changes); gamma^2 = 1 at y = 1 and
+    gamma = +-3/4 at y = +-gamma make a denominator vanish and raise
+    ParameterError too.  A coefficient that is not finite (overflow, or a
+    non-finite Lambda or epsilon) raises DomainError.
     """
-    _require_curved_magnetic(spec)
-    g, b = spec.gamma, spec.b
+    sec = _require_curved_magnetic(spec)
+    g, b, k = spec.gamma, spec.b, sec.curvature
     if g == 0.0:
         raise ParameterError("singular local forms need gamma != 0")
-    spherical = spec.geometry == "spherical"
     if point == "y=1":
-        A = (
-            epsilon - (b * g + Lambda) / (1.0 - g * g)
-            if spherical
-            else -epsilon + (Lambda - b * g) / (1.0 - g * g)
-        )
-        return LocalForm(
-            point=point,
-            kind="exponential",
-            params={"A": A},
-            description="Z = exp(+-sqrt(A (y-1)))",
-        )
-    if point == "y=0":
-        C = -epsilon - b / g if spherical else epsilon - b / g
-        return LocalForm(
-            point=point,
-            kind="inverse-sqrt-exponential",
-            params={"C": C},
-            description="Z = y^(-1/2) exp(+-sqrt(C y))",
-        )
-    if point == "y=infinity":
-        rad = epsilon + 1.0 if spherical else 1.0 - epsilon
-        root = complex(rad) ** 0.5
+        if g * g == 1.0:
+            raise ParameterError("the local form at y=1 needs gamma^2 != 1 (y = +-gamma is y = 1)")
+        kind, description = "exponential", "Z = exp(+-sqrt(A (y-1)))"
+        params = {"A": k * epsilon - k * ((k * b * g + Lambda) / (1.0 - g * g))}
+    elif point == "y=0":
+        kind, description = "inverse-sqrt-exponential", "Z = y^(-1/2) exp(+-sqrt(C y))"
+        params = {"C": -k * epsilon - b / g}
+    elif point == "y=infinity":
+        rad = k * epsilon + 1.0
+        # complex ** overflows at an infinite rad; a NaN root is refused below
+        root = complex(rad) ** 0.5 if math.isfinite(rad) else complex(math.nan)
         d_plus = (-1.0 + root) / 2.0
         d_minus = (-1.0 - root) / 2.0
         if rad >= 0.0:
             d_plus, d_minus = d_plus.real, d_minus.real
-        return LocalForm(
-            point=point,
-            kind="power",
-            params={"D_plus": d_plus, "D_minus": d_minus},
-            description="Z = y^D",
+        kind, description = "power", "Z = y^D"
+        params = {"D_plus": d_plus, "D_minus": d_minus}
+    elif point in ("y=+gamma", "y=-gamma"):
+        sign = 1.0 if point == "y=+gamma" else -1.0
+        den = 3.0 - sign * 4.0 * g
+        if den == 0.0:
+            raise ParameterError(f"the local form at {point} needs gamma != {sign * 0.75:+g}")
+        kind, description = "confluent", "confluent-type local equation, lower parameter c = 0"
+        params = {"a": (Lambda + sign * k * b) / (4.0 * den), "c": 0.0}
+    else:
+        raise ParameterError(
+            f"unknown singular point {point!r}; expected one of "
+            "'y=0', 'y=1', 'y=+gamma', 'y=-gamma', 'y=infinity'"
         )
-    if point in ("y=+gamma", "y=-gamma"):
-        plus = point == "y=+gamma"
-        if spherical:
-            a = (Lambda + b) / (4.0 * (3.0 - 4.0 * g)) if plus else (Lambda - b) / (
-                4.0 * (3.0 + 4.0 * g)
-            )
-        else:
-            a = (Lambda - b) / (4.0 * (3.0 - 4.0 * g)) if plus else (Lambda + b) / (
-                4.0 * (3.0 + 4.0 * g)
-            )
-        return LocalForm(
-            point=point,
-            kind="confluent",
-            params={"a": a, "c": 0.0},
-            description="confluent-type local equation, lower parameter c = 0",
+    if not all(map(cmath.isfinite, params.values())):
+        raise DomainError(
+            f"local form at {point} is not finite: {params} (b = {b}, gamma = {g}, "
+            f"Lambda = {Lambda}, epsilon = {epsilon})"
         )
-    raise ParameterError(
-        f"unknown singular point {point!r}; expected one of "
-        "'y=0', 'y=1', 'y=+gamma', 'y=-gamma', 'y=infinity'"
-    )
+    return LocalForm(point=point, kind=kind, params=params, description=description)

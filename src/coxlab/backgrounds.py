@@ -9,9 +9,11 @@ geometries (curvature radius rho scaled to 1 in library units):
 
 that is, dS^2 = c^2 dt^2 - a(z)(dr^2 + w(r)^2 dphi^2) - dz^2 with
 (a, w) = (1, r), (ch^2 z, sh r), (cos^2 z, sin r).  One private `_Section`
-record per geometry holds a, w, the potentials and the chart ends; the
-local field data and the radial equation read it instead of branching
-on the geometry, so the six radial equations are one formula.
+record per geometry holds a, w, the potentials, the chart ends and the
+curved magnetic axial problem in y = a(z); the local field data, the
+radial equation and `axial` read it instead of branching on the
+geometry, so the six radial equations are one formula, and so are the
+poles, equilibria and local forms of the two curved axial problems.
 
 A uniform magnetic field along the axis has gauge potential A_phi and
 strength parameter b (flat: b = eB/2hbar*c, curved: b = eB rho^2/hbar c);
@@ -162,10 +164,18 @@ class _Section:
     Radial part: the weight w, p_r = w'/w, the magnetic potential
     A_phi(b, r), B_3 = dA_phi/dr and the chart end r_end (the singular
     point r_end_name).  Axial part: a, p_z = a'/a, t with t' = 1/a (so
-    A_0 = -nu t and E_3 = nu/a) and the chart bound |z| < z_end.
-    ``curvature`` is the constant that f = Z sqrt(a) adds to the axial
-    equation; ``eigen`` names the radial spectral parameter per field
-    kind.  The callables take floats or arrays.
+    A_0 = -nu t and E_3 = nu/a) and the chart bound |z| < z_end (named
+    z_end_name).  ``curvature`` kappa (+1 sphere, -1 Lobachevsky, 0 flat)
+    is the constant that f = Z sqrt(a) adds to the axial equation;
+    ``eigen`` names the radial spectral parameter per field kind.  The
+    callables take floats or arrays.
+
+    The curved magnetic axial problem lives in y = a(z) (y_name), which
+    spans y_range on the chart; z_of_y inverts a for z >= 0.  ``u``,
+    ``force`` and ``pole`` hold U = (kappa b g + L y)/(y^2 - g^2), F =
+    -dU/dz as a function of (L, b), and the test |y^2 - g^2| < tol, in
+    closed forms finite on the whole chart (Lobachevsky in s = sech^2 z,
+    the sphere in cos^2 z).  The flat section leaves them None.
     """
 
     w: Callable
@@ -178,12 +188,63 @@ class _Section:
     p_z: Callable
     t: Callable
     z_end: float
+    z_end_name: str
     curvature: float
     eigen: dict[str, str]
+    y_name: str | None = None
+    y_range: tuple[float, float] | None = None
+    z_of_y: Callable | None = None
+    u: Callable | None = None
+    force: Callable | None = None
+    pole: Callable | None = None
 
 
 def _asfloat(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
+
+
+def _sech2(z: np.ndarray) -> np.ndarray:
+    """sech^2 z from e = exp(-|z|): 4 e^2 / (1 + e^2)^2, finite for every z
+    (cosh z overflows beyond |z| ~ 710, cosh^4 z beyond |z| ~ 178)."""
+    e2 = np.exp(-2.0 * np.abs(z))
+    return 4.0 * e2 / ((1.0 + e2) * (1.0 + e2))
+
+
+def _u_lobachevsky(Lambda, b, g, z):
+    # U = -(b g - L ch^2 z)/(ch^4 z - g^2) = s (L - b g s)/(1 - g^2 s^2)
+    s = _sech2(_asfloat(z))
+    return s * (Lambda - b * g * s) / (1.0 - g * g * s * s)
+
+
+def _force_lobachevsky(g, z):
+    # F = 2 t s (L - 2 b g s + g^2 L s^2)/(1 - g^2 s^2)^2,  t = th z
+    t, s = np.tanh(z), _sech2(z)
+    den = 1.0 - g * g * s * s
+    return lambda L, b: 2.0 * t * s * (L - 2.0 * b * g * s + g * g * L * s * s) / (den * den)
+
+
+def _pole_lobachevsky(g, z, tol):
+    # |ch^4 z - g^2| < tol, multiplied through by s^2 so ch^4 z never overflows
+    s = _sech2(z)
+    return np.abs(1.0 - g * g * s * s) < tol * s * s
+
+
+def _u_spherical(Lambda, b, g, z):
+    c2 = np.cos(_asfloat(z)) ** 2
+    return (b * g + Lambda * c2) / (c2 * c2 - g * g)
+
+
+def _force_spherical(g, z):
+    # F = -2 cos z sin z (L cos^4 z + 2 b g cos^2 z + g^2 L)/(cos^4 z - g^2)^2
+    c, s = np.cos(z), np.sin(z)
+    c2 = c * c
+    den = c2 * c2 - g * g
+    return lambda L, b: -2.0 * c * s * (L * c2 * c2 + 2.0 * b * g * c2 + g * g * L) / (den * den)
+
+
+def _pole_spherical(g, z, tol):
+    c2 = np.cos(z) ** 2
+    return np.abs(c2 * c2 - g * g) < tol
 
 
 _SECTIONS = {
@@ -192,7 +253,7 @@ _SECTIONS = {
         a_phi=lambda b, r: -b * r * r, b3=lambda b, r: -2.0 * b * r,
         r_end=math.inf, r_end_name="infinity",
         a=lambda z: np.ones_like(_asfloat(z)), p_z=lambda z: np.zeros_like(_asfloat(z)),
-        t=_asfloat, z_end=math.inf,
+        t=_asfloat, z_end=math.inf, z_end_name="infinity",
         curvature=0.0, eigen={"magnetic": "eps_prime", "electric": "w_perp"},
     ),
     "lobachevsky": _Section(
@@ -200,16 +261,20 @@ _SECTIONS = {
         a_phi=lambda b, r: -b * (np.cosh(r) - 1.0), b3=lambda b, r: -b * np.sinh(r),
         r_end=math.inf, r_end_name="infinity",
         a=lambda z: np.cosh(_asfloat(z)) ** 2, p_z=lambda z: 2.0 * np.tanh(_asfloat(z)),
-        t=lambda z: np.tanh(_asfloat(z)), z_end=math.inf,
+        t=lambda z: np.tanh(_asfloat(z)), z_end=math.inf, z_end_name="infinity",
         curvature=-1.0, eigen={"magnetic": "Lambda", "electric": "Lambda"},
+        y_name="ch^2 z", y_range=(1.0, math.inf), z_of_y=lambda y: math.acosh(math.sqrt(y)),
+        u=_u_lobachevsky, force=_force_lobachevsky, pole=_pole_lobachevsky,
     ),
     "spherical": _Section(
         w=lambda r: np.sin(_asfloat(r)), p_r=lambda r: 1.0 / np.tan(_asfloat(r)),
         a_phi=lambda b, r: b * (np.cos(r) - 1.0), b3=lambda b, r: -b * np.sin(r),
         r_end=math.pi, r_end_name="antipode",
         a=lambda z: np.cos(_asfloat(z)) ** 2, p_z=lambda z: -2.0 * np.tan(_asfloat(z)),
-        t=lambda z: np.tan(_asfloat(z)), z_end=math.pi / 2,
+        t=lambda z: np.tan(_asfloat(z)), z_end=math.pi / 2, z_end_name="pi/2",
         curvature=1.0, eigen={"magnetic": "Lambda", "electric": "Lambda"},
+        y_name="cos^2 z", y_range=(0.0, 1.0), z_of_y=lambda y: math.acos(math.sqrt(y)),
+        u=_u_spherical, force=_force_spherical, pole=_pole_spherical,
     ),
 }
 
@@ -401,28 +466,6 @@ def assemble_radial_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedOD
 # separated axial equations
 # ---------------------------------------------------------------------------
 
-def _sech2(z: np.ndarray) -> np.ndarray:
-    """sech^2 z from e = exp(-|z|): 4 e^2 / (1 + e^2)^2, finite for every z
-    (cosh z overflows beyond |z| ~ 710, cosh^4 z beyond |z| ~ 178)."""
-    e2 = np.exp(-2.0 * np.abs(z))
-    return 4.0 * e2 / ((1.0 + e2) * (1.0 + e2))
-
-
-def _u_eff(geometry: str, Lambda: float, b: float, gamma: float, z):
-    """Effective potential of the curved magnetic axial problem.
-
-    lobachevsky: U = -(b g - Lambda ch^2 z) / (ch^4 z - g^2)
-                   = s (Lambda - b g s) / (1 - g^2 s^2),  s = sech^2 z
-    spherical:   U = +(b g + Lambda cos^2 z) / (cos^4 z - g^2)
-    """
-    z = np.asarray(z, dtype=float)
-    if geometry == "lobachevsky":
-        s = _sech2(z)
-        return s * (Lambda - b * gamma * s) / (1.0 - gamma * gamma * s * s)
-    c2 = np.cos(z) ** 2
-    return (b * gamma + Lambda * c2) / (c2 * c2 - gamma * gamma)
-
-
 def assemble_axial_ode(
     spec: BackgroundSpec,
     Lambda: float,
@@ -458,11 +501,11 @@ def assemble_axial_ode(
             )
 
         def qcoef(z, s):
-            return epsilon - _u_eff(geo, Lambda, b, gam, z) + s
+            return epsilon - sec.u(Lambda, b, gam, z) + s
 
         def qs(z, s):
             # f = Z sqrt(a):  f'' + (eps + curvature - U) f = 0
-            return (epsilon + s) + sec.curvature - _u_eff(geo, Lambda, b, gam, z)
+            return (epsilon + s) + sec.curvature - sec.u(Lambda, b, gam, z)
 
         eigen = "epsilon"
         params = {"Lambda": Lambda, "b": b, "gamma": gam, "epsilon": epsilon}
@@ -473,7 +516,7 @@ def assemble_axial_ode(
             SingularPoint("y=-gamma", -gam),
             SingularPoint("y=infinity", math.inf),
         )
-        note = "singular variable y = " + ("ch^2 z" if geo == "lobachevsky" else "cos^2 z")
+        note = "singular variable y = " + sec.y_name
         schro = SeparatedODE(
             kind="axial",
             geometry=geo,

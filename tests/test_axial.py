@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -19,6 +22,7 @@ from coxlab.axial import (
     _RKF_BERR,
     _RKF_C,
     AxialSolution,
+    _pole_locations,
     _scalar_rows,
     airy_pair,
     effective_force,
@@ -32,10 +36,13 @@ from coxlab.backgrounds import (
     BackgroundSpec,
     QuantumNumbers,
     SeparatedODE,
+    _SECTIONS,
     assemble_axial_ode,
     assemble_radial_ode,
 )
 from coxlab.errors import DomainError, ParameterError, PoleError, StepFailure
+
+import _axial_reference as per_geometry
 
 LOB = BackgroundSpec(geometry="lobachevsky", b=1.0, gamma=0.2)
 SPH = BackgroundSpec(geometry="spherical", b=1.0, gamma=0.25)
@@ -706,34 +713,65 @@ def test_integrate_axial_complex_data_fails_at_the_same_step():
     assert message.startswith("local error 1.322e-09 at z = 1.6 ")
 
 
+def _failing_z(message):
+    return float(message.split(" at z = ")[1].split()[0])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])
 @pytest.mark.parametrize("ic", [(1.0, 0.0), (1.0 + 0.5j, -0.3j)])
 def test_integrate_axial_non_finite_values_fail_like_the_complex_loop(bad, ic):
     """Coefficients that turn NaN, infinite or overflowing past z = 0.5
-    fail at the complex loop's step with its message, without warnings."""
+    fail, without warnings, no later than the complex loop does: a
+    non-finite value fails its step even where the complex loop's
+    max(|eZ|, NaN) or inf <= inf let it pass."""
     ode = SeparatedODE(
         kind="axial", geometry="flat", field_kind="electric",
         domain=(-math.inf, math.inf), pcoef=lambda z: np.zeros_like(z),
         qcoef=lambda z, s: np.where(z > 0.5, bad, 1.0 + s), eigen_name="w",
     )
-    assert _assert_same_outcome(ode, ic, (0.0, 1.0), 100) == "failed"
+    ref = _outcome(_complex_loop, ode, ic, (0.0, 1.0), 100)
+    got = _outcome(integrate_axial, ode, ic, (0.0, 1.0), 100)
+    assert isinstance(ref, str) and isinstance(got, str)
+    assert 0.5 <= _failing_z(got) <= _failing_z(ref)
 
 
 @pytest.mark.parametrize("ic", [(1.0, 0.3), (1.0 + 0.5j, -0.3j)])
-def test_integrate_axial_nan_in_one_error_sum_follows_python_max(ic):
+def test_integrate_axial_nan_in_one_error_sum_is_a_step_failure(ic):
     """A NaN met only at the mid-step stage node enters the Z'' error sum
     but not the step itself.  The complex loop's max(|eZ|, NaN) keeps
-    |eZ|, so it accepts that step and the NaN goes unnoticed; the array
-    bookkeeping reproduces that outcome, not a stricter one."""
+    |eZ| and accepts that step; a non-finite stage-sum difference now
+    fails it."""
+    ode = _bad_at_one_mid_step_node(math.nan)
+    assert not isinstance(_outcome(_complex_loop, ode, ic, (0.0, 1.0), 100), str)
+    with pytest.raises(StepFailure, match=r"local error nan at z = 0\.4 "):
+        integrate_axial(ode, ic, (0.0, 1.0), 100)
+
+
+def _bad_at_one_mid_step_node(bad):
     h = 0.01
     mid_step = (h * np.arange(100)[:, None] + h * np.array(_RKF_C))[40, 5]
-    ode = SeparatedODE(
+    return SeparatedODE(
         kind="axial", geometry="flat", field_kind="electric",
         domain=(-math.inf, math.inf),
-        pcoef=lambda z: np.where(z == mid_step, math.nan, 0.0),
+        pcoef=lambda z: np.where(z == mid_step, bad, 0.0),
         qcoef=lambda z, s: 1.0 + s + 0.0 * z, eigen_name="w",
     )
-    _assert_same_outcome(ode, ic, (0.0, 1.0), 100)
+
+
+def test_integrate_axial_non_finite_error_or_scale_fails_under_any_tol():
+    """An infinite error estimate, or a solution whose modulus overflows,
+    fails its step even where tol * scale overflows too (inf <= inf)."""
+    with pytest.raises(StepFailure, match=r"local error inf at z = 0\.4 "):
+        integrate_axial(_bad_at_one_mid_step_node(math.inf), (2.0, 0.3), (0.0, 1.0), 100,
+                        tol=1.7e308)
+    free = SeparatedODE(
+        kind="axial", geometry="flat", field_kind="electric",
+        domain=(-math.inf, math.inf), pcoef=lambda z: 0.0,
+        qcoef=lambda z, s: 0.0 * z + s, eigen_name="w",
+    )
+    # both parts are finite; |Z| is not (abs() of this complex overflows)
+    with pytest.raises(StepFailure, match=r"at z = 0 exceeds tol\*scale = inf"):
+        integrate_axial(free, (1.5e308 + 1.5e308j, 0.0), (0.0, 1.0), 10, tol=1.0)
 
 
 def test_integrate_axial_peak_memory_below_the_complex_loop():
@@ -819,3 +857,145 @@ def test_local_forms_errors():
         singular_local_form(SPH, 2.0, "y=2")
     with pytest.raises(ParameterError):
         singular_local_form(BackgroundSpec(geometry="flat", b=1.0), 2.0, "y=0")
+
+
+def test_local_forms_refuse_degenerate_gamma():
+    """3 -+ 4 gamma = 0 and 1 - gamma^2 = 0 divided by zero (a bare
+    ZeroDivisionError); they are refused like gamma = 0."""
+    for geometry in ("lobachevsky", "spherical"):
+        for g, point in ((1.0, "y=1"), (-1.0, "y=1"), (0.75, "y=+gamma"), (-0.75, "y=-gamma")):
+            spec = BackgroundSpec(geometry=geometry, b=1.0, gamma=g)
+            with pytest.raises(ParameterError, match="needs gamma"):
+                singular_local_form(spec, 2.0, point, epsilon=0.5)
+        # the other point of each pair stays finite
+        spec = BackgroundSpec(geometry=geometry, b=1.0, gamma=0.75)
+        assert math.isfinite(singular_local_form(spec, 2.0, "y=-gamma").params["a"])
+
+
+def test_local_forms_refuse_non_finite_coefficients():
+    """A = nan (b = gamma = Lambda = eps = 1e300), C = -inf (gamma = 1e-310)
+    and non-finite Lambda or epsilon were returned as answers."""
+    for geometry, spec in (("lobachevsky", LOB), ("spherical", SPH)):
+        big = BackgroundSpec(geometry=geometry, b=1e300, gamma=1e300)
+        with pytest.raises(DomainError, match="local form at y=1 is not finite"):
+            singular_local_form(big, 1e300, "y=1", epsilon=1e300)
+        tiny = BackgroundSpec(geometry=geometry, b=1.0, gamma=1e-310)
+        with pytest.raises(DomainError, match="local form at y=0 is not finite"):
+            singular_local_form(tiny, 2.0, "y=0")
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                singular_local_form(spec, bad, "y=+gamma")
+            with pytest.raises(DomainError):
+                singular_local_form(spec, 2.0, "y=infinity", epsilon=bad)
+
+
+def test_airy_derivatives_refuse_overflowing_cubes():
+    """dz1 and dz2 raised a bare OverflowError from x**3 where z1 and z2
+    refuse the same x with DomainError."""
+    pair = airy_pair(w_prime=0.0, nu=1.0)
+    for x in (6e102, -1e200, 1e308):
+        for branch in (pair.z1, pair.z2, pair.dz1, pair.dz2):
+            with pytest.raises(DomainError, match="x\\^3/9 overflows"):
+                branch(x)
+
+
+# ---------------------------------------------------------------------------
+# one curved problem: the section record against the per-geometry originals
+# ---------------------------------------------------------------------------
+
+def test_axial_module_compares_no_curved_geometry_name():
+    """The curvature sign is decided in `backgrounds._SECTIONS`: axial.py
+    compares nothing to a curved geometry's name (only "flat" is refused)."""
+    import coxlab.axial
+
+    tree = ast.parse(Path(coxlab.axial.__file__).read_text())
+    names = {"lobachevsky", "spherical"}
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and sub.value in names
+    ]
+    assert found == []
+
+
+def _outcome_bits(fn, *args, **kw):
+    """A value as bits (array bytes, or repr of a scalar or record), or a
+    refusal as its type and message."""
+    try:
+        value = fn(*args, **kw)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return repr(value)
+
+
+def _extreme_value(rng, scale=5.0):
+    kind = rng.integers(5)
+    if kind == 0:
+        return float(rng.uniform(-scale, scale))
+    if kind == 1:
+        return float(rng.choice([0.0, -0.0, 1.0, -1.0, 0.75, -0.75, 1e308, -1e308,
+                                 1e-310, -1e-310, 1e300, 1e-200]))
+    return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320, 308))
+
+
+def _curved_draws(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        geometry = str(rng.choice(["lobachevsky", "spherical"]))
+        b, L, eps = (_extreme_value(rng) for _ in range(3))
+        g = _extreme_value(rng, 2.0)
+        if rng.random() < 0.05:
+            L = float(rng.choice([math.nan, math.inf, -math.inf]))
+        zmax = math.pi / 2 + 0.1 if geometry == "spherical" else 6.0
+        z = rng.uniform(-zmax, zmax, int(rng.integers(1, 5)))
+        if rng.random() < 0.2:
+            z[0] = float(rng.choice([0.0, math.pi / 2, -math.pi / 2, 800.0, -1e4]))
+        yield BackgroundSpec(geometry=geometry, b=b, gamma=g), L, eps, z
+
+
+_LOCAL_POINTS = ("y=0", "y=1", "y=+gamma", "y=-gamma", "y=infinity")
+
+
+def test_curved_axial_functions_equal_the_per_geometry_originals():
+    """Seeded draws over both curved sections, with b, gamma, Lambda and
+    epsilon up to +-1e308, subnormal, signed zero and the degenerate gamma
+    in {0, +-1, +-3/4}: poles, equilibria, U, F and the five local forms
+    are the originals' bits, or their refusals by type and message.  The
+    local forms differ only where an original divided by zero (now a
+    ParameterError) or returned a non-finite coefficient (now a
+    DomainError)."""
+    kinds = set()
+    for spec, L, eps, z in _curved_draws(2030, 1500):
+        assert _pole_locations(_SECTIONS[spec.geometry], spec.gamma) == (
+            per_geometry._pole_locations(spec))
+        for new, old in ((effective_potential, per_geometry.effective_potential),
+                         (effective_force, per_geometry.effective_force)):
+            for arg in (z, float(z[0])):
+                want = _outcome_bits(old, spec, L, arg)
+                assert _outcome_bits(new, spec, L, arg) == want
+                kinds.add(type(want))
+        want = _outcome_bits(per_geometry.effective_force_extrema, spec, L)
+        assert _outcome_bits(effective_force_extrema, spec, L) == want
+        for point in _LOCAL_POINTS:
+            try:
+                ref = per_geometry.singular_local_form(spec, L, point, eps)
+            except ZeroDivisionError:
+                with pytest.raises(ParameterError, match="needs gamma"):
+                    singular_local_form(spec, L, point, eps)
+                kinds.add("degenerate")
+                continue
+            except ParameterError as exc:
+                with pytest.raises(ParameterError, match=re.escape(str(exc))):
+                    singular_local_form(spec, L, point, eps)
+                continue
+            if all(np.isfinite(complex(v)) for v in ref.params.values()):
+                assert repr(singular_local_form(spec, L, point, eps)) == repr(ref)
+            else:
+                with pytest.raises(DomainError, match="is not finite"):
+                    singular_local_form(spec, L, point, eps)
+                kinds.add("non-finite")
+    assert {str, tuple, "degenerate", "non-finite"} <= kinds

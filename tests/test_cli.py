@@ -307,6 +307,182 @@ def test_zprofile_answers_where_only_b_squared_overflows(capsys, b, gamma, lam, 
     assert all(math.isfinite(float(c)) for row in rows for c in row)
 
 
+# zprofile on both curved sections with off-axis equilibria (the sphere's lie
+# beyond its poles at cos^2 z = 0.3, outside the tabulated range); pinned at the
+# output of the per-geometry formulas in tests/_axial_reference.py
+_ZPROFILE_GOLDEN = [
+    (['zprofile', '--geometry', 'lobachevsky', '--b', '2', '--gamma', '0.3', '--lambda-sep',
+      '1', '--samples', '9'],
+     'z,U,Fz\n'
+     '-3,0.0098077198721840935,-0.019402548739215725\n'
+     '-2.25,0.042338598128504906,-0.080627075882204149\n'
+     '-1.5,0.16158860453312768,-0.2586742034951181\n'
+     '-0.75,0.39571262427925108,-0.25569462384373048\n'
+     '0,0.43956043956043955,-0\n'
+     '0.75,0.39571262427925108,0.25569462384373048\n'
+     '1.5,0.16158860453312768,0.2586742034951181\n'
+     '2.25,0.042338598128504906,0.080627075882204149\n'
+     '3,0.0098077198721840935,0.019402548739215725\n'
+     '# extremum,-0.33930614129335884,maximum\n'
+     '# extremum,0,minimum\n'
+     '# extremum,0.33930614129335884,maximum\n'),
+    (['zprofile', '--geometry', 'lobachevsky', '--b', '2', '--gamma', '0.3', '--lambda-sep',
+      '1', '--samples', '9', '--format', 'json'],
+     """{
+  "Lambda": 1,
+  "b": 2,
+  "command": "zprofile",
+  "extrema": [
+    {
+      "kind": "maximum",
+      "z": -0.33930614129335884
+    },
+    {
+      "kind": "minimum",
+      "z": 0
+    },
+    {
+      "kind": "maximum",
+      "z": 0.33930614129335884
+    }
+  ],
+  "gamma": 0.29999999999999999,
+  "geometry": "lobachevsky",
+  "rows": [
+    {
+      "Fz": -0.019402548739215725,
+      "U": 0.0098077198721840935,
+      "z": -3
+    },
+    {
+      "Fz": -0.080627075882204149,
+      "U": 0.042338598128504906,
+      "z": -2.25
+    },
+    {
+      "Fz": -0.2586742034951181,
+      "U": 0.16158860453312768,
+      "z": -1.5
+    },
+    {
+      "Fz": -0.25569462384373048,
+      "U": 0.39571262427925108,
+      "z": -0.75
+    },
+    {
+      "Fz": -0,
+      "U": 0.43956043956043955,
+      "z": 0
+    },
+    {
+      "Fz": 0.25569462384373048,
+      "U": 0.39571262427925108,
+      "z": 0.75
+    },
+    {
+      "Fz": 0.2586742034951181,
+      "U": 0.16158860453312768,
+      "z": 1.5
+    },
+    {
+      "Fz": 0.080627075882204149,
+      "U": 0.042338598128504906,
+      "z": 2.25
+    },
+    {
+      "Fz": 0.019402548739215725,
+      "U": 0.0098077198721840935,
+      "z": 3
+    }
+  ],
+  "schemaVersion": 1
+}
+"""),
+    (['zprofile', '--geometry', 'spherical', '--b=-2', '--gamma', '0.3', '--lambda-sep', '1',
+      '--z-min=-0.9', '--z-max', '0.9', '--samples', '7'],
+     'z,U,Fz\n'
+     '-0.90000000000000002,-3.6017891689430188,-62.129020854778041\n'
+     '-0.60000000000000009,0.2170531154117851,-1.7551423020327583\n'
+     '-0.30000000000000004,0.4208392700726063,-0.17618576713518361\n'
+     '-1.1102230246251565e-16,0.43956043956043955,-2.9495117186032401e-17\n'
+     '0.29999999999999993,0.42083927007260635,0.17618576713518311\n'
+     '0.59999999999999998,0.21705311541178535,1.7551423020327566\n'
+     '0.90000000000000002,-3.6017891689430188,62.129020854778041\n'
+     '# extremum,-1.2833314332186683,minimum\n'
+     '# extremum,0,maximum\n'
+     '# extremum,1.2833314332186683,minimum\n'),
+    (['zprofile', '--geometry', 'spherical', '--b=-2', '--gamma', '0.3', '--lambda-sep', '1',
+      '--z-min=-0.9', '--z-max', '0.9', '--samples', '7', '--format', 'json'],
+     """{
+  "Lambda": 1,
+  "b": -2,
+  "command": "zprofile",
+  "extrema": [
+    {
+      "kind": "minimum",
+      "z": -1.2833314332186683
+    },
+    {
+      "kind": "maximum",
+      "z": 0
+    },
+    {
+      "kind": "minimum",
+      "z": 1.2833314332186683
+    }
+  ],
+  "gamma": 0.29999999999999999,
+  "geometry": "spherical",
+  "rows": [
+    {
+      "Fz": -62.129020854778041,
+      "U": -3.6017891689430188,
+      "z": -0.90000000000000002
+    },
+    {
+      "Fz": -1.7551423020327583,
+      "U": 0.2170531154117851,
+      "z": -0.60000000000000009
+    },
+    {
+      "Fz": -0.17618576713518361,
+      "U": 0.4208392700726063,
+      "z": -0.30000000000000004
+    },
+    {
+      "Fz": -2.9495117186032401e-17,
+      "U": 0.43956043956043955,
+      "z": -1.1102230246251565e-16
+    },
+    {
+      "Fz": 0.17618576713518311,
+      "U": 0.42083927007260635,
+      "z": 0.29999999999999993
+    },
+    {
+      "Fz": 1.7551423020327566,
+      "U": 0.21705311541178535,
+      "z": 0.59999999999999998
+    },
+    {
+      "Fz": 62.129020854778041,
+      "U": -3.6017891689430188,
+      "z": 0.90000000000000002
+    }
+  ],
+  "schemaVersion": 1
+}
+"""),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _ZPROFILE_GOLDEN)
+def test_zprofile_bytes_golden(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 def test_zprofile_requires_symmetric_grid(capsys):
     code, _, err = run(
         capsys, "zprofile", "--geometry", "lobachevsky", "--b", "1",
