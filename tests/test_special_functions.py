@@ -397,6 +397,7 @@ def _series_mp(nums, dens, x, ctl, peak):
         dm = [mpmath.mpc(q) for q in dens]
         term = mpmath.mpc(1)
         total = mpmath.mpc(1)
+        tol, floor = mpmath.mpf(10) ** (-dps + 5), mpmath.mpf(1e-300)
         for k in range(ctl.max_terms):
             ratio = mpmath.mpc(1)
             for p in nm:
@@ -407,7 +408,7 @@ def _series_mp(nums, dens, x, ctl, peak):
             if term == 0:
                 return complex(total)
             total += term
-            if abs(term) <= mpmath.mpf(10) ** (-dps + 5) * max(abs(total), mpmath.mpf(1e-300)):
+            if abs(term) <= tol * max(abs(total), floor):
                 return complex(total)
         raise NonConvergence(f"pFq series (mp) did not converge in {ctl.max_terms} terms")
 
