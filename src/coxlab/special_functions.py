@@ -6,13 +6,21 @@ families pFq plus the classical connection/transformation formulas
 
 Precision strategy
 ------------------
-Series are accumulated in extended precision (``numpy.clongdouble``)
-while tracking the largest term.  The ratio peak/|sum| measures the
-digits lost to cancellation; when the running estimate exceeds the
-requested tolerance the same series loop is re-run in binary fixed
-point on Python integers, with the number of bits sized from that
-estimate.  The library needs no multiple-precision package, so the test
-suite's cross-checks against mpmath's special functions stay independent.
+Series are accumulated in extended precision while tracking the largest
+term: in ``numpy.longdouble`` when every parameter and the argument are
+real and finite, in ``numpy.clongdouble`` otherwise.  The real sum holds
+the bits of the complex sum's real part, so value, peak and the
+cancellation verdict never depend on the route: numpy divides a complex
+number by a real d as a * (1/d), and the real loop multiplies by that
+reciprocal too.  The ratio peak/|sum| measures the digits lost to
+cancellation; when the running estimate exceeds the requested tolerance
+the same series loop is re-run in binary fixed point on Python integers,
+with the number of bits sized from that estimate.  The library needs no
+multiple-precision package, so the test suite's cross-checks against
+mpmath's special functions stay independent.
+
+A value beyond the double range is refused (DomainError, or
+NonConvergence from a series), never returned as inf or NaN.
 
 Every public function refuses a non-finite parameter with ParameterError
 and a non-finite argument with DomainError before any series runs.
@@ -98,8 +106,8 @@ def _near_int(z: complex, tol: float = 1e-8) -> bool:
 # ---------------------------------------------------------------------------
 
 _LANCZOS_G = 4.7421875
-_LANCZOS_C = (
-    0.99999999999999709182,
+_LANCZOS_C0 = 0.99999999999999709182
+_LANCZOS_KC = tuple(enumerate((  # (k, c_k) of the sum c_0 + sum_k c_k / (z - 1 + k)
     57.156235665862923517,
     -59.597960355475491248,
     14.136097974741747174,
@@ -114,16 +122,38 @@ _LANCZOS_C = (
     8.4418223983852743293e-5,
     -2.6190838401581408670e-5,
     3.6899182659531622704e-6,
-)
+), start=1))
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_TINY = -800.0  # e to this lies below the smallest subnormal double
+
+
+def _real_power(t: float, e: float) -> float:
+    """t ** e for t > 0, e >= 0, rounded as Python's complex power rounds
+    it for real parts: repeated squaring for small integer e, else pow()."""
+    if e == 0.0:
+        return 1.0
+    if e == math.floor(e) and e <= 100.0:
+        n, r = int(e), 1.0
+        while n:
+            if n & 1:
+                r *= t
+            n >>= 1
+            if n:
+                t *= t
+        return r
+    return t ** e
 
 
 def gamma_complex(z: complex) -> complex:
     """Gamma function for complex argument.
 
-    Lanczos sum for Re z >= 1/2, reflection formula otherwise.
+    Lanczos sum for Re z >= 1/2, reflection formula otherwise.  A real z
+    takes the sum's operations on floats: they round as the real parts of
+    the complex ones, whose imaginary parts all stay +0.
     Raises PoleError at (numerically) nonpositive integers and
     DomainError for a non-finite z or where |Gamma| (or, by reflection,
-    |Gamma(1 - z)|) exceeds the double range.
+    |Gamma(1 - z)| or |sin(pi z)|) exceeds the double range.  Returns 0
+    where |Gamma| lies below every double.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -132,22 +162,47 @@ def gamma_complex(z: complex) -> complex:
         raise PoleError(f"gamma pole at z = {z}")
     if z.real < 0.5:
         # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z))
+        try:
+            g = math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z))
+        except DomainError:  # Gamma(1 - z) beyond double: its own refusal
+            raise
+        except (OverflowError, ValueError, ZeroDivisionError):  # pi z or sin(pi z) beyond double
+            g = complex(math.nan)
+        if not cmath.isfinite(g):
+            raise DomainError(f"Gamma({z}) exceeds the double range")
+        return g
     w = z - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (w + k)
+    if not z.imag:
+        w = w.real
+    acc = _LANCZOS_C0
+    for k, c in _LANCZOS_KC:
+        acc += c / (w + k)
     t = w + _LANCZOS_G + 0.5
     try:
-        return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
-    except OverflowError:
-        # t^(w + 1/2) alone leaves the double range (Re z above about 143),
-        # before exp(-t) brings the product back: add the logarithms instead
-        log_gamma = (w + 0.5) * cmath.log(t) - t + cmath.log(math.sqrt(2.0 * math.pi) * acc)
+        if z.imag:
+            g = _SQRT_2PI * t ** (w + 0.5) * cmath.exp(-t) * acc
+        else:
+            g = complex(_SQRT_2PI * _real_power(t, w + 0.5) * math.exp(-t) * acc)
+    except (OverflowError, ZeroDivisionError):  # the power's errno: ERANGE, EDOM
+        g = complex(math.inf)
+    if cmath.isfinite(g):
+        return g
+    # t^(w + 1/2) leaves the double range (Re z above about 143) before
+    # exp(-t) brings the product back: add the logarithms instead
+    log_t = cmath.log(t)
+    log_gamma = (w + 0.5) * log_t - t + cmath.log(_SQRT_2PI * acc)
     try:
-        return cmath.exp(log_gamma)
-    except OverflowError:
-        raise DomainError(f"Gamma({z}) exceeds the double range") from None
+        g = cmath.exp(log_gamma)
+    except (OverflowError, ValueError):  # a real part above ~709.8, or no finite phase
+        g = complex(math.inf)
+    if cmath.isfinite(g):
+        return g
+    log_abs = log_gamma.real
+    if log_abs != log_abs:  # inf - inf (|z| above ~1e305): its two terms, scaled down
+        log_abs = (w.real + 0.5) * 2.0**-16 * log_t.real - w.imag * 2.0**-16 * log_t.imag
+    if log_abs < _LOG_TINY:  # |Gamma| below every double, whatever its phase
+        return 0j
+    raise DomainError(f"Gamma({z}) exceeds the double range")
 
 
 def reciprocal_gamma(z: complex) -> complex:
@@ -155,8 +210,8 @@ def reciprocal_gamma(z: complex) -> complex:
 
     Returns 0 too where |Gamma(z)| exceeds the double range for
     Re z >= 1/2, so that the reciprocal lies below 1/DBL_MAX.  Where
-    Gamma(1 - z) exceeds it left of that, or Gamma(z) underflows to 0,
-    1/Gamma(z) overflows and DomainError is raised.
+    Gamma(1 - z) or sin(pi z) exceeds it left of that, or Gamma(z)
+    underflows to 0, 1/Gamma(z) overflows and DomainError is raised.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -178,6 +233,16 @@ def reciprocal_gamma(z: complex) -> complex:
 # cancellation eats the budget.
 # ---------------------------------------------------------------------------
 
+def _inverses(one, n: int) -> list:
+    """1/(k + 1) for k < n in the type of one, rounded as a division by k + 1."""
+    return [one / (k + 1) for k in range(n)]
+
+
+_ONE_LD, _ONE_CLD = np.longdouble(1.0), np.clongdouble(1.0)
+_INVERSES_LD = _inverses(_ONE_LD, _DEFAULT_CTL.max_terms)
+_INVERSES_CLD = _inverses(_ONE_CLD, _DEFAULT_CTL.max_terms)
+
+
 def _clongdouble_params(nums, dens):
     """The parameters in clongdouble, converted once per series: the first
     upper one (None for 0Fq), the other upper ones and the lower ones.
@@ -189,36 +254,86 @@ def _clongdouble_params(nums, dens):
     return (ps[0] if ps else None), ps[1:], [np.clongdouble(q) for q in dens]
 
 
+def _longdouble_params(nums, dens, x):
+    """`_clongdouble_params` and x in longdouble, or None unless every
+    value is real and finite.
+
+    A value counts as real when its imaginary part is zero.  Its real part
+    converts exactly as through clongdouble, which rounds a Python int to
+    double first; longdouble inputs would keep bits that complex() drops,
+    so they stay complex.  one * v converts several times faster than
+    np.longdouble(v), and exactly.
+    """
+    values = []
+    for v in (*nums, *dens, x):
+        if type(v) is not float:
+            if isinstance(v, (np.longdouble, np.clongdouble)):
+                return None
+            z = complex(v)
+            if z.imag:
+                return None
+            v = z.real
+        if not math.isfinite(v):
+            return None
+        values.append(_ONE_LD * v)
+    p = len(nums)
+    return (values[0] if p else None), values[1:p], values[p:-1], values[-1]
+
+
 def _series_float(nums, dens, x, ctl: SeriesControl):
-    """Sum pFq in clongdouble.  Returns (value, peak, ok)."""
-    p0, ps, qs = _clongdouble_params(nums, dens)
-    one = np.clongdouble(1.0)
-    xl = np.clongdouble(x)
+    """Sum pFq in extended precision.  Returns (value, peak, ok).
+
+    Real finite parameters and x are summed in longdouble, anything else
+    in clongdouble; both take the same loop.  The real sum reproduces the
+    real part of the complex one bit for bit: numpy's complex division by
+    a real d rounds as a * (1/d), so the real loop divides that way, and
+    every imaginary part of the complex sum stays a zero that never
+    reaches the total's +0.  For the same reason the complex loop may
+    multiply by the reciprocal of k + 1 instead of dividing by it.
+    """
+    params = _longdouble_params(nums, dens, x)
+    real = params is not None
+    if real:
+        p0, ps, qs, xl = params
+        one, to_double, inverses = _ONE_LD, float, _INVERSES_LD
+    else:
+        p0, ps, qs = _clongdouble_params(nums, dens)
+        one, xl, to_double, inverses = _ONE_CLD, np.clongdouble(x), complex, _INVERSES_CLD
+    if ctl.max_terms > len(inverses):
+        inverses = _inverses(one, ctl.max_terms)
     term = total = one
     tol = ctl.tol
-    peak = 1.0
+    # |total| <= bound = 1 + sum |term| up to far less rounding than the pad,
+    # so while |term| > pad * bound the stop rule cannot fire and |total|
+    # is not needed; a NaN or infinite bound falls through to the rule
+    pad = 1.001 * tol
+    peak = bound = 1.0
     small_streak = 0
-    for k in range(ctl.max_terms):
+    for k, inverse in zip(range(ctl.max_terms), inverses):
         ratio = one if p0 is None else p0 + k
         for p in ps:
             ratio = ratio * (p + k)
         for q in qs:
-            ratio = ratio / (q + k)
-        term = term * ratio * xl / (k + 1)
+            ratio = ratio * (one / (q + k)) if real else ratio / (q + k)
+        term = term * ratio * xl * inverse
         if term == 0:  # terminating (polynomial) case
-            total_c = complex(total)
-            return total_c, peak, True
+            return _finite_sum(total, to_double, x), peak, True
         total += term
-        a = abs(complex(term))
+        try:
+            a = abs(to_double(term))
+        except OverflowError:  # hypot of two finite parts beyond double
+            raise NonConvergence(f"pFq series overflows double at |x| = {abs(x):.3g}") from None
         if a > peak:  # as max(peak, a): a NaN a keeps peak
             peak = a
-        size = abs(complex(total))
+        bound += a
+        if a > pad * bound:
+            small_streak = 0
+            continue
+        size = abs(to_double(total))
         if a <= tol * (1e-300 if size < 1e-300 else size):
             small_streak += 1
             if small_streak >= 2:
-                total_c = complex(total)
-                if not cmath.isfinite(total_c):
-                    raise NonConvergence(f"pFq series overflows double at |x| = {abs(x):.3g}")
+                total_c = _finite_sum(total, to_double, x)
                 lost = _EPS_LD * peak * math.sqrt(k + 1.0)
                 ok = lost <= tol * max(abs(total_c), 1e-300)
                 return total_c, peak, ok
@@ -229,13 +344,22 @@ def _series_float(nums, dens, x, ctl: SeriesControl):
     )
 
 
+def _finite_sum(total, to_double, x) -> complex:
+    """The sum as a Python complex, refused when a part lies beyond double."""
+    value = complex(to_double(total))
+    if not cmath.isfinite(value):
+        raise NonConvergence(f"pFq series overflows double at |x| = {abs(x):.3g}")
+    return value
+
+
 def _series_fixed(nums, dens, x, ctl: SeriesControl, peak: float) -> complex:
     """Same Taylor loop in binary fixed point, sized to beat the cancellation.
 
     A complex value is a pair of Python ints scaled by 2**bits.  Each step's
     products are exact and the division by prod(q + k) * (k + 1) is one
     floor division per part, so a term takes less than one unit of 2**-bits
-    of fresh rounding per step.
+    of fresh rounding per step.  A real denominator divides each part
+    directly, the same rational as over |d|^2.
     """
     dps = min(140, int(math.log10(max(peak, 1.0)) + 16.0) + 25)
     bits = math.ceil(dps * _LOG2_10) + _GUARD_BITS
@@ -270,8 +394,12 @@ def _series_fixed(nums, dens, x, ctl: SeriesControl, peak: float) -> complex:
         for qr, qi in qs:
             qr += k << bits
             dr, di = dr * qr - di * qi, dr * qi + di * qr
-        m = (dr * dr + di * di) << shift
-        tr, ti = (nr * dr + ni * di) // m, (ni * dr - nr * di) // m
+        if di:
+            m = (dr * dr + di * di) << shift
+            tr, ti = (nr * dr + ni * di) // m, (ni * dr - nr * di) // m
+        else:  # the same rationals over a real denominator; // floors for d < 0 too
+            m = dr << shift
+            tr, ti = nr // m, ni // m
         if -1 <= tr <= 0 and -1 <= ti <= 0:
             # underflow: the term fell below 2**-bits, far past the peak, where
             # the ratios of these series only shrink; the tail left is smaller
@@ -431,6 +559,14 @@ def _gauss_series(a, b, c, x, ctl) -> complex:
     return _hyp_series((a, b), (c,), x, ctl)
 
 
+def _power(base: float, e: complex) -> complex:
+    """base ** e for real base > 0, refused where it leaves the double range."""
+    try:
+        return complex(base) ** e
+    except (OverflowError, ZeroDivisionError):  # the power's errno: ERANGE, EDOM
+        raise DomainError(f"{base} ** {e} exceeds the double range") from None
+
+
 def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
     """Gauss hypergeometric function for real x <= 1.
 
@@ -442,7 +578,13 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
     the 1-x connection (15.8.4) for x near 1; the Pfaff transformation
     (15.8.1) for moderately negative x; the 1/x connection (15.8.2) for
     x < -2.  Connection formulas raise PoleError when their gamma
-    prefactors sit on a pole (integer parameter differences).
+    prefactors sit on a pole (integer parameter differences), and
+    DomainError when a product of their factors leaves the double range.
+
+    Real parameters sum their series in longdouble (see the module's
+    precision strategy).  For a conjugate pair b = conj(a) with real c,
+    every factor of the second 1/x term is the conjugate of the first's,
+    so one series and four gamma values serve both terms.
     """
     ctl = ctl or _DEFAULT_CTL
     a, b, c, x = complex(a), complex(b), complex(c), float(x)
@@ -479,7 +621,7 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
             * _gauss_series(a, b, a + b - c + 1.0, y, ctl)
         )
         t2 = (
-            complex(y) ** (c - a - b)
+            _power(y, c - a - b)
             * gc
             * gamma_complex(a + b - c)
             * reciprocal_gamma(a)
@@ -490,7 +632,7 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
     elif x >= -2.0:
         # Pfaff: F(a,b;c;x) = (1-x)^(-a) F(a, c-b; c; x/(x-1))
         u = x / (x - 1.0)
-        val = complex(1.0 - x) ** (-a) * _gauss_series(a, c - b, c, u, ctl)
+        val = _power(1.0 - x, -a) * _gauss_series(a, c - b, c, u, ctl)
     else:
         # x < -2: connection in powers of 1/x  (DLMF 15.8.2)
         if _near_int(b - a):
@@ -502,18 +644,24 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
             * gamma_complex(b - a)
             * reciprocal_gamma(b)
             * reciprocal_gamma(c - a)
-            * complex(-x) ** (-a)
+            * _power(-x, -a)
             * _gauss_series(a, a - c + 1.0, a - b + 1.0, u, ctl)
         )
-        t2 = (
-            gc
-            * gamma_complex(a - b)
-            * reciprocal_gamma(a)
-            * reciprocal_gamma(c - b)
-            * complex(-x) ** (-b)
-            * _gauss_series(b, b - c + 1.0, b - a + 1.0, u, ctl)
-        )
+        if b == a.conjugate() and not c.imag:
+            # every factor of t2 is the conjugate of t1's: one series, not two
+            t2 = t1.conjugate()
+        else:
+            t2 = (
+                gc
+                * gamma_complex(a - b)
+                * reciprocal_gamma(a)
+                * reciprocal_gamma(c - b)
+                * _power(-x, -b)
+                * _gauss_series(b, b - c + 1.0, b - a + 1.0, u, ctl)
+            )
         val = t1 + t2
+    if not cmath.isfinite(val):  # a product of finite factors beyond double
+        raise DomainError(f"2F1({a}, {b}; {c}; {x}): its Gamma factors leave the double range")
     return float(val.real) if real_params else val
 
 
@@ -542,5 +690,12 @@ def bessel_j_fractional(nu_order: float, y: complex, ctl: SeriesControl | None =
         if nu > 0:
             return 0.0 + 0.0j
         raise DomainError("J_nu(0) diverges for negative order")
-    pref = cmath.exp(nu * cmath.log(y / 2.0)) * reciprocal_gamma(nu + 1.0)
-    return pref * hyp0f1(nu + 1.0, -y * y / 4.0, ctl)
+    try:
+        power = cmath.exp(nu * cmath.log(y / 2.0))
+    except (OverflowError, ValueError):  # (y/2)^nu beyond double
+        raise NonConvergence(f"(y/2)^nu overflows double at nu = {nu}, |y| = {abs(y):.3g}") from None
+    pref = power * reciprocal_gamma(nu + 1.0)
+    val = pref * hyp0f1(nu + 1.0, -y * y / 4.0, ctl)
+    if not cmath.isfinite(val):
+        raise NonConvergence(f"J_nu overflows double at nu = {nu}, |y| = {abs(y):.3g}")
+    return val

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coxlab import special_functions
 from coxlab.errors import DomainError, NonConvergence, ParameterError, PoleError
+from coxlab.radial import asymptotic_amplitudes
 from coxlab.special_functions import (
     SeriesControl,
     bessel_j_fractional,
@@ -86,6 +87,62 @@ def test_gamma_overflow_is_refused_and_its_reciprocal_is_zero():
     for z in (-200.5, 0.5 + 1000.0j):
         with pytest.raises(DomainError, match="exceeds the double range"):
             reciprocal_gamma(z)
+
+
+@pytest.mark.parametrize("z", [142.58, 142.65, 142.73, complex(142.65, -0.0)])
+def test_gamma_where_the_power_just_fits_vs_mpmath(z):
+    # t^(w + 1/2) lands just under DBL_MAX; the complex product overflowed to
+    # nan + nanj without raising, so the logarithm route never ran
+    assert mp_rel(gamma_complex(z), mpmath.gamma(mpmath.mpc(z))) <= 1e-12
+    assert mp_rel(reciprocal_gamma(z), mpmath.rgamma(mpmath.mpc(z))) <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gamma_complex(1e308 + 142.65j),  # returned inf + infj
+    lambda: gamma_complex(3.087325260121436e-284 + 1e308j),  # a bare ZeroDivisionError
+    lambda: gamma_complex(-4.7 + 2.26e246j),  # a bare OverflowError
+    lambda: gamma_complex(0.3 + 300.0j),  # sin(pi z) beyond double
+    lambda: gamma_complex(-1e308 + 0.5j),  # pi z beyond double
+    lambda: reciprocal_gamma(3.45e194j),  # a bare OverflowError
+    lambda: reciprocal_gamma(0.5 + 1e308j),  # Gamma underflows to 0
+    lambda: asymptotic_amplitudes(95, 183459.7),  # a bare OverflowError
+])
+def test_gamma_beyond_double_is_refused(call):
+    with pytest.raises(DomainError, match="exceeds the double range"):
+        call()
+
+
+def test_gamma_beyond_double_keeps_reciprocal_and_underflow_zeros():
+    with pytest.raises(DomainError, match=r"Gamma\(\(201\.5\+0j\)\)"):  # the reflected factor
+        gamma_complex(-200.5)
+    assert reciprocal_gamma(1e308 + 142.65j) == 0.0  # |Gamma| beyond double
+    assert gamma_complex(0.5 + 1e308j) == 0.0  # |Gamma| below every double
+    assert gamma_complex(0.5 + 1000.0j) == 0.0
+
+
+def _gamma_lanczos_complex(z: complex) -> complex:
+    """gamma_complex's Lanczos route for Re z >= 1/2 as first written, in
+    complex arithmetic: the reference that the float route for real z must
+    reproduce bit for bit."""
+    w = z - 1.0
+    acc = special_functions._LANCZOS_C0
+    for k, c in special_functions._LANCZOS_KC:
+        acc += c / (w + k)
+    t = w + special_functions._LANCZOS_G + 0.5
+    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
+
+
+def test_real_gamma_equals_the_complex_route_bit_for_bit():
+    rng = np.random.default_rng(41)
+    zs = [k / 2 for k in range(1, 286)]  # integers and half-integers: powers by squaring
+    zs += [0.5, np.nextafter(0.5, 1.0), 100.0, 100.5, np.nextafter(100.0, 101.0), 142.0]
+    zs += list(rng.uniform(0.5, 3.0, 1000)) + list(rng.uniform(0.5, 142.5, 2000))
+    for z in zs:
+        want = _gamma_lanczos_complex(complex(z))
+        for arg in (float(z), complex(z, 0.0), complex(z, -0.0)):
+            got = gamma_complex(arg)
+            assert (got.real, got.imag) == (want.real, want.imag), arg
+            assert math.copysign(1.0, got.imag) == math.copysign(1.0, want.imag), arg
 
 
 def test_gamma_conjugate_symmetry():
@@ -213,6 +270,118 @@ def test_gauss_contiguous_relation(a, b, c, x):
     resid = (c - a) * f_minus + (2 * a - c + (b - a) * x) * f_0 + a * (x - 1) * f_plus
     scale = max(1.0, abs(f_minus), abs(f_0), abs(f_plus))
     assert abs(resid) <= 1e-9 * scale
+
+
+def _gauss_1_over_x_two_terms(a, b, c, x, ctl):
+    """gauss_2f1's 1/x connection (x < -2) as first written, both terms
+    summed: the reference for the conjugate-pair shortcut."""
+    gamma_complex = special_functions.gamma_complex
+    reciprocal_gamma = special_functions.reciprocal_gamma
+    _gauss_series = special_functions._gauss_series
+    u = 1.0 / x
+    gc = gamma_complex(c)
+    t1 = (
+        gc
+        * gamma_complex(b - a)
+        * reciprocal_gamma(b)
+        * reciprocal_gamma(c - a)
+        * complex(-x) ** (-a)
+        * _gauss_series(a, a - c + 1.0, a - b + 1.0, u, ctl)
+    )
+    t2 = (
+        gc
+        * gamma_complex(a - b)
+        * reciprocal_gamma(a)
+        * reciprocal_gamma(c - b)
+        * complex(-x) ** (-b)
+        * _gauss_series(b, b - c + 1.0, b - a + 1.0, u, ctl)
+    )
+    return t1 + t2
+
+
+def _bits(z: complex):
+    return z.real, z.imag, math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
+
+
+def test_gauss_conjugate_pair_equals_two_term_formula_bit_for_bit():
+    ctl = special_functions._DEFAULT_CTL
+    rng = np.random.default_rng(17)
+    draws = []
+    for _ in range(600):  # the radial solutions: F(alpha, conj alpha; |m| + 1; 1 - x)
+        m, u = int(rng.integers(0, 6)), math.sqrt(rng.uniform(0.26, 40.0) - 0.25)
+        alpha = complex(m + 0.5, -u)
+        x = -rng.uniform(2.0, 500.0)
+        draws += [(alpha, alpha.conjugate(), m + 1.0, x), (alpha.conjugate(), alpha, m + 1.0, x)]
+    for _ in range(300):  # any conjugate pair, c of either sign with a signed zero part
+        a = complex(rng.uniform(-3.0, 3.0), rng.uniform(-10.0, 10.0))
+        c = complex(rng.uniform(-3.5, 5.0), rng.choice([0.0, -0.0]))
+        draws.append((a, a.conjugate(), c, -10.0 ** rng.uniform(0.31, 4.0)))
+    for a, b, c, x in draws:
+        want = _gauss_1_over_x_two_terms(a, b, c, x, ctl)
+        assert _bits(gauss_2f1(a, b, c, x)) == _bits(want), (a, b, c, x)
+
+
+_BIG = 1e308
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: gauss_2f1(0.5, 1, 142.65, 0.9), DomainError),  # returned nan
+    (lambda: gauss_2f1(9.438752605415289, -1, 171.5, 1.0), DomainError),  # returned nan
+    (lambda: gauss_2f1(0.25, -5.5, 1.5, -1e100), DomainError),  # (-x)^(-b): a bare OverflowError
+    (lambda: kummer_1f1(-2, 4.433177655726471, _BIG), NonConvergence),  # returned inf + 0j
+    (lambda: kummer_1f1(-5, 3.9086205169455788, complex(_BIG, _BIG)), NonConvergence),  # OverflowError
+    (lambda: bessel_j_fractional(142.65, _BIG), NonConvergence),  # a bare OverflowError
+    (lambda: bessel_j_fractional(_BIG, -164.51308772134686 - 0.4243191668666224j),
+     NonConvergence),  # a bare ValueError
+])
+def test_values_beyond_double_are_refused(call, error):
+    with pytest.raises(error, match="double"):
+        call()
+
+
+def test_real_parameters_never_reach_the_complex_loop(monkeypatch):
+    def refuse(nums, dens):
+        raise AssertionError(f"real series {nums}, {dens} summed in clongdouble")
+
+    monkeypatch.setattr(special_functions, "_clongdouble_params", refuse)
+    for x in (1.0, 0.3, 0.8, -1.5, -10.0):  # every region of gauss_2f1
+        gauss_2f1(0.3, 0.45, 1.7, x)
+    kummer_1f1(0.7, 1.9, 12.0)
+    kummer_1f1(0.7, 1.9, -12.0)  # Kummer's transformation keeps x real
+    hyp0f1(4 / 3, -20.0)
+    hyp0f1(2, 3)
+    bessel_j_fractional(1 / 3, 2.5)
+    with pytest.raises(AssertionError):  # the guard itself
+        kummer_1f1(0.7, 1.9, 20j)
+
+
+def test_conjugate_pair_sums_one_series(monkeypatch):
+    counts = dict.fromkeys(("series", "gamma"), 0)
+    depth = [0]
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            if depth[0] == 0:  # evaluations gauss_2f1 asks for, not reflections within them
+                counts[kind] += 1
+            depth[0] += kind == "gamma"
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= kind == "gamma"
+        return wrapper
+
+    for name, kind in (("_series_float", "series"), ("gamma_complex", "gamma"),
+                       ("reciprocal_gamma", "gamma")):
+        monkeypatch.setattr(special_functions, name, counted(kind, getattr(special_functions, name)))
+    a = complex(2.5, -3.1)
+    gauss_2f1(a, a.conjugate(), 3.0, -40.0)
+    assert counts == {"series": 1, "gamma": 4}
+    counts.update(series=0, gamma=0)
+    gauss_2f1(a, a.conjugate() + 0.5, 3.0, -40.0)  # not a conjugate pair: both terms
+    assert counts == {"series": 2, "gamma": 7}
+    counts.update(series=0, gamma=0)
+    gauss_2f1(a, a.conjugate(), 3.0 + 0.5j, -40.0)  # complex c: the terms are not conjugate
+    assert counts == {"series": 2, "gamma": 7}
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +605,10 @@ def _fallback_cases():
     # tail terms of one sign, which floor division would hold at -2**-bits
     cases += [((-10.5, 2.0), (1.0,), 0.08695652173913043),
               ((-20.5, 3.0), (1.5,), 0.22768522928110346)]
+    # negative real lower parameters: the fixed-point loop divides by a
+    # negative real denominator
+    for c in (-2.5, -3.5, -0.5, -7.25):
+        cases += [((), (c,), -u(35.0, 80.0)), ((complex(u(0.0, 2.0), u(-2.0, 2.0)),), (c,), 25j)]
     return cases
 
 
@@ -576,6 +749,46 @@ def test_series_loop_equals_per_term_conversion_bit_for_bit():
             got = _outcome(special_functions._series_float, nums, dens, x, c)
             assert got == _outcome(_series_float_per_term, nums, dens, x, c)
             assert got[0] == "NonConvergence"
+
+
+def _real_series_cases():
+    """20 000 seeded real series: short sums of the three families, lower
+    parameters of either sign, and 0F1 sums around the cancellation border
+    where the ok flag changes."""
+    rng = np.random.default_rng(29)
+    u = rng.uniform
+    cases = [((u(-4.0, 4.0), u(-4.0, 4.0)), (u(-3.5, 4.0),), u(-0.01, 0.01)) for _ in range(8000)]
+    cases += [((u(-3.0, 3.0),), (u(-3.5, 4.0),), u(-0.05, 0.05)) for _ in range(5000)]
+    cases += [((), (u(-3.5, 4.0),), u(-0.1, 0.1)) for _ in range(5000)]
+    cases += [((), (u(0.3, 4.0),), u(-36.0, -24.0)) for _ in range(2000)]
+    # a term within 0.1% below the stop threshold tol * |total|, which the
+    # skip ahead of the stop rule must not pass over
+    cases += [((), (1.5,), x) for x in (0.572675, 0.986975, 1.57715)]
+    cases += [((0.5, 1.0), (1.5,), x) for x in (0.3085, 0.35335, 0.3937)]
+    return cases
+
+
+def test_real_series_loop_equals_per_term_conversion_bit_for_bit(monkeypatch):
+    """The longdouble loop against the clongdouble reference: value, peak,
+    ok flag and zero signs, so no case near the cancellation border flips."""
+    ctl = special_functions._DEFAULT_CTL
+    cases = _real_series_cases() + [
+        case for case in _signed_zero_cases() + _fallback_cases()
+        if all(complex(v).imag == 0 for v in (case[2], *case[0], *case[1]))
+    ]
+    per_term = [_outcome(_series_float_per_term, *case, ctl) for case in cases]
+
+    def refuse(nums, dens):
+        raise AssertionError(f"real series {nums}, {dens} summed in clongdouble")
+
+    monkeypatch.setattr(special_functions, "_clongdouble_params", refuse)
+    border = [0, 0]
+    for case, want in zip(cases, per_term):
+        got = _outcome(special_functions._series_float, *case, ctl)
+        assert got == want, case
+        _, _, peak, ok = got
+        border[ok] += 1e3 < peak / max(abs(complex(*got[0])), 1e-300) < 1e6
+    assert min(border) >= 500, border  # both flags, near the border
 
 
 def _near_nonpositive_int_np(z, tol=1e-12):
