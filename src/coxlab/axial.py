@@ -30,7 +30,7 @@ import numpy as np
 
 from .backgrounds import _SECTIONS, BackgroundSpec, SeparatedODE, _Section
 from .errors import DomainError, ParameterError, PoleError, StepFailure
-from .special_functions import SeriesControl, gamma_complex, hyp0f1
+from .special_functions import gamma_complex, hyp0f1
 
 __all__ = [
     "Equilibrium",
@@ -304,7 +304,7 @@ def potential_profile(
 # Airy-type pair for the flat electric axial equation
 # ---------------------------------------------------------------------------
 
-def airy_pair(w_prime: float, nu: float, ctl: SeriesControl | None = None) -> AirySolutionPair:
+def airy_pair(w_prime: float, nu: float) -> AirySolutionPair:
     """Exact solution pair of Z'' + (w' + nu z) Z = 0 for nu > 0.
 
         Z1 = e^(i pi/6) 2^(-1/3) (2/3)^(2/3)/Gamma(4/3) * x 0F1(; 4/3; x^3/9)
@@ -341,8 +341,8 @@ def airy_pair(w_prime: float, nu: float, ctl: SeriesControl | None = None) -> Ai
         # imaginary part, so the numpy products in z1 and z2 round like
         # Python's.
         if np.ndim(x) == 0:
-            return hyp0f1(c, cube9(x), ctl)
-        return hyp0f1(c, np.array([cube9(t) for t in x.tolist()]), ctl)
+            return hyp0f1(c, cube9(x))
+        return hyp0f1(c, np.array([cube9(t) for t in x.tolist()]))
 
     def z1(x):
         return c1 * x * series(4.0 / 3.0, x)
@@ -352,11 +352,11 @@ def airy_pair(w_prime: float, nu: float, ctl: SeriesControl | None = None) -> Ai
 
     def dz1(x: float) -> complex:
         u = cube9(x)  # x**3 below cannot overflow once this has not
-        return c1 * (hyp0f1(4.0 / 3.0, u, ctl) + (x**3 / 4.0) * hyp0f1(7.0 / 3.0, u, ctl))
+        return c1 * (hyp0f1(4.0 / 3.0, u) + (x**3 / 4.0) * hyp0f1(7.0 / 3.0, u))
 
     def dz2(x: float) -> complex:
         u = cube9(x)
-        return c2 * (x * x / 2.0) * hyp0f1(5.0 / 3.0, u, ctl)
+        return c2 * (x * x / 2.0) * hyp0f1(5.0 / 3.0, u)
 
     nu13 = nu ** (1.0 / 3.0)
     z_turn = -w_prime / nu

@@ -46,7 +46,7 @@ from .errors import (
     NonConvergence,
     ParameterError,
 )
-from .special_functions import SeriesControl, gamma_complex, gauss_2f1
+from .special_functions import gamma_complex, gauss_2f1
 
 __all__ = [
     "SpectrumEntry",
@@ -505,9 +505,7 @@ def solve_radial_eigen(ode: SeparatedODE, count: int, grid: GridSpec) -> EigenRe
 # hypergeometric closed form for the Lobachevsky electric radial equation
 # ---------------------------------------------------------------------------
 
-def radial_hypergeometric_solution(
-    m: int, w_perp: float, x: float, ctl: SeriesControl | None = None
-) -> complex:
+def radial_hypergeometric_solution(m: int, w_perp: float, x: float) -> complex:
     """Regular radial solution in the variable x = (1 + ch r)/2 >= 1.
 
         R(x) = x^a (1-x)^a F(alpha, beta; |m|+1; 1-x),   a = |m|/2,
@@ -527,7 +525,7 @@ def radial_hypergeometric_solution(
     u = math.sqrt(w_perp - 0.25)
     alpha = complex(am + 0.5, -u)
     beta = complex(am + 0.5, u)
-    F = gauss_2f1(alpha, beta, am + 1.0, 1.0 - x, ctl)
+    F = gauss_2f1(alpha, beta, am + 1.0, 1.0 - x)
     if x == 1.0:
         pref = 1.0 + 0.0j if am == 0 else 0.0 + 0.0j
     else:
@@ -541,7 +539,8 @@ def asymptotic_amplitudes(m: int, w_perp: float) -> tuple[complex, complex]:
         R(x) ~ i^|m| [c3 x^(-1/2 + iu) + c4 x^(-1/2 - iu)],  u = sqrt(w_perp - 1/4),
 
     so the envelope of |x^(1/2) R| is |c3| + |c4| = 2|c3|.  The pair is
-    complex conjugate, |c3| = |c4|.
+    complex conjugate: beta = conj(alpha) and c is real, so every factor
+    of c4 is the conjugate of c3's, and c4 is returned as conj(c3).
     """
     if not w_perp > 0.25:
         raise ParameterError("oscillatory asymptotics require w_perp > 1/4")
@@ -555,9 +554,4 @@ def asymptotic_amplitudes(m: int, w_perp: float) -> tuple[complex, complex]:
         * gamma_complex(beta - alpha)
         / (gamma_complex(beta + 1.0 - cpar) * gamma_complex(beta))
     )
-    c4 = (
-        gamma_complex(cpar)
-        * gamma_complex(alpha - beta)
-        / (gamma_complex(alpha + 1.0 - cpar) * gamma_complex(alpha))
-    )
-    return c3, c4
+    return c3, c3.conjugate()

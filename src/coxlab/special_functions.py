@@ -13,11 +13,13 @@ the bits of the complex sum's real part, so value, peak and the
 cancellation verdict never depend on the route: numpy divides a complex
 number by a real d as a * (1/d), and the real loop multiplies by that
 reciprocal too.  The ratio peak/|sum| measures the digits lost to
-cancellation; when the running estimate exceeds the requested tolerance
+cancellation; when the running estimate exceeds the relative budget
 the same series loop is re-run in binary fixed point on Python integers,
-with the number of bits sized from that estimate.  The library needs no
-multiple-precision package, so the test suite's cross-checks against
-mpmath's special functions stay independent.
+with the number of bits sized from that estimate.  The budget is fixed:
+every series stops at a relative term size of 1e-14 (``_TOL``) and is
+refused with NonConvergence after 700 terms (``_MAX_TERMS``).  The
+library needs no multiple-precision package, so the test suite's
+cross-checks against mpmath's special functions stay independent.
 
 A value beyond the double range is refused (DomainError, or
 NonConvergence from a series), never returned as inf or NaN.
@@ -30,14 +32,12 @@ from __future__ import annotations
 
 import math
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NonConvergence, ParameterError, PoleError
 
 __all__ = [
-    "SeriesControl",
     "gamma_complex",
     "reciprocal_gamma",
     "gauss_2f1",
@@ -50,27 +50,8 @@ _EPS_LD = float(np.finfo(np.clongdouble).eps)
 _LOG2_10 = math.log2(10.0)
 _GUARD_BITS = 20  # fixed-point bits beyond dps digits, for the roundings of 700 terms
 _DIRECT_RADIUS = 0.5  # gauss_2f1 sums its series untransformed for |x| up to here
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Knobs for the series engines.
-
-    max_terms  hard cap on summed terms before NonConvergence
-    tol        relative truncation/roundoff budget (>= 10*eps)
-    """
-
-    max_terms: int = 700
-    tol: float = 1e-14
-
-    def __post_init__(self) -> None:
-        if not self.tol >= 10 * np.finfo(float).eps:  # NaN included
-            raise ParameterError("tol below 10*machine epsilon is not honest")
-        if not self.max_terms >= 10:
-            raise ParameterError("max_terms too small to be useful")
-
-
-_DEFAULT_CTL = SeriesControl()
+_MAX_TERMS = 700  # terms summed before a series is refused with NonConvergence
+_TOL = 1e-14  # relative truncation and roundoff budget of every series
 
 
 def _near_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
@@ -233,14 +214,10 @@ def reciprocal_gamma(z: complex) -> complex:
 # cancellation eats the budget.
 # ---------------------------------------------------------------------------
 
-def _inverses(one, n: int) -> list:
-    """1/(k + 1) for k < n in the type of one, rounded as a division by k + 1."""
-    return [one / (k + 1) for k in range(n)]
-
-
 _ONE_LD, _ONE_CLD = np.longdouble(1.0), np.clongdouble(1.0)
-_INVERSES_LD = _inverses(_ONE_LD, _DEFAULT_CTL.max_terms)
-_INVERSES_CLD = _inverses(_ONE_CLD, _DEFAULT_CTL.max_terms)
+# 1/(k + 1) for k < _MAX_TERMS, rounded as a division by k + 1
+_INVERSES_LD = [_ONE_LD / (k + 1) for k in range(_MAX_TERMS)]
+_INVERSES_CLD = [_ONE_CLD / (k + 1) for k in range(_MAX_TERMS)]
 
 
 def _clongdouble_params(nums, dens):
@@ -280,7 +257,7 @@ def _longdouble_params(nums, dens, x):
     return (values[0] if p else None), values[1:p], values[p:-1], values[-1]
 
 
-def _series_float(nums, dens, x, ctl: SeriesControl):
+def _series_float(nums, dens, x):
     """Sum pFq in extended precision.  Returns (value, peak, ok).
 
     Real finite parameters and x are summed in longdouble, anything else
@@ -299,17 +276,15 @@ def _series_float(nums, dens, x, ctl: SeriesControl):
     else:
         p0, ps, qs = _clongdouble_params(nums, dens)
         one, xl, to_double, inverses = _ONE_CLD, np.clongdouble(x), complex, _INVERSES_CLD
-    if ctl.max_terms > len(inverses):
-        inverses = _inverses(one, ctl.max_terms)
     term = total = one
-    tol = ctl.tol
+    tol = _TOL
     # |total| <= bound = 1 + sum |term| up to far less rounding than the pad,
     # so while |term| > pad * bound the stop rule cannot fire and |total|
     # is not needed; a NaN or infinite bound falls through to the rule
     pad = 1.001 * tol
     peak = bound = 1.0
     small_streak = 0
-    for k, inverse in zip(range(ctl.max_terms), inverses):
+    for k, inverse in zip(range(_MAX_TERMS), inverses):
         ratio = one if p0 is None else p0 + k
         for p in ps:
             ratio = ratio * (p + k)
@@ -340,7 +315,7 @@ def _series_float(nums, dens, x, ctl: SeriesControl):
         else:
             small_streak = 0
     raise NonConvergence(
-        f"pFq series did not converge in {ctl.max_terms} terms (|x| = {abs(x):.3g})"
+        f"pFq series did not converge in {_MAX_TERMS} terms (|x| = {abs(x):.3g})"
     )
 
 
@@ -352,7 +327,7 @@ def _finite_sum(total, to_double, x) -> complex:
     return value
 
 
-def _series_fixed(nums, dens, x, ctl: SeriesControl, peak: float) -> complex:
+def _series_fixed(nums, dens, x, peak: float) -> complex:
     """Same Taylor loop in binary fixed point, sized to beat the cancellation.
 
     A complex value is a pair of Python ints scaled by 2**bits.  Each step's
@@ -383,7 +358,7 @@ def _series_fixed(nums, dens, x, ctl: SeriesControl, peak: float) -> complex:
             raise NonConvergence(f"pFq series overflows double at |x| = {abs(x):.3g}") from None
 
     tr, ti = sr, si = 1 << bits, 0
-    for k in range(ctl.max_terms):
+    for k in range(_MAX_TERMS):
         nr, ni = tr * xr - ti * xi, tr * xi + ti * xr
         for pr, pi in ps:
             pr += k << bits
@@ -409,13 +384,11 @@ def _series_fixed(nums, dens, x, ctl: SeriesControl, peak: float) -> complex:
         si += ti
         if (tr * tr + ti * ti) * stop <= sr * sr + si * si:
             return value(sr, si)
-    raise NonConvergence(
-        f"pFq series (mp) did not converge in {ctl.max_terms} terms"
-    )
+    raise NonConvergence(f"pFq series (mp) did not converge in {_MAX_TERMS} terms")
 
 
 @np.errstate(over="ignore")  # casts to double overflow silently, as complex() does
-def _series_float_array(nums, dens, x: np.ndarray, ctl: SeriesControl):
+def _series_float_array(nums, dens, x: np.ndarray):
     """`_series_float` over a 1-D array of x in one vectorised loop.
 
     Every element takes exactly the scalar loop's operations and leaves the
@@ -446,7 +419,7 @@ def _series_float_array(nums, dens, x: np.ndarray, ctl: SeriesControl):
 
     p0, ps, qs = _clongdouble_params(nums, dens)
     one = np.clongdouble(1.0)
-    for k in range(ctl.max_terms):
+    for k in range(_MAX_TERMS):
         ratio = one if p0 is None else p0 + k
         for p in ps:
             ratio = ratio * (p + k)
@@ -462,18 +435,18 @@ def _series_float_array(nums, dens, x: np.ndarray, ctl: SeriesControl):
         peak = np.maximum(peak, a)
         total_d = total.astype(complex)
         size = np.maximum(np.hypot(total_d.real, total_d.imag), 1e-300)
-        streak = np.where(a <= ctl.tol * size, streak + 1, 0)
+        streak = np.where(a <= _TOL * size, streak + 1, 0)
         done = streak >= 2
         if done.any():
             lost = _EPS_LD * peak[done] * math.sqrt(k + 1.0)
-            retire(done, lost <= ctl.tol * size[done])
+            retire(done, lost <= _TOL * size[done])
         if not live.size:
             if not np.isfinite(values).all():
                 bad = np.abs(x[~np.isfinite(values)]).max()
                 raise NonConvergence(f"pFq series overflows double at |x| = {bad:.3g}")
             return values, peaks, ok
     raise NonConvergence(
-        f"pFq series did not converge in {ctl.max_terms} terms "
+        f"pFq series did not converge in {_MAX_TERMS} terms "
         f"(|x| = {float(np.max(np.abs(x[live]))):.3g})"
     )
 
@@ -484,26 +457,26 @@ def _require_regular(dens) -> None:
             raise PoleError(f"lower parameter {q} is a nonpositive integer")
 
 
-def _hyp_series(nums, dens, x, ctl: SeriesControl) -> complex:
+def _hyp_series(nums, dens, x) -> complex:
     _require_regular(dens)
-    value, peak, ok = _series_float(nums, dens, x, ctl)
+    value, peak, ok = _series_float(nums, dens, x)
     if ok:
         return value
-    return _series_fixed(nums, dens, x, ctl, peak)
+    return _series_fixed(nums, dens, x, peak)
 
 
-def _hyp_series_array(nums, dens, x: np.ndarray, ctl: SeriesControl) -> np.ndarray:
+def _hyp_series_array(nums, dens, x: np.ndarray) -> np.ndarray:
     """`_hyp_series` elementwise; elements whose cancellation check fails are
     re-run one by one in fixed point, each sized by its own peak."""
     _require_regular(dens)
     flat = x.ravel()
-    values, peaks, ok = _series_float_array(nums, dens, flat, ctl)
+    values, peaks, ok = _series_float_array(nums, dens, flat)
     for i in np.flatnonzero(~ok):
-        values[i] = _series_fixed(nums, dens, flat[i].item(), ctl, float(peaks[i]))
+        values[i] = _series_fixed(nums, dens, flat[i].item(), float(peaks[i]))
     return values.reshape(x.shape)
 
 
-def hyp0f1(c: complex, x, ctl: SeriesControl | None = None):
+def hyp0f1(c: complex, x):
     """Confluent limit function 0F1(; c; x) = sum x^k / ((c)_k k!).
 
     ``x`` may be a scalar (returns a complex) or an array (returns a complex
@@ -511,24 +484,23 @@ def hyp0f1(c: complex, x, ctl: SeriesControl | None = None):
     whose elements equal the scalar calls exactly; a scalar keeps the
     scalar loop, which is several times cheaper for a single point.
     """
-    ctl = ctl or _DEFAULT_CTL
     _require_finite("hyp0f1", params=(c,))
     if np.ndim(x):
         x = np.asarray(x)
         if not np.isfinite(x).all():
             raise DomainError("hyp0f1 needs finite arguments")
-        return _hyp_series_array((), (c,), x, ctl)
+        return _hyp_series_array((), (c,), x)
     _require_finite("hyp0f1", args=(x,))
     if x == 0:
         return 1.0 + 0.0j
-    return _hyp_series((), (c,), x, ctl)
+    return _hyp_series((), (c,), x)
 
 
 # ---------------------------------------------------------------------------
 # Kummer confluent hypergeometric M(a, c, x) = 1F1(a; c; x)
 # ---------------------------------------------------------------------------
 
-def kummer_1f1(a: complex, c: complex, x: complex, ctl: SeriesControl | None = None) -> complex:
+def kummer_1f1(a: complex, c: complex, x: complex) -> complex:
     """Confluent hypergeometric 1F1(a; c; x) for complex arguments.
 
     The Kummer transformation M(a,c,x) = e^x M(c-a,c,-x) routes the sum
@@ -536,7 +508,6 @@ def kummer_1f1(a: complex, c: complex, x: complex, ctl: SeriesControl | None = N
     residual cancellation (oscillatory, imaginary x) is absorbed by the
     extended-precision/fixed-point ladder of the series engine.
     """
-    ctl = ctl or _DEFAULT_CTL
     a = complex(a)
     c = complex(c)
     x = complex(x)
@@ -546,18 +517,14 @@ def kummer_1f1(a: complex, c: complex, x: complex, ctl: SeriesControl | None = N
     if x == 0:
         return 1.0 + 0.0j
     if x.real < 0.0:
-        return cmath.exp(x) * _hyp_series((c - a,), (c,), -x, ctl)
-    return _hyp_series((a,), (c,), x, ctl)
+        return cmath.exp(x) * _hyp_series((c - a,), (c,), -x)
+    return _hyp_series((a,), (c,), x)
 
 
 # ---------------------------------------------------------------------------
 # Gauss hypergeometric 2F1(a, b; c; x) on the real line, x < 1 (and x = 1
 # when the Gauss sum converges).
 # ---------------------------------------------------------------------------
-
-def _gauss_series(a, b, c, x, ctl) -> complex:
-    return _hyp_series((a, b), (c,), x, ctl)
-
 
 def _power(base: float, e: complex) -> complex:
     """base ** e for real base > 0, refused where it leaves the double range."""
@@ -567,7 +534,7 @@ def _power(base: float, e: complex) -> complex:
         raise DomainError(f"{base} ** {e} exceeds the double range") from None
 
 
-def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
+def gauss_2f1(a, b, c, x: float):
     """Gauss hypergeometric function for real x <= 1.
 
     Parameters may be complex (conjugate pairs arise in the oscillatory
@@ -586,7 +553,6 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
     every factor of the second 1/x term is the conjugate of the first's,
     so one series and four gamma values serve both terms.
     """
-    ctl = ctl or _DEFAULT_CTL
     a, b, c, x = complex(a), complex(b), complex(c), float(x)
     real_params = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
     _require_finite("gauss_2f1", (a, b, c), (x,))
@@ -604,7 +570,7 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
             * reciprocal_gamma(c - b)
         )
     elif abs(x) <= _DIRECT_RADIUS:
-        val = _gauss_series(a, b, c, x, ctl)
+        val = _hyp_series((a, b), (c,), x)
     elif x > 0.0:
         # 0.5 < x < 1: connection in powers of 1 - x  (DLMF 15.8.4)
         if _near_int(c - a - b):
@@ -618,7 +584,7 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
             * gamma_complex(c - a - b)
             * reciprocal_gamma(c - a)
             * reciprocal_gamma(c - b)
-            * _gauss_series(a, b, a + b - c + 1.0, y, ctl)
+            * _hyp_series((a, b), (a + b - c + 1.0,), y)
         )
         t2 = (
             _power(y, c - a - b)
@@ -626,13 +592,13 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
             * gamma_complex(a + b - c)
             * reciprocal_gamma(a)
             * reciprocal_gamma(b)
-            * _gauss_series(c - a, c - b, c - a - b + 1.0, y, ctl)
+            * _hyp_series((c - a, c - b), (c - a - b + 1.0,), y)
         )
         val = t1 + t2
     elif x >= -2.0:
         # Pfaff: F(a,b;c;x) = (1-x)^(-a) F(a, c-b; c; x/(x-1))
         u = x / (x - 1.0)
-        val = _power(1.0 - x, -a) * _gauss_series(a, c - b, c, u, ctl)
+        val = _power(1.0 - x, -a) * _hyp_series((a, c - b), (c,), u)
     else:
         # x < -2: connection in powers of 1/x  (DLMF 15.8.2)
         if _near_int(b - a):
@@ -645,7 +611,7 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
             * reciprocal_gamma(b)
             * reciprocal_gamma(c - a)
             * _power(-x, -a)
-            * _gauss_series(a, a - c + 1.0, a - b + 1.0, u, ctl)
+            * _hyp_series((a, a - c + 1.0), (a - b + 1.0,), u)
         )
         if b == a.conjugate() and not c.imag:
             # every factor of t2 is the conjugate of t1's: one series, not two
@@ -657,7 +623,7 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
                 * reciprocal_gamma(a)
                 * reciprocal_gamma(c - b)
                 * _power(-x, -b)
-                * _gauss_series(b, b - c + 1.0, b - a + 1.0, u, ctl)
+                * _hyp_series((b, b - c + 1.0), (b - a + 1.0,), u)
             )
         val = t1 + t2
     if not cmath.isfinite(val):  # a product of finite factors beyond double
@@ -669,7 +635,7 @@ def gauss_2f1(a, b, c, x: float, ctl: SeriesControl | None = None):
 # Bessel J of fractional (real) order at complex argument
 # ---------------------------------------------------------------------------
 
-def bessel_j_fractional(nu_order: float, y: complex, ctl: SeriesControl | None = None) -> complex:
+def bessel_j_fractional(nu_order: float, y: complex) -> complex:
     """Bessel function J_nu(y) for real (typically fractional) order.
 
     Uses the ascending series in its 0F1 form,
@@ -678,7 +644,6 @@ def bessel_j_fractional(nu_order: float, y: complex, ctl: SeriesControl | None =
     1F1 representation is exercised by the test suite as an independent
     route through the same engine.
     """
-    ctl = ctl or _DEFAULT_CTL
     nu = float(nu_order)
     y = complex(y)
     _require_finite("bessel_j_fractional", (nu,), (y,))
@@ -695,7 +660,10 @@ def bessel_j_fractional(nu_order: float, y: complex, ctl: SeriesControl | None =
     except (OverflowError, ValueError):  # (y/2)^nu beyond double
         raise NonConvergence(f"(y/2)^nu overflows double at nu = {nu}, |y| = {abs(y):.3g}") from None
     pref = power * reciprocal_gamma(nu + 1.0)
-    val = pref * hyp0f1(nu + 1.0, -y * y / 4.0, ctl)
+    x = -y * y / 4.0
+    if not cmath.isfinite(x):  # y * y beyond double: no finite 0F1 argument
+        raise NonConvergence(f"-y^2/4 overflows double at |y| = {abs(y):.3g}")
+    val = pref * hyp0f1(nu + 1.0, x)
     if not cmath.isfinite(val):
         raise NonConvergence(f"J_nu overflows double at nu = {nu}, |y| = {abs(y):.3g}")
     return val

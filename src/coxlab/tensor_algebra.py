@@ -140,19 +140,25 @@ class FieldConfig3:
 
 @dataclass(eq=False)
 class MixedTensor:
-    """Mixed tensor T_alpha^beta, 4x4 or a (..., 4, 4) stack; rows lower index, columns upper."""
+    """Mixed tensor T_alpha^beta, 4x4 or a (..., 4, 4) stack; rows lower index, columns upper.
+
+    Its kind follows its entries: complex entries stay complex (zero
+    imaginary parts included), anything else is stored as float.
+    """
 
     entries: np.ndarray
-    scalar_kind: str = "real"
 
     def __post_init__(self) -> None:
         self.entries = np.asarray(
-            self.entries, dtype=complex if self.scalar_kind == "complex" else float
+            self.entries, dtype=complex if np.iscomplexobj(self.entries) else float
         )
         if self.entries.shape[-2:] != (4, 4):
             raise ParameterError("mixed tensor must be 4x4 or a (..., 4, 4) stack")
-        if self.scalar_kind not in ("real", "complex"):
-            raise ParameterError("scalar_kind must be 'real' or 'complex'")
+
+    @property
+    def scalar_kind(self) -> str:
+        """'complex' or 'real', read from the entries' dtype."""
+        return "complex" if np.iscomplexobj(self.entries) else "real"
 
 
 @dataclass(frozen=True)
@@ -219,7 +225,7 @@ class ParticleConstants:
 
 def build_mixed_field_tensor(fields: FieldConfig3, metric: DiagonalMetric) -> MixedTensor:
     """Mixed field tensor F_alpha^beta = F_{alpha rho} g^{rho beta}, one per trial."""
-    return MixedTensor(fields._covariant * metric.inv_diag[..., None, :], "real")
+    return MixedTensor(fields._covariant * metric.inv_diag[..., None, :])
 
 
 _EPS4 = np.zeros((4, 4, 4, 4))
@@ -239,7 +245,7 @@ def dual_tensor(fields: FieldConfig3, metric: DiagonalMetric) -> MixedTensor:
     # symbol and then scaling by 1/sqrt(-det g) rounds like scaling it first
     half_sum = 0.5 * np.einsum("abrs,...rs->...ab", _EPS4, fields._covariant)
     dual_up = half_sum * (1.0 / np.asarray(metric.sqrt_minus_det))[..., None, None]
-    return MixedTensor(metric.diag[..., :, None] * dual_up, "real")
+    return MixedTensor(metric.diag[..., :, None] * dual_up)
 
 
 def _dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -334,7 +340,7 @@ def lambda_inverse(
     s0, s1, s2, s3, Dm = (c[..., None, None] for c in (mu_core, lam_mu2, mu_lam2, lam3_J, D))
     mat = (s0 * np.eye(4) - s1 * A + s2 * (A @ A) - s3 * F_dual.entries) / Dm
     coeffs = InverseCoefficients(*map(_out, (mu_core / D, lam_core / D, mu_lam2 / D, lam3 / D, D)))
-    return MixedTensor(mat, F.scalar_kind), coeffs
+    return MixedTensor(mat), coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +407,7 @@ def general_lambda_inverse(
     c0, c1, c2, c3, Dm = (c[..., None, None] for c in (l0, l1, l2, l3, D))
     mat = (c0 * np.eye(4) + c1 * A + c2 * A2 + c3 * (A2 @ A)) / Dm
     coeffs = InverseCoefficients(*map(_out, (l0 / D, l1 / D, l2 / D, l3 / D, D)))
-    return MixedTensor(mat, G.scalar_kind), coeffs
+    return MixedTensor(mat), coeffs
 
 
 def ricci_extended_matrix(F: MixedTensor, ricci, scale: float) -> MixedTensor:
@@ -416,4 +422,4 @@ def ricci_extended_matrix(F: MixedTensor, ricci, scale: float) -> MixedTensor:
         R = float(R) * np.eye(4)
     if R.shape != (4, 4):
         raise ParameterError("ricci must be scalar or a 4x4 array")
-    return MixedTensor(F.entries.astype(complex) + 1j * scale * R, "complex")
+    return MixedTensor(F.entries.astype(complex) + 1j * scale * R)

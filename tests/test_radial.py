@@ -37,6 +37,7 @@ from coxlab.radial import (
     solve_radial_eigen,
     spectrum_matched_ode,
 )
+from coxlab.special_functions import gamma_complex
 
 FLAT = BackgroundSpec(geometry="flat", b=1.0)
 LOB5 = BackgroundSpec(geometry="lobachevsky", b=5.0)
@@ -589,6 +590,51 @@ def test_asymptotic_amplitudes_conjugate(m, L):
     c3, c4 = asymptotic_amplitudes(m, L)
     assert abs(abs(c3) - abs(c4)) < 1e-10 * abs(c3)
     assert_allclose(c4, np.conj(c3), rtol=1e-12)
+
+
+def _amplitudes_four_gamma(m, w_perp):
+    """asymptotic_amplitudes as first written, c4 from its own four Gamma
+    values: the reference for returning c4 as conj(c3)."""
+    from coxlab.special_functions import gamma_complex
+
+    am = abs(int(m))
+    u = math.sqrt(w_perp - 0.25)
+    alpha = complex(am + 0.5, -u)
+    beta = complex(am + 0.5, u)
+    cpar = am + 1.0
+    c3 = (
+        gamma_complex(cpar)
+        * gamma_complex(beta - alpha)
+        / (gamma_complex(beta + 1.0 - cpar) * gamma_complex(beta))
+    )
+    c4 = (
+        gamma_complex(cpar)
+        * gamma_complex(alpha - beta)
+        / (gamma_complex(alpha + 1.0 - cpar) * gamma_complex(alpha))
+    )
+    return c3, c4
+
+
+def _amplitude_outcome(fn, m, w_perp):
+    """Both amplitudes with the signs of their zeros, or the refusal's text."""
+    try:
+        pair = fn(m, w_perp)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return tuple((c.real, c.imag, math.copysign(1.0, c.real), math.copysign(1.0, c.imag))
+                 for c in pair)
+
+
+def test_asymptotic_amplitudes_equal_four_gamma_c4_bit_for_bit():
+    rng = np.random.default_rng(23)
+    refused = 0
+    for _ in range(3000):
+        m = int(rng.integers(-8, 9))
+        w_perp = float(10.0 ** rng.uniform(math.log10(0.2501), 5.0))
+        got = _amplitude_outcome(asymptotic_amplitudes, m, w_perp)
+        assert got == _amplitude_outcome(_amplitudes_four_gamma, m, w_perp), (m, w_perp)
+        refused += isinstance(got[0], str)
+    assert 100 <= refused <= 2900  # answers and refusals both compared
 
 
 def test_asymptotic_envelope():

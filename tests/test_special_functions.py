@@ -14,7 +14,6 @@ from coxlab import special_functions
 from coxlab.errors import DomainError, NonConvergence, ParameterError, PoleError
 from coxlab.radial import asymptotic_amplitudes
 from coxlab.special_functions import (
-    SeriesControl,
     bessel_j_fractional,
     gamma_complex,
     gauss_2f1,
@@ -231,6 +230,14 @@ def test_non_finite_inputs_are_refused(call, error):
         call()
 
 
+@pytest.mark.parametrize("y", [-1.08e282, 1.35e154, 2e154 + 1e154j])
+def test_bessel_refuses_argument_whose_square_overflows(y):
+    # -y^2/4 beyond double: a numerical refusal that names y, where 0F1
+    # used to refuse its argument (-inf+nanj) as an input error
+    with pytest.raises(NonConvergence, match=r"-y\^2/4 overflows double at \|y\|"):
+        bessel_j_fractional(0.37, y)
+
+
 def test_gauss_defining_ode_residual():
     """x(1-x) F'' + [c - (a+b+1)x] F' - ab F = 0 with derivatives via parameter shifts."""
     probes = [
@@ -272,12 +279,12 @@ def test_gauss_contiguous_relation(a, b, c, x):
     assert abs(resid) <= 1e-9 * scale
 
 
-def _gauss_1_over_x_two_terms(a, b, c, x, ctl):
+def _gauss_1_over_x_two_terms(a, b, c, x):
     """gauss_2f1's 1/x connection (x < -2) as first written, both terms
     summed: the reference for the conjugate-pair shortcut."""
     gamma_complex = special_functions.gamma_complex
     reciprocal_gamma = special_functions.reciprocal_gamma
-    _gauss_series = special_functions._gauss_series
+    _hyp_series = special_functions._hyp_series
     u = 1.0 / x
     gc = gamma_complex(c)
     t1 = (
@@ -286,7 +293,7 @@ def _gauss_1_over_x_two_terms(a, b, c, x, ctl):
         * reciprocal_gamma(b)
         * reciprocal_gamma(c - a)
         * complex(-x) ** (-a)
-        * _gauss_series(a, a - c + 1.0, a - b + 1.0, u, ctl)
+        * _hyp_series((a, a - c + 1.0), (a - b + 1.0,), u)
     )
     t2 = (
         gc
@@ -294,7 +301,7 @@ def _gauss_1_over_x_two_terms(a, b, c, x, ctl):
         * reciprocal_gamma(a)
         * reciprocal_gamma(c - b)
         * complex(-x) ** (-b)
-        * _gauss_series(b, b - c + 1.0, b - a + 1.0, u, ctl)
+        * _hyp_series((b, b - c + 1.0), (b - a + 1.0,), u)
     )
     return t1 + t2
 
@@ -304,7 +311,6 @@ def _bits(z: complex):
 
 
 def test_gauss_conjugate_pair_equals_two_term_formula_bit_for_bit():
-    ctl = special_functions._DEFAULT_CTL
     rng = np.random.default_rng(17)
     draws = []
     for _ in range(600):  # the radial solutions: F(alpha, conj alpha; |m| + 1; 1 - x)
@@ -317,7 +323,7 @@ def test_gauss_conjugate_pair_equals_two_term_formula_bit_for_bit():
         c = complex(rng.uniform(-3.5, 5.0), rng.choice([0.0, -0.0]))
         draws.append((a, a.conjugate(), c, -10.0 ** rng.uniform(0.31, 4.0)))
     for a, b, c, x in draws:
-        want = _gauss_1_over_x_two_terms(a, b, c, x, ctl)
+        want = _gauss_1_over_x_two_terms(a, b, c, x)
         assert _bits(gauss_2f1(a, b, c, x)) == _bits(want), (a, b, c, x)
 
 
@@ -535,8 +541,7 @@ def test_hyp0f1_array_equals_scalar_calls_exactly():
         rng.uniform(-25.0, 25.0, 40),
         [0.0, -0.0, 1e-300, -21.0, -34.0, -45.0, 25.0],
     ])
-    ctl = special_functions._DEFAULT_CTL
-    fallback = [x for x in grid if not special_functions._series_float((), (4 / 3,), x, ctl)[2]]
+    fallback = [x for x in grid if not special_functions._series_float((), (4 / 3,), x)[2]]
     assert len(fallback) >= 3  # the grid exercises the fixed-point re-run
     for c in (4 / 3, 2 / 3, 0.5):
         got = hyp0f1(c, grid)
@@ -551,12 +556,12 @@ def test_hyp0f1_array_equals_scalar_calls_exactly():
     # zero term, even at the roots of the cubic where the sum cancels
     roots = np.roots([-6.0 / 78.75, 6.0 / 7.5, -2.0, 1.0]).real
     poly = np.concatenate([grid, roots])
-    got = special_functions._hyp_series_array((-3.0,), (1.5,), poly, ctl)
-    want = np.array([special_functions._hyp_series((-3.0,), (1.5,), x, ctl) for x in poly])
+    got = special_functions._hyp_series_array((-3.0,), (1.5,), poly)
+    want = np.array([special_functions._hyp_series((-3.0,), (1.5,), x) for x in poly])
     assert np.all(got == want)
 
 
-def _series_mp(nums, dens, x, ctl, peak):
+def _series_mp(nums, dens, x, peak, max_terms=700):
     """The series fallback as it was written in mpmath arithmetic: the
     reference that the fixed-point sum must reproduce bit for bit."""
     dps = min(140, int(math.log10(max(peak, 1.0)) + 16.0) + 25)
@@ -567,7 +572,7 @@ def _series_mp(nums, dens, x, ctl, peak):
         term = mpmath.mpc(1)
         total = mpmath.mpc(1)
         tol, floor = mpmath.mpf(10) ** (-dps + 5), mpmath.mpf(1e-300)
-        for k in range(ctl.max_terms):
+        for k in range(max_terms):
             ratio = mpmath.mpc(1)
             for p in nm:
                 ratio *= p + k
@@ -579,7 +584,7 @@ def _series_mp(nums, dens, x, ctl, peak):
             total += term
             if abs(term) <= tol * max(abs(total), floor):
                 return complex(total)
-        raise NonConvergence(f"pFq series (mp) did not converge in {ctl.max_terms} terms")
+        raise NonConvergence(f"pFq series (mp) did not converge in {max_terms} terms")
 
 
 def _fallback_cases():
@@ -613,37 +618,37 @@ def _fallback_cases():
 
 
 def test_fixed_point_fallback_equals_mpmath_loop_bit_for_bit():
-    ctl = special_functions._DEFAULT_CTL
     checked = 0
     for nums, dens, x in _fallback_cases():
-        _, peak, ok = special_functions._series_float(nums, dens, x, ctl)
+        _, peak, ok = special_functions._series_float(nums, dens, x)
         if ok:
             continue
-        got = special_functions._series_fixed(nums, dens, x, ctl, peak)
-        want = _series_mp(nums, dens, x, ctl, peak)
+        got = special_functions._series_fixed(nums, dens, x, peak)
+        want = _series_mp(nums, dens, x, peak)
         assert got.real == want.real and got.imag == want.imag, (nums, dens, x)
         assert math.copysign(1.0, got.imag) == math.copysign(1.0, want.imag)
         checked += 1
     assert checked >= 200
 
 
-def test_fixed_point_fallback_keeps_max_terms_refusal():
+def test_fixed_point_fallback_keeps_max_terms_refusal(monkeypatch):
     # the float pass stops within 32 terms; the deeper fixed-point sum cannot
-    ctl = SeriesControl(max_terms=32)
-    _, peak, ok = special_functions._series_float((), (4 / 3,), -50.0, ctl)
+    monkeypatch.setattr(special_functions, "_MAX_TERMS", 32)
+    _, peak, ok = special_functions._series_float((), (4 / 3,), -50.0)
     assert not ok
-    for fallback in (special_functions._series_fixed, _series_mp):
-        with pytest.raises(NonConvergence, match="did not converge in 32 terms"):
-            fallback((), (4 / 3,), -50.0, ctl, peak)
     with pytest.raises(NonConvergence, match="did not converge in 32 terms"):
-        hyp0f1(4 / 3, -50.0, ctl)
+        special_functions._series_fixed((), (4 / 3,), -50.0, peak)
+    with pytest.raises(NonConvergence, match="did not converge in 32 terms"):
+        _series_mp((), (4 / 3,), -50.0, peak, max_terms=32)
+    with pytest.raises(NonConvergence, match="did not converge in 32 terms"):
+        hyp0f1(4 / 3, -50.0)
 
 
-def test_fixed_point_fallback_refuses_sum_beyond_double():
+def test_fixed_point_fallback_refuses_sum_beyond_double(monkeypatch):
     # 1F1(1; 1; 800) = e^800: the mpmath loop returned inf here
-    ctl = SeriesControl(max_terms=3000)
+    monkeypatch.setattr(special_functions, "_MAX_TERMS", 3000)
     with pytest.raises(NonConvergence, match="overflows double"):
-        special_functions._series_fixed((1.0,), (1.0,), 800.0, ctl, 1e300)
+        special_functions._series_fixed((1.0,), (1.0,), 800.0, 1e300)
 
 
 def test_hyp0f1_refuses_overflowing_sum():
@@ -654,7 +659,7 @@ def test_hyp0f1_refuses_overflowing_sum():
         hyp0f1(4 / 3, np.array([-1.0, -1e297]))
 
 
-def _series_float_per_term(nums, dens, x, ctl):
+def _series_float_per_term(nums, dens, x, max_terms=700, tol=1e-14):
     """`_series_float` as first written, converting every parameter to
     clongdouble again on every term: the reference that the loop with its
     conversions hoisted must reproduce bit for bit."""
@@ -663,7 +668,7 @@ def _series_float_per_term(nums, dens, x, ctl):
     total = np.clongdouble(1.0)
     peak = 1.0
     small_streak = 0
-    for k in range(ctl.max_terms):
+    for k in range(max_terms):
         ratio = np.clongdouble(1.0)
         for p in nums:
             ratio *= np.clongdouble(p) + k
@@ -675,18 +680,18 @@ def _series_float_per_term(nums, dens, x, ctl):
         total += term
         a = abs(complex(term))
         peak = max(peak, a)
-        if a <= ctl.tol * max(abs(complex(total)), 1e-300):
+        if a <= tol * max(abs(complex(total)), 1e-300):
             small_streak += 1
             if small_streak >= 2:
                 total_c = complex(total)
                 if not cmath.isfinite(total_c):
                     raise NonConvergence(f"pFq series overflows double at |x| = {abs(x):.3g}")
                 lost = special_functions._EPS_LD * peak * math.sqrt(k + 1.0)
-                return total_c, peak, lost <= ctl.tol * max(abs(total_c), 1e-300)
+                return total_c, peak, lost <= tol * max(abs(total_c), 1e-300)
         else:
             small_streak = 0
     raise NonConvergence(
-        f"pFq series did not converge in {ctl.max_terms} terms (|x| = {abs(x):.3g})"
+        f"pFq series did not converge in {max_terms} terms (|x| = {abs(x):.3g})"
     )
 
 
@@ -727,27 +732,27 @@ def _signed_zero_cases():
     return cases
 
 
-def test_series_loop_equals_per_term_conversion_bit_for_bit():
-    ctl = special_functions._DEFAULT_CTL
+def test_series_loop_equals_per_term_conversion_bit_for_bit(monkeypatch):
     cases = _signed_zero_cases() + _fallback_cases()
     for nums, dens, x in cases:
-        got = _outcome(special_functions._series_float, nums, dens, x, ctl)
-        want = _outcome(_series_float_per_term, nums, dens, x, ctl)
+        got = _outcome(special_functions._series_float, nums, dens, x)
+        want = _outcome(_series_float_per_term, nums, dens, x)
         assert got == want, (nums, dens, x)
     # refusals keep their text: too few terms, a sum beyond double, and
     # non-finite parameters (invalid input, which runs out of terms)
     refused = [
-        ((0.5, 1.5), (2.3,), 0.45, SeriesControl(max_terms=10)),
-        ((1e300, 1e300), (0.5,), 0.3, ctl),
-        ((math.inf, 1.0), (2.0,), 0.3, ctl),
-        ((complex(1.0, math.inf), 1.0), (2.0,), 0.3, ctl),
-        ((math.nan,), (1.0,), 0.5, ctl),
-        ((), (1.5,), math.inf, ctl),
+        ((0.5, 1.5), (2.3,), 0.45, 10),
+        ((1e300, 1e300), (0.5,), 0.3, 700),
+        ((math.inf, 1.0), (2.0,), 0.3, 700),
+        ((complex(1.0, math.inf), 1.0), (2.0,), 0.3, 700),
+        ((math.nan,), (1.0,), 0.5, 700),
+        ((), (1.5,), math.inf, 700),
     ]
     with np.errstate(all="ignore"):
-        for nums, dens, x, c in refused:
-            got = _outcome(special_functions._series_float, nums, dens, x, c)
-            assert got == _outcome(_series_float_per_term, nums, dens, x, c)
+        for nums, dens, x, max_terms in refused:
+            monkeypatch.setattr(special_functions, "_MAX_TERMS", max_terms)
+            got = _outcome(special_functions._series_float, nums, dens, x)
+            assert got == _outcome(_series_float_per_term, nums, dens, x, max_terms)
             assert got[0] == "NonConvergence"
 
 
@@ -771,12 +776,11 @@ def _real_series_cases():
 def test_real_series_loop_equals_per_term_conversion_bit_for_bit(monkeypatch):
     """The longdouble loop against the clongdouble reference: value, peak,
     ok flag and zero signs, so no case near the cancellation border flips."""
-    ctl = special_functions._DEFAULT_CTL
     cases = _real_series_cases() + [
         case for case in _signed_zero_cases() + _fallback_cases()
         if all(complex(v).imag == 0 for v in (case[2], *case[0], *case[1]))
     ]
-    per_term = [_outcome(_series_float_per_term, *case, ctl) for case in cases]
+    per_term = [_outcome(_series_float_per_term, *case) for case in cases]
 
     def refuse(nums, dens):
         raise AssertionError(f"real series {nums}, {dens} summed in clongdouble")
@@ -784,7 +788,7 @@ def test_real_series_loop_equals_per_term_conversion_bit_for_bit(monkeypatch):
     monkeypatch.setattr(special_functions, "_clongdouble_params", refuse)
     border = [0, 0]
     for case, want in zip(cases, per_term):
-        got = _outcome(special_functions._series_float, *case, ctl)
+        got = _outcome(special_functions._series_float, *case)
         assert got == want, case
         _, _, peak, ok = got
         border[ok] += 1e3 < peak / max(abs(complex(*got[0])), 1e-300) < 1e6
@@ -824,23 +828,3 @@ def test_pole_tests_read_parts_like_numpy(z):
                 outcomes.append(type(exc))
         assert outcomes[0] == outcomes[1], (new.__name__, z)
 
-
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(tol=1e-17)
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=3)
-
-
-@pytest.mark.parametrize("kw", [dict(tol=1e-17), dict(tol=math.nan), dict(tol=-1.0),
-                                dict(max_terms=3), dict(max_terms=math.nan)])
-def test_series_control_refusals_are_typed(kw):
-    with pytest.raises(ParameterError):
-        SeriesControl(**kw)
-
-
-def test_series_control_threaded_through():
-    ctl = SeriesControl(max_terms=650, tol=1e-13)
-    assert gauss_2f1(0.5, 1.5, 2.3, 0.45, ctl) == pytest.approx(
-        gauss_2f1(0.5, 1.5, 2.3, 0.45), rel=1e-11
-    )

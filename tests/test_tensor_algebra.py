@@ -295,7 +295,7 @@ def test_newton_vs_bruteforce_complex():
     rng = np.random.default_rng(78)
     for _ in range(30):
         G = rng.uniform(-1.5, 1.5, size=(4, 4)) + 1j * rng.uniform(-1.5, 1.5, size=(4, 4))
-        ch = newton_char_coeffs(MixedTensor(G, "complex"))
+        ch = newton_char_coeffs(MixedTensor(G))
         want = char_coeffs_bruteforce(G)
         for got_p, want_p in zip((ch.p1, ch.p2, ch.p3, ch.p4), want):
             assert abs(got_p - want_p) <= 1e-10
@@ -352,7 +352,7 @@ def test_general_inverse_random_complex():
             mu=float(rng.uniform(0.8, 2.0)), lam=float(rng.uniform(-0.3, 0.3))
         )
         try:
-            Linv, _ = general_lambda_inverse(consts, MixedTensor(G, "complex"))
+            Linv, _ = general_lambda_inverse(consts, MixedTensor(G))
         except SingularLambda:
             continue
         Lam = consts.mu * ID4 + consts.lam * G
@@ -391,6 +391,26 @@ def test_ricci_extension():
     assert np.allclose(G2.entries, F.entries + 0.5j * R, atol=1e-15)
 
 
+def test_mixed_tensor_kind_follows_entries():
+    ints = MixedTensor(np.eye(4, dtype=int))
+    assert ints.entries.dtype == float and ints.scalar_kind == "real"
+    assert MixedTensor(ID4.tolist()).entries.dtype == float
+    zero_imag = MixedTensor(ID4 + 0j)  # complex entries stay complex
+    assert zero_imag.entries.dtype == complex and zero_imag.scalar_kind == "complex"
+    assert MixedTensor(np.zeros((3, 4, 4), dtype=np.complex64)).entries.dtype == complex
+    F = build_mixed_field_tensor(FieldConfig3((0.3, 0.0, 0.0), (0.0, 0.0, 0.8)), FLAT_METRIC)
+    assert F.scalar_kind == "real"
+    G = ricci_extended_matrix(F, 0.0, 0.0)  # zero curvature: still the complex generator
+    assert G.entries.dtype == complex and G.scalar_kind == "complex"
+    consts = ParticleConstants(1.0, 0.2)
+    assert general_lambda_inverse(consts, G)[0].scalar_kind == "complex"
+    assert general_lambda_inverse(consts, F)[0].scalar_kind == "real"
+    with pytest.raises(AttributeError):  # read from the entries, never set
+        F.scalar_kind = "complex"
+    with pytest.raises(TypeError):
+        MixedTensor(ID4, "complex")
+
+
 # ---------------------------------------------------------------------------
 # stacks: (..., 4, 4) inputs equal their per-trial calls
 # ---------------------------------------------------------------------------
@@ -402,7 +422,7 @@ def _stack(seed, batch):
     fields = FieldConfig3(rng.uniform(-1, 1, batch + (3,)), rng.uniform(-1, 1, batch + (3,)))
     consts = ParticleConstants(rng.uniform(0.8, 1.6, batch), rng.uniform(-0.5, 0.5, batch))
     G = rng.uniform(-1.5, 1.5, batch + (4, 4)) + 1j * rng.uniform(-1.5, 1.5, batch + (4, 4))
-    return fields, metric, consts, MixedTensor(G, "complex")
+    return fields, metric, consts, MixedTensor(G)
 
 
 def _trial(stack, k):
@@ -412,7 +432,7 @@ def _trial(stack, k):
         DiagonalMetric(*(float(np.broadcast_to(getattr(metric, f), fields.E_arr.shape[:-1])[k])
                          for f in ("g00", "g11", "g22", "g33"))),
         ParticleConstants(float(consts.mu[k]), float(consts.lam[k])),
-        MixedTensor(G.entries[k], "complex"),
+        MixedTensor(G.entries[k]),
     )
 
 
@@ -470,7 +490,7 @@ def test_stacked_calls_equal_per_trial_calls(batch, flat):
 
 def test_single_matrix_keeps_scalar_types():
     fields = FieldConfig3((0.3, -0.2, 0.5), (0.1, 0.7, -0.4))
-    G = MixedTensor(np.arange(16.0).reshape(4, 4) * (0.1 + 0.05j), "complex")
+    G = MixedTensor(np.arange(16.0).reshape(4, 4) * (0.1 + 0.05j))
     results = _identities(fields, FLAT_METRIC, ParticleConstants(1.2, 0.3), G)
     for name, result in results.items():
         parts = result if isinstance(result, tuple) else (result,)
