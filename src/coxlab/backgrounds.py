@@ -570,28 +570,25 @@ def assemble_axial_ode(
             note = ("raw operator divided by its (cos^4 z + 2 gamma^2)/(cos^4 z + gamma^2)"
                     " second-derivative factor")
 
-            def c2z(z):
-                u = np.cos(np.asarray(z, dtype=float)) ** 4
-                return (u + 2.0 * gam * gam) / (u + gam * gam)
-
-            def pcoef(z):
+            def terms(z):
+                # cos z, sin z, u = cos^4 z, D = u + g^2 and the Z'' factor (u + 2g^2)/D
                 z = np.asarray(z, dtype=float)
                 cz = np.cos(z)
-                sz = np.sin(z)
                 u = cz**4
                 D = u + gam * gam
+                return cz, np.sin(z), u, D, (u + 2.0 * gam * gam) / D
+
+            def pcoef(z):
+                cz, sz, u, D, factor = terms(z)
                 raw = (
                     -2.0 * (sz / cz) * (gam * gam * u + 2.0 * gam**4 + u * u) / (D * D)
                     - mu * gam * cz * cz / D
                 )
-                return raw / c2z(z)
+                return raw / factor
 
             def qcoef(z, s):
                 z = np.asarray(z, dtype=float)
-                cz = np.cos(z)
-                sz = np.sin(z)
-                u = cz**4
-                D = u + gam * gam
+                cz, sz, u, D, factor = terms(z)
                 raw = (
                     4.0 * mu * gam**3 * sz * cz / (D * D)
                     + (w + s)
@@ -599,7 +596,7 @@ def assemble_axial_ode(
                     - mu2 * gam * gam / D
                     - Lambda / (cz * cz)
                 )
-                return raw / c2z(z)
+                return raw / factor
 
     return SeparatedODE(
         kind="axial",

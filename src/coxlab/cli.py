@@ -1,13 +1,15 @@
 """Command-line surface for the coxlab library.
 
-Subcommands
------------
+Commands
+--------
 verify-tensor    randomized identity suite for the dressed mass matrix
 spectrum         analytic magnetic spectra as (n, m) tables
 radial-eigen     finite-volume radial eigenvalues with error estimates
 zprofile         effective axial potential U(z) and force F_z(z) profiles
 airy             closed-form linear-field branch pair Z1, Z2
 axial-integrate  fixed-step integration of an assembled axial equation
+
+Every command takes the same flags, before or after the command name.
 
 Configuration
 -------------
@@ -201,21 +203,19 @@ def _parse_m_range(text: str) -> range | tuple[int, ...]:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built on the first main() call and reused: parse_args keeps no state
-    # between calls (every flag defaults to None, resolved per call)
-    common = argparse.ArgumentParser(add_help=False)
-    for name, key in _KEYS.items():
-        if key.conv is _parse_bool:
-            common.add_argument("--" + name, action="store_const", const=True, default=None)
-        else:
-            common.add_argument("--" + name, type=key.conv, choices=key.choices, default=None)
+    # between calls (every flag defaults to None, resolved per call).  Every
+    # command takes the same keys, so one parser holds the command beside them
     parser = argparse.ArgumentParser(
         prog="coxlab",
         description="Scalar-particle spectra and field-dressed tensor checks.",
         epilog="COXLAB_CONFIG may name a key=value config file; flags override it.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        sub.add_parser(name, parents=[common])
+    parser.add_argument("command", choices=_DISPATCH)
+    for name, key in _KEYS.items():
+        if key.conv is _parse_bool:
+            parser.add_argument("--" + name, action="store_const", const=True, default=None)
+        else:
+            parser.add_argument("--" + name, type=key.conv, choices=key.choices, default=None)
     return parser
 
 

@@ -7,9 +7,9 @@ Closed-form spectra (library units, curvature radius rho = 1):
                   E    = eps / (2M(1-eta^2))              (hbar = M = 1)
     lobachevsky:  Lambda - 1/4 = 2b(s+1/2) - (s+1/2)^2,   s = (m+|m|)/2 + n,
                   bound iff m < 2b, s+1/2 <= b and b <= Lambda
-    spherical:    m > 0:           Lambda = 2b l + l^2 - 1/4,  l = n + m + 1/2
-                  -2b <= m <= 0:   Lambda = 2b(n+1/2) + (n+1/2)^2 - 1/4
-                  m < -2b:         Lambda = -2b l + l^2 - 1/4,  l = n - m + 1/2
+    spherical:    Lambda = 2 sigma b l + l^2 - 1/4,  l = n + max(sigma m, 0) + 1/2,
+                  sigma = -1 where m <= 0 and m < -2b, else +1
+                  (branches labelled m>0, -2b<=m<=0 and m<-2b)
 
 The numerical route discretizes the separated equation in Liouville
 (finite-volume) form on the natural weight (r, sh r, sin r) and solves
@@ -171,19 +171,13 @@ def _closed_form_level(spec: BackgroundSpec, qn: QuantumNumbers, strict: bool) -
             raise NoBoundState(reason)
         return SpectrumEntry(qn=qn, Lambda=Lam, valid=not reason, reason=reason)
 
-    # spherical: discrete for every (n, m), in three branches
-    if m > 0:
-        ell = n + m + 0.5
-        Lam = 2.0 * b * ell + ell * ell - 0.25
-        branch = "m>0"
-    elif m >= -2.0 * b:
-        t = n + 0.5
-        Lam = 2.0 * b * t + t * t - 0.25
-        branch = "-2b<=m<=0"
-    else:
-        ell = n - m + 0.5
-        Lam = -2.0 * b * ell + ell * ell - 0.25
-        branch = "m<-2b"
+    # spherical: discrete for every (n, m), one formula signed by the branch.
+    # sigma stays an int, so that for integer n and m, n + max(sigma m, 0) is
+    # exact and rounds once, at + 1/2 (a float sigma would round m first)
+    sigma = 1 if m > 0 or m >= -2.0 * b else -1
+    ell = n + max(sigma * m, 0) + 0.5
+    Lam = 2.0 * sigma * b * ell + ell * ell - 0.25
+    branch = "m>0" if m > 0 else "-2b<=m<=0" if sigma > 0 else "m<-2b"
     return SpectrumEntry(qn=qn, Lambda=Lam, branch=branch)
 
 
@@ -505,6 +499,16 @@ def solve_radial_eigen(ode: SeparatedODE, count: int, grid: GridSpec) -> EigenRe
 # hypergeometric closed form for the Lobachevsky electric radial equation
 # ---------------------------------------------------------------------------
 
+def _oscillatory_parameters(m: int, w_perp: float, what: str) -> tuple[int, complex, complex]:
+    """|m|, alpha = |m| + 1/2 - i u and beta = conj(alpha), u = sqrt(w_perp - 1/4);
+    ParameterError naming the oscillatory `what` unless w_perp > 1/4."""
+    if not w_perp > 0.25:
+        raise ParameterError(f"oscillatory {what} require w_perp > 1/4")
+    am = abs(int(m))
+    alpha = complex(am + 0.5, -math.sqrt(w_perp - 0.25))
+    return am, alpha, alpha.conjugate()
+
+
 def radial_hypergeometric_solution(m: int, w_perp: float, x: float) -> complex:
     """Regular radial solution in the variable x = (1 + ch r)/2 >= 1.
 
@@ -516,15 +520,10 @@ def radial_hypergeometric_solution(m: int, w_perp: float, x: float) -> complex:
     constant phase i^|m|; modulus and oscillation pattern are phase-free.
     Requires w_perp > 1/4 (the oscillatory regime above the continuum edge).
     """
-    if not w_perp > 0.25:
-        raise ParameterError("oscillatory solutions require w_perp > 1/4")
+    am, alpha, beta = _oscillatory_parameters(m, w_perp, "solutions")
     if x < 1.0:
         raise DomainError("the variable x = (1 + ch r)/2 satisfies x >= 1")
-    am = abs(int(m))
     a = am / 2.0
-    u = math.sqrt(w_perp - 0.25)
-    alpha = complex(am + 0.5, -u)
-    beta = complex(am + 0.5, u)
     F = gauss_2f1(alpha, beta, am + 1.0, 1.0 - x)
     if x == 1.0:
         pref = 1.0 + 0.0j if am == 0 else 0.0 + 0.0j
@@ -542,12 +541,7 @@ def asymptotic_amplitudes(m: int, w_perp: float) -> tuple[complex, complex]:
     complex conjugate: beta = conj(alpha) and c is real, so every factor
     of c4 is the conjugate of c3's, and c4 is returned as conj(c3).
     """
-    if not w_perp > 0.25:
-        raise ParameterError("oscillatory asymptotics require w_perp > 1/4")
-    am = abs(int(m))
-    u = math.sqrt(w_perp - 0.25)
-    alpha = complex(am + 0.5, -u)
-    beta = complex(am + 0.5, u)
+    am, alpha, beta = _oscillatory_parameters(m, w_perp, "asymptotics")
     cpar = am + 1.0
     c3 = (
         gamma_complex(cpar)

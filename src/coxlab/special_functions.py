@@ -534,6 +534,29 @@ def _power(base: float, e: complex) -> complex:
         raise DomainError(f"{base} ** {e} exceeds the double range") from None
 
 
+def _gauss_sum(a: complex, b: complex, c: complex, gc: complex) -> complex:
+    """Gauss's sum 2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))
+    from gc = Gamma(c): the value at x = 1 and the prefactor of the first
+    1-x connection term (DLMF 15.4.20, 15.8.4)."""
+    return gc * gamma_complex(c - a - b) * reciprocal_gamma(c - a) * reciprocal_gamma(c - b)
+
+
+def _reciprocal_term(a: complex, b: complex, c: complex, gc: complex, x: float) -> complex:
+    """The first term of the 1/x connection (DLMF 15.8.2) from gc = Gamma(c),
+
+        Gamma(c) Gamma(b-a) / (Gamma(b) Gamma(c-a)) (-x)^(-a) F(a, a-c+1; a-b+1; 1/x);
+
+    the second term is this one with a and b swapped."""
+    return (
+        gc
+        * gamma_complex(b - a)
+        * reciprocal_gamma(b)
+        * reciprocal_gamma(c - a)
+        * _power(-x, -a)
+        * _hyp_series((a, a - c + 1.0), (a - b + 1.0,), 1.0 / x)
+    )
+
+
 def gauss_2f1(a, b, c, x: float):
     """Gauss hypergeometric function for real x <= 1.
 
@@ -563,12 +586,7 @@ def gauss_2f1(a, b, c, x: float):
     if x == 1.0:
         if (c - a - b).real <= 0:
             raise DomainError("2F1 diverges at x = 1 unless Re(c - a - b) > 0")
-        val = (
-            gamma_complex(c)
-            * gamma_complex(c - a - b)
-            * reciprocal_gamma(c - a)
-            * reciprocal_gamma(c - b)
-        )
+        val = _gauss_sum(a, b, c, gamma_complex(c))
     elif abs(x) <= _DIRECT_RADIUS:
         val = _hyp_series((a, b), (c,), x)
     elif x > 0.0:
@@ -579,13 +597,7 @@ def gauss_2f1(a, b, c, x: float):
             )
         y = 1.0 - x
         gc = gamma_complex(c)
-        t1 = (
-            gc
-            * gamma_complex(c - a - b)
-            * reciprocal_gamma(c - a)
-            * reciprocal_gamma(c - b)
-            * _hyp_series((a, b), (a + b - c + 1.0,), y)
-        )
+        t1 = _gauss_sum(a, b, c, gc) * _hyp_series((a, b), (a + b - c + 1.0,), y)
         t2 = (
             _power(y, c - a - b)
             * gc
@@ -603,28 +615,13 @@ def gauss_2f1(a, b, c, x: float):
         # x < -2: connection in powers of 1/x  (DLMF 15.8.2)
         if _near_int(b - a):
             raise PoleError("1/x connection formula degenerates: b - a is an integer")
-        u = 1.0 / x
         gc = gamma_complex(c)
-        t1 = (
-            gc
-            * gamma_complex(b - a)
-            * reciprocal_gamma(b)
-            * reciprocal_gamma(c - a)
-            * _power(-x, -a)
-            * _hyp_series((a, a - c + 1.0), (a - b + 1.0,), u)
-        )
+        t1 = _reciprocal_term(a, b, c, gc, x)
         if b == a.conjugate() and not c.imag:
             # every factor of t2 is the conjugate of t1's: one series, not two
             t2 = t1.conjugate()
         else:
-            t2 = (
-                gc
-                * gamma_complex(a - b)
-                * reciprocal_gamma(a)
-                * reciprocal_gamma(c - b)
-                * _power(-x, -b)
-                * _hyp_series((b, b - c + 1.0), (b - a + 1.0,), u)
-            )
+            t2 = _reciprocal_term(b, a, c, gc, x)
         val = t1 + t2
     if not cmath.isfinite(val):  # a product of finite factors beyond double
         raise DomainError(f"2F1({a}, {b}; {c}; {x}): its Gamma factors leave the double range")
@@ -663,7 +660,12 @@ def bessel_j_fractional(nu_order: float, y: complex) -> complex:
     x = -y * y / 4.0
     if not cmath.isfinite(x):  # y * y beyond double: no finite 0F1 argument
         raise NonConvergence(f"-y^2/4 overflows double at |y| = {abs(y):.3g}")
-    val = pref * hyp0f1(nu + 1.0, x)
+    try:
+        val = pref * hyp0f1(nu + 1.0, x)
+    except NonConvergence as exc:  # its text names the 0F1 argument x, not y
+        raise NonConvergence(
+            f"J_nu series fails at nu = {nu}, |y| = {abs(y):.3g} (0F1 at x = -y^2/4: {exc})"
+        ) from None
     if not cmath.isfinite(val):
         raise NonConvergence(f"J_nu overflows double at nu = {nu}, |y| = {abs(y):.3g}")
     return val

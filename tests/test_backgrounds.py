@@ -502,6 +502,73 @@ def test_axial_spherical_electric_coefficients():
         assert_allclose(ode.qcoef(z, 0.0), c0 / c2, rtol=1e-13)
 
 
+def _spherical_electric_closures(Lambda, gam, nu, w, mu2):
+    """assemble_axial_ode's spherical electric p and q as first written, each
+    evaluating cos z and the Z'' factor c2z on its own: the bit-level
+    reference for the shared terms(z)."""
+    mu = math.sqrt(mu2)
+
+    def c2z(z):
+        u = np.cos(np.asarray(z, dtype=float)) ** 4
+        return (u + 2.0 * gam * gam) / (u + gam * gam)
+
+    def pcoef(z):
+        z = np.asarray(z, dtype=float)
+        cz = np.cos(z)
+        sz = np.sin(z)
+        u = cz**4
+        D = u + gam * gam
+        raw = (
+            -2.0 * (sz / cz) * (gam * gam * u + 2.0 * gam**4 + u * u) / (D * D)
+            - mu * gam * cz * cz / D
+        )
+        return raw / c2z(z)
+
+    def qcoef(z, s):
+        z = np.asarray(z, dtype=float)
+        cz = np.cos(z)
+        sz = np.sin(z)
+        u = cz**4
+        D = u + gam * gam
+        raw = (
+            4.0 * mu * gam**3 * sz * cz / (D * D)
+            + (w + s)
+            + nu * np.tan(z)
+            - mu2 * gam * gam / D
+            - Lambda / (cz * cz)
+        )
+        return raw / c2z(z)
+
+    return pcoef, qcoef
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_axial_spherical_electric_terms_equal_two_closures_bit_for_bit():
+    rng = np.random.default_rng(37)
+    edge = math.pi / 2
+    zs = np.concatenate([
+        rng.uniform(-edge, edge, 200),
+        [0.0, -0.0, edge, -edge, np.nextafter(edge, 0.0), 1e-300, -1e-12],
+        edge - 10.0 ** rng.uniform(-15.0, -1.0, 50),
+    ])
+    for _ in range(60):
+        Lambda, nu, w = rng.uniform(-5.0, 5.0, 3)
+        gam = float(rng.choice([0.0, -0.0, rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-8.0, 3.0)]))
+        mu2 = float(rng.choice([0.0, rng.uniform(0.0, 10.0)]))
+        ode = assemble_axial_ode(_spec("spherical", "electric", nu=nu, gamma=gam), Lambda, w=w, mu2=mu2)
+        pcoef, qcoef = _spherical_electric_closures(Lambda, gam, nu, w, mu2)
+        s = float(rng.uniform(-2.0, 2.0))
+        assert _same_bits(ode.pcoef(zs), pcoef(zs)), (Lambda, gam, nu, w, mu2)
+        assert _same_bits(ode.qcoef(zs, s), qcoef(zs, s)), (Lambda, gam, nu, w, mu2)
+        for z in zs[::25].tolist():  # scalar calls, as the integrator makes them
+            assert _same_bits(ode.pcoef(z), pcoef(z)), z
+            assert _same_bits(ode.qcoef(z, s), qcoef(z, s)), z
+
+
 @given(
     z=st.floats(min_value=-2.0, max_value=2.0),
     s=st.floats(min_value=-5.0, max_value=5.0),

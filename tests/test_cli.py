@@ -1244,6 +1244,22 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, flags, code", [
+    ("spectrum", ["--geometry", "spherical", "--b", "1.5", "--m-range=-4:2", "--n-max", "3",
+                  "--include-invalid", "--format", "json"], 0),
+    ("airy", ["--w-prime", "0.5", "--nu", "1", "--samples", "5"], 0),
+    ("axial-integrate", ["--geometry", "spherical", "--field", "electric", "--gamma", "0.3",
+                         "--z-min", "-1", "--z-max", "1", "--steps", "400"], 0),
+    ("zprofile", ["--geometry", "marshmallow", "--samples", "3"], 1),  # a usage error
+    ("radial-eigen", ["--geometry", "lobachevsky", "--b", "1"], 1),  # refused: no r-max
+])
+def test_flags_before_or_after_the_command_give_the_same_bytes(capsys, command, flags, code):
+    after = run(capsys, command, *flags)
+    assert after[0] == code
+    assert run(capsys, *flags, command) == after
+    assert run(capsys, *flags[:2], command, *flags[2:]) == after
+
+
 def test_seventeen_digit_round_trip(capsys):
     code, out, _ = run(
         capsys, "zprofile", "--geometry", "lobachevsky", "--b", "1",

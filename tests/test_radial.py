@@ -125,6 +125,91 @@ def test_spherical_branches_continuous_at_minus_2b():
         assert_allclose(central, negative_form, rtol=1e-14)
 
 
+_CLOSED_FORM_LEVEL = radial._closed_form_level
+
+
+def _closed_form_level_three_branches(spec, qn, strict):
+    """radial._closed_form_level with the sphere as first written, in three
+    branches: the bit-level reference for the signed formula."""
+    if spec.geometry != "spherical":
+        return _CLOSED_FORM_LEVEL(spec, qn, strict)
+    n, m, b = qn.n, qn.m, spec.b
+    if m > 0:
+        ell = n + m + 0.5
+        Lam = 2.0 * b * ell + ell * ell - 0.25
+        branch = "m>0"
+    elif m >= -2.0 * b:
+        t = n + 0.5
+        Lam = 2.0 * b * t + t * t - 0.25
+        branch = "-2b<=m<=0"
+    else:
+        ell = n - m + 0.5
+        Lam = -2.0 * b * ell + ell * ell - 0.25
+        branch = "m<-2b"
+    return radial.SpectrumEntry(qn=qn, Lambda=Lam, branch=branch)
+
+
+def _sphere_draws(rng, count):
+    """(n, m, b) over the three branches and their borders m = 0 and m = -2b:
+    b = 0, -0.0 and half-integers, and Python ints for n and |m| beyond 2**53
+    (where n + m must not round m first) and beyond the double range."""
+
+    def integer(sign):
+        kind = rng.integers(0, 5)
+        if kind == 0:
+            return sign * int(rng.integers(0, 40))
+        if kind == 1:
+            return sign * (2**53 + int(rng.integers(-3, 4)))
+        if kind == 2:
+            return sign * int(2.0 ** rng.uniform(53.0, 120.0))
+        if kind == 3:
+            return sign * 10**int(rng.integers(307, 311))
+        return sign * int(rng.integers(0, 2**62))
+
+    draws = []
+    for _ in range(count):
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            b = float(rng.choice([0.0, -0.0]))
+        elif kind == 1:
+            b = int(rng.integers(-80, 81)) / 2.0
+        elif kind == 2:
+            b = float(rng.uniform(-50.0, 50.0))
+        elif kind == 3:
+            b = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 308.0))
+        else:
+            b = None  # set from m below: the border m = -2b
+        n = integer(1)
+        m = integer(int(rng.choice([-1, 1])))
+        if b is None:
+            b = -m / 2.0 if abs(m) < 2**1000 else 0.5
+        draws.append((n, m, b))
+    return draws
+
+
+def _spectrum_outcome(spec, qn):
+    try:
+        e = analytic_spectrum(spec, qn)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return e.Lambda.hex(), e.branch, e.reason, e.valid
+
+
+def test_spherical_signed_formula_equals_three_branches_bit_for_bit(monkeypatch):
+    draws = _sphere_draws(np.random.default_rng(29), 20_000)
+    draws += [(1, 2**53 + 1, 0.0), (0, -(2**53 + 1), 1.0), (2**53, 1, -0.0), (0, 0, -0.0)]
+    cases = [(BackgroundSpec(geometry="spherical", b=b), QuantumNumbers(n, m)) for n, m, b in draws]
+    got = [_spectrum_outcome(spec, qn) for spec, qn in cases]
+    monkeypatch.setattr(radial, "_closed_form_level", _closed_form_level_three_branches)
+    want = [_spectrum_outcome(spec, qn) for spec, qn in cases]
+    for (n, m, b), g, w in zip(draws, got, want):
+        assert g == w, (n, m, b)
+    kinds = [w[1] if len(w) == 4 else w[0] for w in want]
+    for kind in ("m>0", "-2b<=m<=0", "m<-2b", "DomainError", "OverflowError"):
+        assert kinds.count(kind) >= 300, kind  # every branch and both refusals compared
+    assert sum(abs(m) > 2**53 or n > 2**53 for n, m, _ in draws) >= 5000
+
+
 def test_spectrum_rejects_electric():
     with pytest.raises(ParameterError):
         analytic_spectrum(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -322,9 +323,116 @@ def test_gauss_conjugate_pair_equals_two_term_formula_bit_for_bit():
         a = complex(rng.uniform(-3.0, 3.0), rng.uniform(-10.0, 10.0))
         c = complex(rng.uniform(-3.5, 5.0), rng.choice([0.0, -0.0]))
         draws.append((a, a.conjugate(), c, -10.0 ** rng.uniform(0.31, 4.0)))
+    for _ in range(200):  # no conjugate pair: the second term is the first with a and b swapped
+        a, b = complex(*rng.uniform(-3.0, 3.0, 2)), complex(*rng.uniform(-3.0, 3.0, 2))
+        c = complex(rng.uniform(-3.5, 5.0), rng.choice([0.0, -0.0, rng.uniform(-2.0, 2.0)]))
+        draws.append((a, b, c, -10.0 ** rng.uniform(0.31, 4.0)))
+    for _ in range(200):  # real parameters
+        a, b, c = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(-3.5, 5.0)
+        draws.append((complex(a), complex(b), complex(c), -10.0 ** rng.uniform(0.31, 4.0)))
     for a, b, c, x in draws:
         want = _gauss_1_over_x_two_terms(a, b, c, x)
+        if not (a.imag or b.imag or c.imag):
+            want = complex(float(want.real))  # real parameters return the real part
         assert _bits(gauss_2f1(a, b, c, x)) == _bits(want), (a, b, c, x)
+
+
+@pytest.mark.parametrize("y", [1.3e154, 1e154, 5e153])
+def test_bessel_series_refusal_names_y(y):
+    # y * y is finite but 0F1 overflows: the text named only |x| = y^2/4
+    text = f"J_nu series fails at nu = 0.37, |y| = {y:.3g} (0F1 at x = -y^2/4: pFq series overflows"
+    with pytest.raises(NonConvergence, match=re.escape(text)):
+        bessel_j_fractional(0.37, y)
+
+
+def _gauss_unit_and_1_minus_x(a, b, c, x):
+    """gauss_2f1 for x = 1 and 1/2 < x < 1 as first written, with its Gauss
+    sum in both branches: the reference for the shared `_gauss_sum`."""
+    gamma_complex = special_functions.gamma_complex
+    reciprocal_gamma = special_functions.reciprocal_gamma
+    _hyp_series = special_functions._hyp_series
+    _power = special_functions._power
+    a, b, c, x = complex(a), complex(b), complex(c), float(x)
+    real_params = a.imag == 0.0 and b.imag == 0.0 and c.imag == 0.0
+    special_functions._require_finite("gauss_2f1", (a, b, c), (x,))
+    if special_functions._near_nonpositive_int(c):
+        raise PoleError(f"2F1 lower parameter c = {c} is a nonpositive integer")
+    if x == 1.0:
+        if (c - a - b).real <= 0:
+            raise DomainError("2F1 diverges at x = 1 unless Re(c - a - b) > 0")
+        val = (
+            gamma_complex(c)
+            * gamma_complex(c - a - b)
+            * reciprocal_gamma(c - a)
+            * reciprocal_gamma(c - b)
+        )
+    else:
+        # 0.5 < x < 1: connection in powers of 1 - x  (DLMF 15.8.4)
+        if special_functions._near_int(c - a - b):
+            raise PoleError(
+                "1-x connection formula degenerates: c - a - b is an integer"
+            )
+        y = 1.0 - x
+        gc = gamma_complex(c)
+        t1 = (
+            gc
+            * gamma_complex(c - a - b)
+            * reciprocal_gamma(c - a)
+            * reciprocal_gamma(c - b)
+            * _hyp_series((a, b), (a + b - c + 1.0,), y)
+        )
+        t2 = (
+            _power(y, c - a - b)
+            * gc
+            * gamma_complex(a + b - c)
+            * reciprocal_gamma(a)
+            * reciprocal_gamma(b)
+            * _hyp_series((c - a, c - b), (c - a - b + 1.0,), y)
+        )
+        val = t1 + t2
+    if not cmath.isfinite(val):  # a product of finite factors beyond double
+        raise DomainError(f"2F1({a}, {b}; {c}; {x}): its Gamma factors leave the double range")
+    return float(val.real) if real_params else val
+
+
+def _gauss_outcome(fn, *args):
+    """The value's bits with the signs of its zeros, or the refusal's type and text."""
+    try:
+        return _bits(complex(fn(*args)))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_gauss_sum_equals_unit_and_1_minus_x_branches_bit_for_bit():
+    rng = np.random.default_rng(31)
+    draws = []
+    for _ in range(700):
+        x = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.5000001, 0.9999999))
+        kind = rng.integers(0, 5)
+        if kind == 0:  # real parameters
+            a, b, c = rng.uniform(-4.0, 4.0, 3)
+        elif kind == 1:  # complex parameters
+            a, b, c = (complex(*rng.uniform(-4.0, 4.0, 2)) for _ in range(3))
+        elif kind == 2:  # the radial solutions' pair
+            a = complex(rng.uniform(0.5, 6.0), rng.uniform(-10.0, 10.0))
+            b, c = a.conjugate(), round(a.real + 0.5)
+        elif kind == 3:  # Gamma poles: integer c - a, c - b, a or b
+            a, c = float(rng.integers(-4, 3)), float(rng.integers(1, 5)) + rng.choice([0.0, 0.37])
+            b = c - float(rng.integers(-3, 4)) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0)
+        else:  # Gamma factors near and beyond the double range
+            a, b = rng.uniform(-10.0, 10.0), rng.choice([-1.0, 0.5, rng.uniform(-2.0, 2.0)])
+            c = rng.choice([142.65, 171.5, 170.3, rng.uniform(140.0, 175.0)])
+        draws.append((a, b, c, x))
+    draws += [(0.5, 1, 142.65, 0.9), (9.438752605415289, -1, 171.5, 1.0), (0.3, 0.4, 2.0, 1.0),
+              (0.5, 0.5, 2.0, 0.9), (0.5, 0.5, 0.5, 1.0)]
+    outcomes = []
+    for args in draws:
+        got = _gauss_outcome(gauss_2f1, *args)
+        assert got == _gauss_outcome(_gauss_unit_and_1_minus_x, *args), args
+        outcomes.append(got[0])
+    refused = {kind for kind in outcomes if isinstance(kind, str)}
+    assert {"PoleError", "DomainError"} <= refused
+    assert sum(not isinstance(kind, str) for kind in outcomes) >= 250  # values compared too
 
 
 _BIG = 1e308
