@@ -278,8 +278,9 @@ def potential_profile(
 ) -> PotentialProfile:
     """Tabulated U and F_z on a uniform grid, plus the closed-form equilibria.
 
-    Raises PoleError when the requested range straddles a pole of U, even if
-    no grid node lands on it: such a table would silently mix branches.
+    A range that straddles a pole of U, even one that no grid node lands
+    on, is a bad request and raises DomainError: such a table would
+    silently mix branches.  (U and F_z evaluated at a pole raise PoleError.)
     """
     if samples < 2:
         raise ParameterError("need at least 2 samples")
@@ -288,7 +289,7 @@ def potential_profile(
     sec = _require_curved_magnetic(spec)
     for zp in _pole_locations(sec, spec.gamma):
         if z_min <= zp <= z_max:
-            raise PoleError(
+            raise DomainError(
                 f"range [{z_min:g}, {z_max:g}] crosses the potential pole at z = {zp:.6g}"
             )
     zg = np.linspace(z_min, z_max, samples)
@@ -455,15 +456,23 @@ def integrate_axial(
     """Integrate Z'' + p Z' + q Z = 0 across z_range on a fixed grid.
 
     Fehlberg's 4(5) pair advances the fourth-order solution; the
-    embedded fifth-order difference monitors the local error and raises
-    StepFailure at the first step whose estimate exceeds `tol` relative
-    to the local solution scale max(1, |Z|, |Z'|), or where Z, Z', either
-    embedded stage-sum difference, the estimate or the scale is not
-    finite.  The summed estimates are reported as residual_estimate.
-    Complex initial data is supported.
+    embedded fifth-order difference monitors the local error.  A step
+    fails where its estimate exceeds `tol` relative to the local solution
+    scale max(1, |Z|, |Z'|), or where Z, Z', either embedded stage-sum
+    difference, the estimate or the scale is not finite.  The summed
+    estimates are reported as residual_estimate.  Complex initial data
+    is supported.
+
+    If the first failing step fails on tolerance alone (finite estimate
+    and scale), the range is integrated once more on the doubled grid,
+    2 * steps steps at the same `tol`: the answer is then the requested
+    grid with Z and Z' at the doubled grid's even nodes, and the doubled
+    grid's summed estimates.  A non-finite failure, or a failure on the
+    doubled grid too, raises StepFailure naming the first failing step
+    of the requested grid.
 
     The equation is linear with coefficients fixed at assembly, so p and
-    q are evaluated once, as arrays over all 6 * steps stage nodes, and
+    q are evaluated once per grid, as arrays over all 6 * steps stage nodes, and
     only the step recurrence runs sequentially, on Python scalars.  The
     assembled p and q are real, so the real and imaginary parts of
     (Z, Z') follow the same real recurrence: real data take one pass on
@@ -493,6 +502,25 @@ def integrate_axial(
             f"[{lo:g}, {hi:g}]"
         )
 
+    zs, Z, dZ, err, failure = _fehlberg_grid(ode, u, v, z0, z1, steps, tol)
+    if failure is not None:
+        message, tolerance_only = failure
+        if tolerance_only:
+            _, Z, dZ, err, failure = _fehlberg_grid(ode, u, v, z0, z1, 2 * steps, tol)
+        if failure is not None:
+            raise StepFailure(message)
+        Z, dZ = Z[::2], dZ[::2]
+    return AxialSolution(
+        z=zs, Z=Z, dZ=dZ, residual_estimate=float(np.cumsum(err)[-1]),
+    )
+
+
+def _fehlberg_grid(ode: SeparatedODE, u: complex, v: complex, z0: float, z1: float,
+                   steps: int, tol: float):
+    """Fehlberg 4(5) from (Z, Z') = (u, v) over `steps` equal steps of
+    [z0, z1]: the grid, Z and Z' at its nodes, the per-step local error
+    estimates and the first failing step as None or (StepFailure text,
+    whether it failed on tolerance alone)."""
     h = (z1 - z0) / steps
     zs = z0 + h * np.arange(steps + 1)
     nodes = zs[:-1, None] + h * np.array(_RKF_C)
@@ -524,19 +552,19 @@ def integrate_axial(
         scale = np.maximum(1.0, np.maximum(np.hypot(Zr, Zi), np.hypot(dZr, dZi)))
         bound = tol * scale
         failed = ~(err <= bound) | ~np.isfinite(err) | ~np.isfinite(scale)
+    failure = None
     if failed.any():
         i = int(failed.argmax())
-        raise StepFailure(
+        failure = (
             f"local error {err[i]:.3e} at z = {zs[i]:.6g} exceeds tol*scale = "
-            f"{bound[i]:.3e}; increase steps"
+            f"{bound[i]:.3e}; increase steps",
+            math.isfinite(err[i]) and math.isfinite(scale[i]),
         )
     Z = np.empty(steps + 1, complex)
     dZ = np.empty(steps + 1, complex)
     Z[0], dZ[0] = u, v
     Z.real[1:], Z.imag[1:], dZ.real[1:], dZ.imag[1:] = Zr, Zi, dZr, dZi
-    return AxialSolution(
-        z=zs, Z=Z, dZ=dZ, residual_estimate=float(np.cumsum(err)[-1]),
-    )
+    return zs, Z, dZ, err, failure
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,7 @@ from .errors import (
     ConfigError,
     CoxlabInputError,
     CoxlabNumericalError,
-    DomainError,
     ParameterError,
-    PoleError,
 )
 from .radial import GridSpec, analytic_spectrum, solve_radial_eigen
 from .tensor_algebra import (
@@ -437,7 +435,7 @@ def cmd_spectrum(cfg: RunConfig) -> _Table:
     rows = []
     for m in cfg.m_range:
         for n in range(cfg.n_max + 1):
-            e = analytic_spectrum(spec, QuantumNumbers(n, m, cfg.k), strict=False)
+            e = analytic_spectrum(spec, QuantumNumbers(n, m, cfg.k))
             if e.valid or cfg.include_invalid:
                 rows.append((n, m, cfg.k, e.Lambda, e.epsilon, e.valid, e.branch, e.reason))
     rows.sort(key=lambda row: row[:2])
@@ -470,11 +468,7 @@ def cmd_zprofile(cfg: RunConfig) -> _Table:
     spec = _background(cfg)
     if abs(cfg.z_min + cfg.z_max) > 1e-12 * max(1.0, abs(cfg.z_max)):
         raise ParameterError("zprofile grid must be symmetric about z = 0")
-    try:
-        prof = potential_profile(spec, cfg.lambda_sep, cfg.z_min, cfg.z_max, cfg.samples)
-    except PoleError as exc:
-        # a range straddling a pole is a bad request, not a numerical failure
-        raise DomainError(str(exc)) from exc
+    prof = potential_profile(spec, cfg.lambda_sep, cfg.z_min, cfg.z_max, cfg.samples)
     return _Table(
         {"geometry": cfg.geometry, "b": cfg.b, "gamma": cfg.gamma, "Lambda": cfg.lambda_sep},
         [("z", "z", prof.z_grid.tolist()), ("U", "U", prof.U.tolist()),

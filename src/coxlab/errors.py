@@ -36,10 +36,6 @@ class ParameterError(CoxlabInputError):
     """Parameter combination outside the validity of the requested formula."""
 
 
-class NoBoundState(CoxlabInputError):
-    """Requested quantum numbers violate the bound-state conditions."""
-
-
 class ConfigError(CoxlabInputError):
     """Malformed or contradictory run configuration."""
 

@@ -42,7 +42,6 @@ from .errors import (
     DomainError,
     GridTooCoarse,
     InvalidEta,
-    NoBoundState,
     NonConvergence,
     ParameterError,
 )
@@ -121,25 +120,14 @@ class EigenResult:
 _FLAT_EPS_CONVENTION = "eps = 2*M*E*(1 - eta^2), hbar = M = 1"
 
 
-def analytic_spectrum(
-    spec: BackgroundSpec, qn: QuantumNumbers, strict: bool = True
-) -> SpectrumEntry:
+def analytic_spectrum(spec: BackgroundSpec, qn: QuantumNumbers) -> SpectrumEntry:
     """Closed-form level for a magnetic configuration.
 
     On Lobachevsky space only finitely many bound levels exist; outside
-    that range the entry is returned with valid=False (strict=False) or
-    NoBoundState is raised (strict=True) naming the violated condition.
-    A level that overflows double raises DomainError.
+    that range the entry comes back with valid=False and a reason naming
+    the violated condition.  A level that overflows double raises
+    DomainError.
     """
-    entry = _closed_form_level(spec, qn, strict)
-    for name in ("Lambda", "epsilon", "energy"):
-        value = getattr(entry, name)
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"closed-form {name} = {value} overflows double (b = {spec.b}, k = {qn.k})")
-    return entry
-
-
-def _closed_form_level(spec: BackgroundSpec, qn: QuantumNumbers, strict: bool) -> SpectrumEntry:
     if spec.field != "magnetic":
         raise ParameterError("closed-form spectra exist for the magnetic configurations")
     n, m, b = qn.n, qn.m, spec.b
@@ -148,15 +136,14 @@ def _closed_form_level(spec: BackgroundSpec, qn: QuantumNumbers, strict: bool) -
         eps_prime = 4.0 * b * (n + (m + abs(m) + 1) / 2.0)
         one = 1.0 - spec.eta**2
         eps = eps_prime + one * (qn.k * qn.k) - 2.0 * spec.eta * b
-        return SpectrumEntry(
+        entry = SpectrumEntry(
             qn=qn,
             Lambda=eps_prime,
             epsilon=eps,
             epsilon_convention=_FLAT_EPS_CONVENTION,
             energy=eps / (2.0 * one),
         )
-
-    if spec.geometry == "lobachevsky":
+    elif spec.geometry == "lobachevsky":
         s = (m + abs(m)) / 2.0 + n
         t = s + 0.5
         Lam = 0.25 + 2.0 * b * t - t * t
@@ -167,18 +154,22 @@ def _closed_form_level(spec: BackgroundSpec, qn: QuantumNumbers, strict: bool) -
             reason = f"s + 1/2 = {t} exceeds b = {b}"
         elif not b <= Lam:
             reason = f"Lambda = {Lam} fell below b = {b}"
-        if reason and strict:
-            raise NoBoundState(reason)
-        return SpectrumEntry(qn=qn, Lambda=Lam, valid=not reason, reason=reason)
+        entry = SpectrumEntry(qn=qn, Lambda=Lam, valid=not reason, reason=reason)
+    else:
+        # spherical: discrete for every (n, m), one formula signed by the branch.
+        # sigma stays an int, so that for integer n and m, n + max(sigma m, 0) is
+        # exact and rounds once, at + 1/2 (a float sigma would round m first)
+        sigma = 1 if m > 0 or m >= -2.0 * b else -1
+        ell = n + max(sigma * m, 0) + 0.5
+        Lam = 2.0 * sigma * b * ell + ell * ell - 0.25
+        branch = "m>0" if m > 0 else "-2b<=m<=0" if sigma > 0 else "m<-2b"
+        entry = SpectrumEntry(qn=qn, Lambda=Lam, branch=branch)
 
-    # spherical: discrete for every (n, m), one formula signed by the branch.
-    # sigma stays an int, so that for integer n and m, n + max(sigma m, 0) is
-    # exact and rounds once, at + 1/2 (a float sigma would round m first)
-    sigma = 1 if m > 0 or m >= -2.0 * b else -1
-    ell = n + max(sigma * m, 0) + 0.5
-    Lam = 2.0 * sigma * b * ell + ell * ell - 0.25
-    branch = "m>0" if m > 0 else "-2b<=m<=0" if sigma > 0 else "m<-2b"
-    return SpectrumEntry(qn=qn, Lambda=Lam, branch=branch)
+    for name in ("Lambda", "epsilon", "energy"):
+        value = getattr(entry, name)
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"closed-form {name} = {value} overflows double (b = {spec.b}, k = {qn.k})")
+    return entry
 
 
 def flat_physical_energy(spec: BackgroundSpec, qn: QuantumNumbers, eps_prime: float) -> float:
@@ -501,9 +492,12 @@ def solve_radial_eigen(ode: SeparatedODE, count: int, grid: GridSpec) -> EigenRe
 
 def _oscillatory_parameters(m: int, w_perp: float, what: str) -> tuple[int, complex, complex]:
     """|m|, alpha = |m| + 1/2 - i u and beta = conj(alpha), u = sqrt(w_perp - 1/4);
-    ParameterError naming the oscillatory `what` unless w_perp > 1/4."""
+    ParameterError naming the oscillatory `what` unless w_perp > 1/4, and
+    naming m unless m is an integer (an integral float counts)."""
     if not w_perp > 0.25:
         raise ParameterError(f"oscillatory {what} require w_perp > 1/4")
+    if not isinstance(m, numbers.Integral) and not float(m).is_integer():
+        raise ParameterError(f"oscillatory {what} need an integer m, got {m!r}")
     am = abs(int(m))
     alpha = complex(am + 0.5, -math.sqrt(w_perp - 0.25))
     return am, alpha, alpha.conjugate()

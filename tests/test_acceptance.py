@@ -154,10 +154,7 @@ def test_criterion_04_frequency_modification():
 def test_criterion_05_lobachevsky_ladder():
     def body():
         spec = BackgroundSpec(geometry="lobachevsky", b=5.0)
-        entries = [
-            analytic_spectrum(spec, QuantumNumbers(n, 0), strict=False)
-            for n in range(10)
-        ]
+        entries = [analytic_spectrum(spec, QuantumNumbers(n, 0)) for n in range(10)]
         valid = [e for e in entries if e.valid]
         assert len(valid) == 5, f"valid count {len(valid)}"
         ode = spectrum_matched_ode(spec, QuantumNumbers(0, 0))

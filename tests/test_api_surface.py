@@ -64,7 +64,7 @@ SURFACE = {
         ),
         "GridSpec": ("points", "r_max=None", "tol=1e-06"),
         "EigenResult": ("eigenvalues", "eigenfunctions", "grid", "grid_spec", "error_estimates"),
-        "analytic_spectrum": ("spec", "qn", "strict=True"),
+        "analytic_spectrum": ("spec", "qn"),
         "flat_physical_energy": ("spec", "qn", "eps_prime"),
         "oscillator_frequency_shift": ("B", "Gamma", "M=1.0"),
         "spectrum_matched_ode": ("spec", "qn"),

@@ -23,7 +23,6 @@ from coxlab.errors import (
     DomainError,
     GridTooCoarse,
     InvalidEta,
-    NoBoundState,
     NonConvergence,
     ParameterError,
 )
@@ -87,18 +86,16 @@ def test_lobachevsky_ladder_b5():
     """b=5, m=0: exactly five bound levels Lambda = 5, 13, 19, 23, 25."""
     got = [analytic_spectrum(LOB5, QuantumNumbers(n, 0)).Lambda for n in range(5)]
     assert_allclose(got, [5.0, 13.0, 19.0, 23.0, 25.0])
-    with pytest.raises(NoBoundState):
-        analytic_spectrum(LOB5, QuantumNumbers(5, 0))
-    entry = analytic_spectrum(LOB5, QuantumNumbers(5, 0), strict=False)
-    assert not entry.valid and "exceeds b" in entry.reason
+    entry = analytic_spectrum(LOB5, QuantumNumbers(5, 0))
+    assert not entry.valid and entry.reason == "s + 1/2 = 5.5 exceeds b = 5.0"
+    assert entry.Lambda == 0.25 + 2.0 * 5.0 * 5.5 - 5.5 * 5.5
 
 
 def test_lobachevsky_m_condition():
     spec = BackgroundSpec(geometry="lobachevsky", b=1.0)
-    entry = analytic_spectrum(spec, QuantumNumbers(0, 2), strict=False)
-    assert not entry.valid and "2b" in entry.reason
-    with pytest.raises(NoBoundState):
-        analytic_spectrum(spec, QuantumNumbers(0, 2))
+    entry = analytic_spectrum(spec, QuantumNumbers(0, 2))
+    assert not entry.valid and entry.reason == "m = 2 is not below 2b = 2.0"
+    assert analytic_spectrum(spec, QuantumNumbers(0, 0)).valid
 
 
 def test_spherical_examples_and_branches():
@@ -125,14 +122,11 @@ def test_spherical_branches_continuous_at_minus_2b():
         assert_allclose(central, negative_form, rtol=1e-14)
 
 
-_CLOSED_FORM_LEVEL = radial._closed_form_level
-
-
-def _closed_form_level_three_branches(spec, qn, strict):
-    """radial._closed_form_level with the sphere as first written, in three
+def _spectrum_three_branches(spec, qn):
+    """analytic_spectrum with the sphere as first written, in three
     branches: the bit-level reference for the signed formula."""
     if spec.geometry != "spherical":
-        return _CLOSED_FORM_LEVEL(spec, qn, strict)
+        return analytic_spectrum(spec, qn)
     n, m, b = qn.n, qn.m, spec.b
     if m > 0:
         ell = n + m + 0.5
@@ -146,6 +140,8 @@ def _closed_form_level_three_branches(spec, qn, strict):
         ell = n - m + 0.5
         Lam = -2.0 * b * ell + ell * ell - 0.25
         branch = "m<-2b"
+    if not math.isfinite(Lam):
+        raise DomainError(f"closed-form Lambda = {Lam} overflows double (b = {spec.b}, k = {qn.k})")
     return radial.SpectrumEntry(qn=qn, Lambda=Lam, branch=branch)
 
 
@@ -187,21 +183,20 @@ def _sphere_draws(rng, count):
     return draws
 
 
-def _spectrum_outcome(spec, qn):
+def _spectrum_outcome(spectrum, spec, qn):
     try:
-        e = analytic_spectrum(spec, qn)
+        e = spectrum(spec, qn)
     except Exception as exc:
         return type(exc).__name__, str(exc)
     return e.Lambda.hex(), e.branch, e.reason, e.valid
 
 
-def test_spherical_signed_formula_equals_three_branches_bit_for_bit(monkeypatch):
+def test_spherical_signed_formula_equals_three_branches_bit_for_bit():
     draws = _sphere_draws(np.random.default_rng(29), 20_000)
     draws += [(1, 2**53 + 1, 0.0), (0, -(2**53 + 1), 1.0), (2**53, 1, -0.0), (0, 0, -0.0)]
     cases = [(BackgroundSpec(geometry="spherical", b=b), QuantumNumbers(n, m)) for n, m, b in draws]
-    got = [_spectrum_outcome(spec, qn) for spec, qn in cases]
-    monkeypatch.setattr(radial, "_closed_form_level", _closed_form_level_three_branches)
-    want = [_spectrum_outcome(spec, qn) for spec, qn in cases]
+    got = [_spectrum_outcome(analytic_spectrum, spec, qn) for spec, qn in cases]
+    want = [_spectrum_outcome(_spectrum_three_branches, spec, qn) for spec, qn in cases]
     for (n, m, b), g, w in zip(draws, got, want):
         assert g == w, (n, m, b)
     kinds = [w[1] if len(w) == 4 else w[0] for w in want]
@@ -382,7 +377,7 @@ def _bound_levels(b, m):
     spec = BackgroundSpec(geometry="lobachevsky", b=b)
     for n in range(3):
         t = (m + abs(m)) / 2 + n + 0.5
-        if not (analytic_spectrum(spec, QuantumNumbers(n, m), strict=False).valid and t <= b - 0.5):
+        if not (analytic_spectrum(spec, QuantumNumbers(n, m)).valid and t <= b - 0.5):
             return n
     return 3
 
@@ -623,6 +618,23 @@ def test_hypergeometric_solution_axis_values():
         radial_hypergeometric_solution(0, 0.25, 2.0)
     with pytest.raises(DomainError):
         radial_hypergeometric_solution(0, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("m", [2.5, -0.5, math.nan, math.inf, -math.inf, np.float64(1.5)])
+def test_oscillatory_forms_refuse_a_non_integral_m(m):
+    # m = 2.5 answered for m = 2; nan and inf leaked ValueError and OverflowError
+    with pytest.raises(ParameterError, match=r"solutions need an integer m, got "):
+        radial_hypergeometric_solution(m, 1.0, 2.0)
+    with pytest.raises(ParameterError, match=r"asymptotics need an integer m, got "):
+        asymptotic_amplitudes(m, 1.0)
+
+
+def test_oscillatory_forms_take_integral_floats_as_integers():
+    for m in (0, 2, -3):
+        assert radial_hypergeometric_solution(float(m), 1.0, 2.0) == radial_hypergeometric_solution(
+            m, 1.0, 2.0
+        )
+        assert asymptotic_amplitudes(np.float64(m), 1.0) == asymptotic_amplitudes(np.int64(m), 1.0)
 
 
 def test_hypergeometric_solution_constant_phase():
