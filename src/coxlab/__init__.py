@@ -5,8 +5,8 @@ Subpackages cover: exact inversion of the field-dressed mass matrix
 flat, Lobachevsky and spherical spatial sections (backgrounds), the
 separated radial problems with analytic spectra and an independent
 eigensolver (radial), the axial problems with effective potentials,
-Airy-type and local solutions (axial), the hypergeometric/gamma kernels
-(special_functions), and a command-line interface (cli).
+Airy-type solutions and an integrator (axial), the hypergeometric/gamma
+kernels (special_functions), and a command-line interface (cli).
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ normal form it is governed by the effective potential
     U = (kappa b g + Lambda y)/(y^2 - g^2),   g = gamma,
 
 where kappa = +1 (sphere) or -1 (Lobachevsky) is the curvature of the
-section.  Its poles, equilibria and local forms are one formula in kappa,
-the chart's y range and z(y), all read from `backgrounds._SECTIONS`;
+section.  Its poles and equilibria are one formula in kappa, the
+chart's y range and z(y), all read from `backgrounds._SECTIONS`;
 U, its force field and the pole test keep one overflow-safe closed form
 per section there.
 
@@ -38,14 +38,12 @@ __all__ = [
     "PotentialProfile",
     "AirySolutionPair",
     "AxialSolution",
-    "LocalForm",
     "effective_potential",
     "effective_force",
     "effective_force_extrema",
     "potential_profile",
     "airy_pair",
     "integrate_axial",
-    "singular_local_form",
 ]
 
 _POLE_TOL = 1e-10
@@ -109,14 +107,6 @@ class AxialSolution:
     Z: np.ndarray
     dZ: np.ndarray
     residual_estimate: float
-
-
-@dataclass(frozen=True)
-class LocalForm:
-    point: str
-    kind: str
-    params: dict
-    description: str
 
 
 # ---------------------------------------------------------------------------
@@ -565,74 +555,3 @@ def _fehlberg_grid(ode: SeparatedODE, u: complex, v: complex, z0: float, z1: flo
     Z[0], dZ[0] = u, v
     Z.real[1:], Z.imag[1:], dZ.real[1:], dZ.imag[1:] = Zr, Zi, dZr, dZi
     return zs, Z, dZ, err, failure
-
-
-# ---------------------------------------------------------------------------
-# local solution forms at the singular points of the curved magnetic problem
-# ---------------------------------------------------------------------------
-
-def singular_local_form(
-    spec: BackgroundSpec, Lambda: float, point: str, epsilon: float = 0.0
-) -> LocalForm:
-    """Leading local behaviour at a singular point of the axial equation in
-    the variable y = a(z) = cos^2 z (sphere, kappa = +1) or ch^2 z
-    (Lobachevsky, kappa = -1):
-
-        y ~ 1:        Z = exp(+-sqrt(A (y-1)))
-        y ~ 0:        Z = y^(-1/2) exp(+-sqrt(C y))
-        y ~ inf:      Z = y^D
-        y ~ +-gamma:  confluent-type local equation with lower
-                      parameter c = 0 and accessory coefficient a
-
-    with g = gamma and the coefficients (one residue reduction for both
-    sections)
-
-        A = kappa eps - kappa (kappa b g + L)/(1 - g^2),   C = -kappa eps - b/g,
-        D = (-1 +- sqrt(kappa eps + 1))/2,   a(+-g) = (L +- kappa b)/(4(3 -+ 4g)).
-
-    Requires gamma != 0 (at gamma = 0 the points y = +-gamma merge with
-    y = 0 and the classification changes); gamma^2 = 1 at y = 1 and
-    gamma = +-3/4 at y = +-gamma make a denominator vanish and raise
-    ParameterError too.  A coefficient that is not finite (overflow, or a
-    non-finite Lambda or epsilon) raises DomainError.
-    """
-    sec = _require_curved_magnetic(spec)
-    g, b, k = spec.gamma, spec.b, sec.curvature
-    if g == 0.0:
-        raise ParameterError("singular local forms need gamma != 0")
-    if point == "y=1":
-        if g * g == 1.0:
-            raise ParameterError("the local form at y=1 needs gamma^2 != 1 (y = +-gamma is y = 1)")
-        kind, description = "exponential", "Z = exp(+-sqrt(A (y-1)))"
-        params = {"A": k * epsilon - k * ((k * b * g + Lambda) / (1.0 - g * g))}
-    elif point == "y=0":
-        kind, description = "inverse-sqrt-exponential", "Z = y^(-1/2) exp(+-sqrt(C y))"
-        params = {"C": -k * epsilon - b / g}
-    elif point == "y=infinity":
-        rad = k * epsilon + 1.0
-        # complex ** overflows at an infinite rad; a NaN root is refused below
-        root = complex(rad) ** 0.5 if math.isfinite(rad) else complex(math.nan)
-        d_plus = (-1.0 + root) / 2.0
-        d_minus = (-1.0 - root) / 2.0
-        if rad >= 0.0:
-            d_plus, d_minus = d_plus.real, d_minus.real
-        kind, description = "power", "Z = y^D"
-        params = {"D_plus": d_plus, "D_minus": d_minus}
-    elif point in ("y=+gamma", "y=-gamma"):
-        sign = 1.0 if point == "y=+gamma" else -1.0
-        den = 3.0 - sign * 4.0 * g
-        if den == 0.0:
-            raise ParameterError(f"the local form at {point} needs gamma != {sign * 0.75:+g}")
-        kind, description = "confluent", "confluent-type local equation, lower parameter c = 0"
-        params = {"a": (Lambda + sign * k * b) / (4.0 * den), "c": 0.0}
-    else:
-        raise ParameterError(
-            f"unknown singular point {point!r}; expected one of "
-            "'y=0', 'y=1', 'y=+gamma', 'y=-gamma', 'y=infinity'"
-        )
-    if not all(map(cmath.isfinite, params.values())):
-        raise DomainError(
-            f"local form at {point} is not finite: {params} (b = {b}, gamma = {g}, "
-            f"Lambda = {Lambda}, epsilon = {epsilon})"
-        )
-    return LocalForm(point=point, kind=kind, params=params, description=description)

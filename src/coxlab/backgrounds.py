@@ -9,11 +9,11 @@ geometries (curvature radius rho scaled to 1 in library units):
 
 that is, dS^2 = c^2 dt^2 - a(z)(dr^2 + w(r)^2 dphi^2) - dz^2 with
 (a, w) = (1, r), (ch^2 z, sh r), (cos^2 z, sin r).  One private `_Section`
-record per geometry holds a, w, the potentials, the chart ends and the
-curved magnetic axial problem in y = a(z); the local field data, the
-radial equation and `axial` read it instead of branching on the
-geometry, so the six radial equations are one formula, and so are the
-poles, equilibria and local forms of the two curved axial problems.
+record per geometry holds w, the magnetic potential, a'/a, the chart
+ends and the curved magnetic axial problem in y = a(z); the radial
+equation and `axial` read it instead of branching on the geometry, so
+the six radial equations are one formula, and so are the poles and
+equilibria of the two curved axial problems.
 
 A uniform magnetic field along the axis has gauge potential A_phi and
 strength parameter b (flat: b = eB/2hbar*c, curved: b = eB rho^2/hbar c);
@@ -32,28 +32,21 @@ and `axial`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidEta, ParameterError
-from .tensor_algebra import DiagonalMetric, FieldConfig3, field_invariants
+from .errors import InvalidEta, ParameterError
 
 __all__ = [
     "BackgroundSpec",
     "QuantumNumbers",
     "SingularPoint",
     "SeparatedODE",
-    "gauge_potential",
-    "field_components",
-    "metric_at",
-    "gamma_profile",
     "assemble_radial_ode",
     "assemble_axial_ode",
-    "magnetic_strength_parameter",
-    "electric_strength_parameter",
-    "flat_equivalent_magnetic_b",
 ]
 
 _GEOMETRIES = ("flat", "lobachevsky", "spherical")
@@ -100,13 +93,24 @@ class BackgroundSpec:
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Radial excitation n >= 0, azimuthal m, axial wavenumber k."""
+    """Radial excitation n >= 0, azimuthal m, axial wavenumber k.
+
+    n and m are integers (an integral float counts) and k is finite;
+    anything else raises ParameterError naming the field."""
 
     n: int
     m: int
     k: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (type(self.n) is int and type(self.m) is int and math.isfinite(self.k)):
+            for name, what in (("n", "radial"), ("m", "azimuthal")):
+                v = getattr(self, name)
+                if not isinstance(v, numbers.Integral) and not float(v).is_integer():
+                    raise ParameterError(
+                        f"{what} quantum number {name} must be an integer, got {v!r}")
+            if not math.isfinite(self.k):
+                raise ParameterError(f"axial wavenumber k must be finite, got {self.k}")
         if self.n < 0:
             raise ParameterError("radial quantum number n must be >= 0")
 
@@ -162,9 +166,8 @@ class _Section:
     """One spatial section dS^2 = c^2 dt^2 - a(z)(dr^2 + w(r)^2 dphi^2) - dz^2.
 
     Radial part: the weight w, p_r = w'/w, the magnetic potential
-    A_phi(b, r), B_3 = dA_phi/dr and the chart end r_end (the singular
-    point r_end_name).  Axial part: a, p_z = a'/a, t with t' = 1/a (so
-    A_0 = -nu t and E_3 = nu/a) and the chart bound |z| < z_end (named
+    A_phi(b, r) and the chart end r_end (the singular point r_end_name).
+    Axial part: p_z = a'/a and the chart bound |z| < z_end (named
     z_end_name).  ``curvature`` kappa (+1 sphere, -1 Lobachevsky, 0 flat)
     is the constant that f = Z sqrt(a) adds to the axial equation;
     ``eigen`` names the radial spectral parameter per field kind.  The
@@ -181,12 +184,9 @@ class _Section:
     w: Callable
     p_r: Callable
     a_phi: Callable
-    b3: Callable
     r_end: float
     r_end_name: str
-    a: Callable
     p_z: Callable
-    t: Callable
     z_end: float
     z_end_name: str
     curvature: float
@@ -250,160 +250,27 @@ def _pole_spherical(g, z, tol):
 _SECTIONS = {
     "flat": _Section(
         w=_asfloat, p_r=lambda r: 1.0 / _asfloat(r),
-        a_phi=lambda b, r: -b * r * r, b3=lambda b, r: -2.0 * b * r,
-        r_end=math.inf, r_end_name="infinity",
-        a=lambda z: np.ones_like(_asfloat(z)), p_z=lambda z: np.zeros_like(_asfloat(z)),
-        t=_asfloat, z_end=math.inf, z_end_name="infinity",
+        a_phi=lambda b, r: -b * r * r, r_end=math.inf, r_end_name="infinity",
+        p_z=lambda z: np.zeros_like(_asfloat(z)), z_end=math.inf, z_end_name="infinity",
         curvature=0.0, eigen={"magnetic": "eps_prime", "electric": "w_perp"},
     ),
     "lobachevsky": _Section(
         w=lambda r: np.sinh(_asfloat(r)), p_r=lambda r: 1.0 / np.tanh(_asfloat(r)),
-        a_phi=lambda b, r: -b * (np.cosh(r) - 1.0), b3=lambda b, r: -b * np.sinh(r),
-        r_end=math.inf, r_end_name="infinity",
-        a=lambda z: np.cosh(_asfloat(z)) ** 2, p_z=lambda z: 2.0 * np.tanh(_asfloat(z)),
-        t=lambda z: np.tanh(_asfloat(z)), z_end=math.inf, z_end_name="infinity",
+        a_phi=lambda b, r: -b * (np.cosh(r) - 1.0), r_end=math.inf, r_end_name="infinity",
+        p_z=lambda z: 2.0 * np.tanh(_asfloat(z)), z_end=math.inf, z_end_name="infinity",
         curvature=-1.0, eigen={"magnetic": "Lambda", "electric": "Lambda"},
         y_name="ch^2 z", y_range=(1.0, math.inf), z_of_y=lambda y: math.acosh(math.sqrt(y)),
         u=_u_lobachevsky, force=_force_lobachevsky, pole=_pole_lobachevsky,
     ),
     "spherical": _Section(
         w=lambda r: np.sin(_asfloat(r)), p_r=lambda r: 1.0 / np.tan(_asfloat(r)),
-        a_phi=lambda b, r: b * (np.cos(r) - 1.0), b3=lambda b, r: -b * np.sin(r),
-        r_end=math.pi, r_end_name="antipode",
-        a=lambda z: np.cos(_asfloat(z)) ** 2, p_z=lambda z: -2.0 * np.tan(_asfloat(z)),
-        t=lambda z: np.tan(_asfloat(z)), z_end=math.pi / 2, z_end_name="pi/2",
+        a_phi=lambda b, r: b * (np.cos(r) - 1.0), r_end=math.pi, r_end_name="antipode",
+        p_z=lambda z: -2.0 * np.tan(_asfloat(z)), z_end=math.pi / 2, z_end_name="pi/2",
         curvature=1.0, eigen={"magnetic": "Lambda", "electric": "Lambda"},
         y_name="cos^2 z", y_range=(0.0, 1.0), z_of_y=lambda y: math.acos(math.sqrt(y)),
         u=_u_spherical, force=_force_spherical, pole=_pole_spherical,
     ),
 }
-
-
-# ---------------------------------------------------------------------------
-# gauge potentials and local field data
-# ---------------------------------------------------------------------------
-
-def _on_chart(spec: BackgroundSpec, r: float = 0.0, z: float = 0.0) -> _Section:
-    """The section of `spec`, after refusing (r, z) off its chart:
-    r must be finite in [0, r_end] and |z| < z_end."""
-    sec = _SECTIONS[spec.geometry]
-    if not (0.0 <= r <= sec.r_end and r < math.inf):
-        raise DomainError(f"{spec.geometry} chart needs finite r in [0, {sec.r_end}], got {r}")
-    if not abs(z) < sec.z_end:
-        raise DomainError(f"{spec.geometry} chart needs finite z with |z| < {sec.z_end}, got {z}")
-    return sec
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
-def gauge_potential(spec: BackgroundSpec, coord: float) -> float:
-    """A_phi(r) for magnetic configurations, A_0(z) for electric ones.
-
-        flat magnetic:         A_phi = -B r^2 / 2          (B = 2b)
-        lobachevsky magnetic:  A_phi = -b (ch r - 1)
-        spherical magnetic:    A_phi = +b (cos r - 1),  0 <= r <= pi
-        flat electric:         A_0   = -E z                (E ~ nu)
-        lobachevsky electric:  A_0   = -E th z
-        spherical electric:    A_0   = -E tg z,        |z| < pi/2
-
-    Coordinates off the chart, NaN or infinite raise DomainError, and
-    so does a potential that overflows double.
-    """
-    c = float(coord)
-    if spec.field == "magnetic":
-        A = float(_on_chart(spec, r=c).a_phi(spec.b, c))
-    else:
-        A = float(-spec.nu * _on_chart(spec, z=c).t(c))
-    if not math.isfinite(A):
-        raise DomainError(f"gauge potential overflows double at {c}")
-    return A
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
-def metric_at(spec: BackgroundSpec, r: float, z: float = 0.0) -> DiagonalMetric:
-    """Diagonal metric components at the point (r, z) on the unit-radius chart.
-
-    Points off the chart, points where g_phiphi vanishes (the axis, or
-    w(r)^2 below double range next to it) and metrics that overflow double
-    raise DomainError.
-    """
-    sec = _on_chart(spec, r, z)
-    a = float(sec.a(z))
-    g22 = float(-a * sec.w(r) ** 2)
-    if not math.isfinite(g22):  # an infinite a makes g22 infinite or NaN too
-        raise DomainError(f"metric overflows double at r = {r}, z = {z}")
-    if g22 == 0.0:  # on the axis, or w(r)^2 below the least double
-        near = "" if r == 0.0 else "w(r)^2 below double range near "
-        raise DomainError(
-            f"g_phiphi = 0 at r = {r}, z = {z} ({near}the axis r = 0, "
-            f"a coordinate singularity of the {spec.geometry} chart)"
-        )
-    return DiagonalMetric(1.0, -a, g22, -1.0)
-
-
-def gamma_profile(spec: BackgroundSpec, z: float):
-    """Local structure parameter gamma(z) = gamma / a(z) tracking the field
-    magnitude.  Where a = ch^2 z overflows (|z| > 355 on Lobachevsky) it is
-    gamma sech^2 z from `_sech2`, which stays finite."""
-    z = np.asarray(z, dtype=float)
-    g = spec.gamma
-    if spec.geometry == "flat" and spec.field == "magnetic" and spec.eta:
-        g = spec.eta
-    with np.errstate(over="ignore"):
-        a = _SECTIONS[spec.geometry].a(z)
-    return np.where(np.isfinite(a), g / a, g * _sech2(z))[()]
-
-
-@np.errstate(over="ignore", invalid="ignore")  # metric_at/field_invariants refuse overflow
-def field_components(
-    spec: BackgroundSpec, z: float, r: float = 1.0
-) -> tuple[FieldConfig3, float]:
-    """Covariant field components at (r, z) and the local invariant magnitude.
-
-    Returns (fields, inv) where inv = |I| is the squared field strength
-    seen locally: B^2 for flat magnetic (z-independent), b^2/ch^4 z on
-    Lobachevsky (vanishing as z -> inf), b^2/cos^4 z on the sphere
-    (diverging towards z = +-pi/2), and the electric analogues with
-    E_3 = E/ch^2 z on Lobachevsky.  B_3 = dA_phi/dr and E_3 = nu/a(z).
-    Points off the chart and fields that overflow double raise DomainError.
-    """
-    sec = _on_chart(spec, r, z)
-    if spec.field == "magnetic":
-        fields = FieldConfig3((0.0, 0.0, 0.0), (0.0, 0.0, float(sec.b3(spec.b, r))))
-    else:
-        fields = FieldConfig3((0.0, 0.0, float(spec.nu / sec.a(z))), (0.0, 0.0, 0.0))
-    inv = abs(field_invariants(fields, metric_at(spec, r, z)).I)
-    return fields, inv
-
-
-# ---------------------------------------------------------------------------
-# strength-parameter conversions (the only place physical units appear)
-# ---------------------------------------------------------------------------
-
-def magnetic_strength_parameter(B: float, rho: float, geometry: str) -> float:
-    """Dimensionless b from a physical field B (natural units e = hbar = c = 1).
-
-    flat: b = B/2;  curved: b = B rho^2.
-    """
-    if geometry == "flat":
-        return B / 2.0
-    return B * rho * rho
-
-
-def electric_strength_parameter(E: float, rho: float, M: float, geometry: str) -> float:
-    """Dimensionless nu from a physical field E (natural units e = hbar = c = 1).
-
-    flat: nu = 2ME;  curved: nu = 2ME rho^3.
-    """
-    if geometry == "flat":
-        return 2.0 * M * E
-    return 2.0 * M * E * rho**3
-
-
-def flat_equivalent_magnetic_b(spec: BackgroundSpec) -> float:
-    """Flat-space b matching a curved configuration's physical field: b/(2 rho^2)."""
-    if spec.geometry == "flat":
-        return spec.b
-    return spec.b / (2.0 * spec.rho**2)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +281,7 @@ def assemble_radial_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedOD
     """Radial equation R'' + p(r) R' + [q0(r) + s] R = 0 for the configuration.
 
     One formula on every section, with the weight w and the magnetic
-    potential A_phi of `gauge_potential` (A_phi = 0 for the electric field):
+    potential A_phi (A_phi = 0 for the electric field):
 
         p = w'/w,   q0 = -(m + A_phi(r))^2 / w^2
 

@@ -41,7 +41,6 @@ from .errors import (
     CutoffTooSmall,
     DomainError,
     GridTooCoarse,
-    InvalidEta,
     NonConvergence,
     ParameterError,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "EigenResult",
     "analytic_spectrum",
     "flat_physical_energy",
-    "oscillator_frequency_shift",
     "spectrum_matched_ode",
     "solve_radial_eigen",
     "radial_hypergeometric_solution",
@@ -185,18 +183,6 @@ def flat_physical_energy(spec: BackgroundSpec, qn: QuantumNumbers, eps_prime: fl
     if not math.isfinite(energy):
         raise DomainError(f"energy = {energy} overflows double (b = {spec.b}, k = {qn.k})")
     return energy
-
-
-def oscillator_frequency_shift(B: float, Gamma: float, M: float = 1.0) -> float:
-    """Renormalized cyclotron frequency (B/M)/(1 - (Gamma B)^2), units e = hbar = c = 1.
-
-    The intrinsic structure rescales the oscillator frequency by
-    1/(1 - eta^2) with eta = Gamma B; |eta| >= 1 has no oscillator regime.
-    """
-    eta = Gamma * B
-    if abs(eta) >= 1.0:
-        raise InvalidEta(f"|Gamma*B| = {abs(eta)} is not below 1")
-    return (B / M) / (1.0 - eta * eta)
 
 
 def spectrum_matched_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedODE:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from coxlab.axial import Equilibrium, ExtremaResult, LocalForm
+from coxlab.axial import Equilibrium, ExtremaResult
 from coxlab.backgrounds import BackgroundSpec
 from coxlab.errors import DomainError, ParameterError, PoleError
 
@@ -215,83 +215,3 @@ def _pole_locations(spec: BackgroundSpec) -> tuple[float, ...]:
     if g == 1.0:
         return (0.0,)
     return ()
-
-
-def singular_local_form(
-    spec: BackgroundSpec, Lambda: float, point: str, epsilon: float = 0.0
-) -> LocalForm:
-    """Leading local behaviour at a singular point of the axial equation in
-    the variable y = cos^2 z (sphere) or y = ch^2 z (Lobachevsky).
-
-        y ~ 1:        Z = exp(+-sqrt(A (y-1)))
-        y ~ 0:        Z = y^(-1/2) exp(+-sqrt(C y))
-        y ~ inf:      Z = y^D
-        y ~ +-gamma:  confluent-type local equation with lower
-                      parameter c = 0 and accessory coefficient a
-
-    Spherical coefficients: A = eps - (b g + L)/(1 - g^2), C = -eps - b/g,
-    D = (-1 +- sqrt(eps + 1))/2, a(+-g) = (L +- b)/(4(3 -+ 4g)).
-    Lobachevsky analogues (derived by the same residue reduction):
-    A = -eps + (L - b g)/(1 - g^2), C = eps - b/g,
-    D = (-1 +- sqrt(1 - eps))/2, a(+g) = (L - b)/(4(3 - 4g)),
-    a(-g) = (L + b)/(4(3 + 4g)).  Requires gamma != 0 (at gamma = 0 the
-    points y = +-gamma merge with y = 0 and the classification changes).
-    """
-    _require_curved_magnetic(spec)
-    g, b = spec.gamma, spec.b
-    if g == 0.0:
-        raise ParameterError("singular local forms need gamma != 0")
-    spherical = spec.geometry == "spherical"
-    if point == "y=1":
-        A = (
-            epsilon - (b * g + Lambda) / (1.0 - g * g)
-            if spherical
-            else -epsilon + (Lambda - b * g) / (1.0 - g * g)
-        )
-        return LocalForm(
-            point=point,
-            kind="exponential",
-            params={"A": A},
-            description="Z = exp(+-sqrt(A (y-1)))",
-        )
-    if point == "y=0":
-        C = -epsilon - b / g if spherical else epsilon - b / g
-        return LocalForm(
-            point=point,
-            kind="inverse-sqrt-exponential",
-            params={"C": C},
-            description="Z = y^(-1/2) exp(+-sqrt(C y))",
-        )
-    if point == "y=infinity":
-        rad = epsilon + 1.0 if spherical else 1.0 - epsilon
-        root = complex(rad) ** 0.5
-        d_plus = (-1.0 + root) / 2.0
-        d_minus = (-1.0 - root) / 2.0
-        if rad >= 0.0:
-            d_plus, d_minus = d_plus.real, d_minus.real
-        return LocalForm(
-            point=point,
-            kind="power",
-            params={"D_plus": d_plus, "D_minus": d_minus},
-            description="Z = y^D",
-        )
-    if point in ("y=+gamma", "y=-gamma"):
-        plus = point == "y=+gamma"
-        if spherical:
-            a = (Lambda + b) / (4.0 * (3.0 - 4.0 * g)) if plus else (Lambda - b) / (
-                4.0 * (3.0 + 4.0 * g)
-            )
-        else:
-            a = (Lambda - b) / (4.0 * (3.0 - 4.0 * g)) if plus else (Lambda + b) / (
-                4.0 * (3.0 + 4.0 * g)
-            )
-        return LocalForm(
-            point=point,
-            kind="confluent",
-            params={"a": a, "c": 0.0},
-            description="confluent-type local equation, lower parameter c = 0",
-        )
-    raise ParameterError(
-        f"unknown singular point {point!r}; expected one of "
-        "'y=0', 'y=1', 'y=+gamma', 'y=-gamma', 'y=infinity'"
-    )

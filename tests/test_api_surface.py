@@ -45,17 +45,10 @@ SURFACE = {
             "weight=None", "q0_weighted=None", "singular_points=()", "params=dict()",
             "schrodinger=None", "note=''",
         ),
-        "gauge_potential": ("spec", "coord"),
-        "field_components": ("spec", "z", "r=1.0"),
-        "metric_at": ("spec", "r", "z=0.0"),
-        "gamma_profile": ("spec", "z"),
         "assemble_radial_ode": ("spec", "qn"),
         "assemble_axial_ode": (
             "spec", "Lambda", "*", "epsilon=0.0", "w=0.0", "mu2=1.0", "compton=1.0",
         ),
-        "magnetic_strength_parameter": ("B", "rho", "geometry"),
-        "electric_strength_parameter": ("E", "rho", "M", "geometry"),
-        "flat_equivalent_magnetic_b": ("spec",),
     },
     "radial": {
         "SpectrumEntry": (
@@ -66,7 +59,6 @@ SURFACE = {
         "EigenResult": ("eigenvalues", "eigenfunctions", "grid", "grid_spec", "error_estimates"),
         "analytic_spectrum": ("spec", "qn"),
         "flat_physical_energy": ("spec", "qn", "eps_prime"),
-        "oscillator_frequency_shift": ("B", "Gamma", "M=1.0"),
         "spectrum_matched_ode": ("spec", "qn"),
         "solve_radial_eigen": ("ode", "count", "grid"),
         "radial_hypergeometric_solution": ("m", "w_perp", "x"),
@@ -78,14 +70,12 @@ SURFACE = {
         "PotentialProfile": ("z_grid", "U", "Fz", "extrema"),
         "AirySolutionPair": ("z1", "z2", "dz1", "dz2", "x_of_z", "turning_point", "wronskian"),
         "AxialSolution": ("z", "Z", "dZ", "residual_estimate"),
-        "LocalForm": ("point", "kind", "params", "description"),
         "effective_potential": ("spec", "Lambda", "z"),
         "effective_force": ("spec", "Lambda", "z"),
         "effective_force_extrema": ("spec", "Lambda"),
         "potential_profile": ("spec", "Lambda", "z_min", "z_max", "samples"),
         "airy_pair": ("w_prime", "nu"),
         "integrate_axial": ("ode", "ic_left", "z_range", "steps", "tol=1e-09"),
-        "singular_local_form": ("spec", "Lambda", "point", "epsilon=0.0"),
     },
     "special_functions": {
         "gamma_complex": ("z",),

@@ -1,4 +1,4 @@
-"""Effective axial potentials, Airy-type branches, integration, local forms."""
+"""Effective axial potentials, Airy-type branches, integration."""
 
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from coxlab.axial import (
     effective_potential,
     integrate_axial,
     potential_profile,
-    singular_local_form,
 )
 from coxlab.backgrounds import (
     BackgroundSpec,
@@ -95,6 +94,41 @@ def test_potential_interior_pole_and_domain():
         effective_potential(
             BackgroundSpec(geometry="lobachevsky", field="electric", nu=1.0), 2.0, 0.0
         )
+
+
+_NO_POTENTIAL = {
+    "flat-magnetic": BackgroundSpec(geometry="flat", b=1.0),
+    "flat-electric": BackgroundSpec(geometry="flat", field="electric", nu=1.0),
+    "lobachevsky-electric": BackgroundSpec(geometry="lobachevsky", field="electric", nu=1.0),
+    "spherical-electric": BackgroundSpec(geometry="spherical", field="electric", nu=1.0),
+}
+_EFFECTIVE_CALLS = {
+    "potential": lambda spec: effective_potential(spec, 2.0, 0.3),
+    "force": lambda spec: effective_force(spec, 2.0, 0.3),
+    "extrema": lambda spec: effective_force_extrema(spec, 2.0),
+    "profile": lambda spec: potential_profile(spec, 2.0, -1.0, 1.0, 5),
+}
+
+
+@pytest.mark.parametrize("config", sorted(_NO_POTENTIAL))
+@pytest.mark.parametrize("call", sorted(_EFFECTIVE_CALLS))
+def test_effective_functions_refuse_configurations_without_a_potential(call, config):
+    """U, F_z, the equilibria and the profile exist for the two curved
+    magnetic sections only; every other configuration is a ParameterError."""
+    with pytest.raises(ParameterError, match="exist for the curved magnetic configurations"):
+        _EFFECTIVE_CALLS[call](_NO_POTENTIAL[config])
+
+
+@pytest.mark.parametrize("z", [2.0, -2.0, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [effective_potential, effective_force],
+                         ids=["potential", "force"])
+def test_spherical_effective_values_refuse_points_off_the_chart(fn, z):
+    """|z| > pi/2 lies off the spherical chart, alone or inside an array."""
+    with pytest.raises(DomainError, match=r"spherical axial coordinate requires \|z\| <= pi/2"):
+        fn(SPH, 2.0, z)
+    with pytest.raises(DomainError, match="spherical axial coordinate"):
+        fn(SPH, 2.0, np.array([0.0, z]))
+    assert np.isfinite(fn(SPH, 2.0, math.copysign(math.pi / 2, z)))
 
 
 def test_force_is_minus_gradient():
@@ -929,88 +963,6 @@ def test_integrate_axial_peak_memory_below_the_complex_loop():
     assert peak < held
 
 
-# ---------------------------------------------------------------------------
-# singular local forms
-# ---------------------------------------------------------------------------
-
-def test_local_forms_spherical_values():
-    g, b, L, eps = 0.25, 1.0, 2.0, 0.5
-    spec = BackgroundSpec(geometry="spherical", b=b, gamma=g)
-    one = singular_local_form(spec, L, "y=1", epsilon=eps)
-    assert_allclose(one.params["A"], eps - (b * g + L) / (1 - g * g))
-    zero = singular_local_form(spec, L, "y=0", epsilon=eps)
-    assert_allclose(zero.params["C"], -eps - b / g)
-    inf = singular_local_form(spec, L, "y=infinity", epsilon=0.0)
-    assert inf.params["D_plus"] == 0.0 and inf.params["D_minus"] == -1.0
-    plus = singular_local_form(spec, L, "y=+gamma")
-    assert_allclose(plus.params["a"], (L + b) / (4 * (3 - 4 * g)))
-    minus = singular_local_form(spec, L, "y=-gamma")
-    assert_allclose(minus.params["a"], (L - b) / (4 * (3 + 4 * g)))
-
-
-def test_local_forms_lobachevsky_values():
-    g, b, L, eps = 0.2, 1.5, 3.0, 0.5
-    spec = BackgroundSpec(geometry="lobachevsky", b=b, gamma=g)
-    one = singular_local_form(spec, L, "y=1", epsilon=eps)
-    assert_allclose(one.params["A"], -eps + (L - b * g) / (1 - g * g))
-    zero = singular_local_form(spec, L, "y=0", epsilon=eps)
-    assert_allclose(zero.params["C"], eps - b / g)
-    inf = singular_local_form(spec, L, "y=infinity", epsilon=2.0)
-    assert_allclose(inf.params["D_plus"], complex(-1, 1) / 2)
-    plus = singular_local_form(spec, L, "y=+gamma")
-    assert_allclose(plus.params["a"], (L - b) / (4 * (3 - 4 * g)))
-    minus = singular_local_form(spec, L, "y=-gamma")
-    assert_allclose(minus.params["a"], (L + b) / (4 * (3 + 4 * g)))
-
-
-def test_local_forms_cover_all_singular_labels():
-    ode = assemble_axial_ode(SPH, 2.0)
-    for sp in ode.singular_points:
-        form = singular_local_form(SPH, 2.0, sp.label)
-        assert form.point == sp.label
-
-
-def test_local_forms_errors():
-    with pytest.raises(ParameterError):
-        singular_local_form(
-            BackgroundSpec(geometry="spherical", b=1.0, gamma=0.0), 2.0, "y=0"
-        )
-    with pytest.raises(ParameterError):
-        singular_local_form(SPH, 2.0, "y=2")
-    with pytest.raises(ParameterError):
-        singular_local_form(BackgroundSpec(geometry="flat", b=1.0), 2.0, "y=0")
-
-
-def test_local_forms_refuse_degenerate_gamma():
-    """3 -+ 4 gamma = 0 and 1 - gamma^2 = 0 divided by zero (a bare
-    ZeroDivisionError); they are refused like gamma = 0."""
-    for geometry in ("lobachevsky", "spherical"):
-        for g, point in ((1.0, "y=1"), (-1.0, "y=1"), (0.75, "y=+gamma"), (-0.75, "y=-gamma")):
-            spec = BackgroundSpec(geometry=geometry, b=1.0, gamma=g)
-            with pytest.raises(ParameterError, match="needs gamma"):
-                singular_local_form(spec, 2.0, point, epsilon=0.5)
-        # the other point of each pair stays finite
-        spec = BackgroundSpec(geometry=geometry, b=1.0, gamma=0.75)
-        assert math.isfinite(singular_local_form(spec, 2.0, "y=-gamma").params["a"])
-
-
-def test_local_forms_refuse_non_finite_coefficients():
-    """A = nan (b = gamma = Lambda = eps = 1e300), C = -inf (gamma = 1e-310)
-    and non-finite Lambda or epsilon were returned as answers."""
-    for geometry, spec in (("lobachevsky", LOB), ("spherical", SPH)):
-        big = BackgroundSpec(geometry=geometry, b=1e300, gamma=1e300)
-        with pytest.raises(DomainError, match="local form at y=1 is not finite"):
-            singular_local_form(big, 1e300, "y=1", epsilon=1e300)
-        tiny = BackgroundSpec(geometry=geometry, b=1.0, gamma=1e-310)
-        with pytest.raises(DomainError, match="local form at y=0 is not finite"):
-            singular_local_form(tiny, 2.0, "y=0")
-        for bad in (math.nan, math.inf):
-            with pytest.raises(DomainError):
-                singular_local_form(spec, bad, "y=+gamma")
-            with pytest.raises(DomainError):
-                singular_local_form(spec, 2.0, "y=infinity", epsilon=bad)
-
-
 def test_airy_derivatives_refuse_overflowing_cubes():
     """dz1 and dz2 raised a bare OverflowError from x**3 where z1 and z2
     refuse the same x with DomainError."""
@@ -1068,7 +1020,7 @@ def _curved_draws(seed, count):
     rng = np.random.default_rng(seed)
     for _ in range(count):
         geometry = str(rng.choice(["lobachevsky", "spherical"]))
-        b, L, eps = (_extreme_value(rng) for _ in range(3))
+        b, L, _ = (_extreme_value(rng) for _ in range(3))  # the third keeps the draws' stream
         g = _extreme_value(rng, 2.0)
         if rng.random() < 0.05:
             L = float(rng.choice([math.nan, math.inf, -math.inf]))
@@ -1076,22 +1028,16 @@ def _curved_draws(seed, count):
         z = rng.uniform(-zmax, zmax, int(rng.integers(1, 5)))
         if rng.random() < 0.2:
             z[0] = float(rng.choice([0.0, math.pi / 2, -math.pi / 2, 800.0, -1e4]))
-        yield BackgroundSpec(geometry=geometry, b=b, gamma=g), L, eps, z
-
-
-_LOCAL_POINTS = ("y=0", "y=1", "y=+gamma", "y=-gamma", "y=infinity")
+        yield BackgroundSpec(geometry=geometry, b=b, gamma=g), L, z
 
 
 def test_curved_axial_functions_equal_the_per_geometry_originals():
-    """Seeded draws over both curved sections, with b, gamma, Lambda and
-    epsilon up to +-1e308, subnormal, signed zero and the degenerate gamma
-    in {0, +-1, +-3/4}: poles, equilibria, U, F and the five local forms
-    are the originals' bits, or their refusals by type and message.  The
-    local forms differ only where an original divided by zero (now a
-    ParameterError) or returned a non-finite coefficient (now a
-    DomainError)."""
+    """Seeded draws over both curved sections, with b, gamma and Lambda up
+    to +-1e308, subnormal, signed zero and the degenerate gamma in
+    {0, +-1, +-3/4}: poles, equilibria, U and F are the originals' bits,
+    or their refusals by type and message."""
     kinds = set()
-    for spec, L, eps, z in _curved_draws(2030, 1500):
+    for spec, L, z in _curved_draws(2030, 1500):
         assert _pole_locations(_SECTIONS[spec.geometry], spec.gamma) == (
             per_geometry._pole_locations(spec))
         for new, old in ((effective_potential, per_geometry.effective_potential),
@@ -1102,22 +1048,4 @@ def test_curved_axial_functions_equal_the_per_geometry_originals():
                 kinds.add(type(want))
         want = _outcome_bits(per_geometry.effective_force_extrema, spec, L)
         assert _outcome_bits(effective_force_extrema, spec, L) == want
-        for point in _LOCAL_POINTS:
-            try:
-                ref = per_geometry.singular_local_form(spec, L, point, eps)
-            except ZeroDivisionError:
-                with pytest.raises(ParameterError, match="needs gamma"):
-                    singular_local_form(spec, L, point, eps)
-                kinds.add("degenerate")
-                continue
-            except ParameterError as exc:
-                with pytest.raises(ParameterError, match=re.escape(str(exc))):
-                    singular_local_form(spec, L, point, eps)
-                continue
-            if all(np.isfinite(complex(v)) for v in ref.params.values()):
-                assert repr(singular_local_form(spec, L, point, eps)) == repr(ref)
-            else:
-                with pytest.raises(DomainError, match="is not finite"):
-                    singular_local_form(spec, L, point, eps)
-                kinds.add("non-finite")
-    assert {str, tuple, "degenerate", "non-finite"} <= kinds
+    assert {str, tuple} <= kinds

@@ -1,4 +1,4 @@
-"""Gauge potentials, local field data and separated-equation coefficients."""
+"""Spec and quantum-number validation and separated-equation coefficients."""
 
 from __future__ import annotations
 
@@ -13,18 +13,12 @@ from numpy.testing import assert_allclose
 from coxlab.backgrounds import (
     BackgroundSpec,
     QuantumNumbers,
+    SingularPoint,
     assemble_axial_ode,
     assemble_radial_ode,
-    electric_strength_parameter,
-    field_components,
-    flat_equivalent_magnetic_b,
-    gamma_profile,
-    gauge_potential,
-    magnetic_strength_parameter,
-    metric_at,
 )
-from coxlab.errors import DomainError, InvalidEta, ParameterError
-from coxlab.tensor_algebra import field_invariants
+from coxlab.errors import InvalidEta, ParameterError
+from coxlab.radial import analytic_spectrum
 
 
 def _spec(geometry, field="magnetic", **kw):
@@ -63,220 +57,56 @@ def test_quantum_numbers_validation():
     assert (qn.n, qn.m, qn.k) == (2, -3, 0.5)
 
 
-# ---------------------------------------------------------------------------
-# gauge potentials
-# ---------------------------------------------------------------------------
-
-def test_gauge_potential_flat_magnetic():
-    """A_phi = -B r^2/2 with B = 2b, so b=1 gives A_phi(1) = -1."""
-    spec = _spec("flat", b=1.0)
-    assert gauge_potential(spec, 0.0) == 0.0
-    assert_allclose(gauge_potential(spec, 1.0), -1.0, rtol=0, atol=0)
-    with pytest.raises(DomainError):
-        gauge_potential(spec, -0.1)
-
-
-def test_gauge_potential_small_r_matches_flat():
-    """Both curved potentials reduce to -b r^2/2 near the axis."""
-    r = 1e-3
-    for geo in ("lobachevsky", "spherical"):
-        spec = _spec(geo, b=3.0)
-        assert_allclose(gauge_potential(spec, r), -3.0 * r * r / 2, rtol=1e-6)
+@pytest.mark.parametrize("name, kw", [
+    ("n", {"n": 1.5, "m": 0}), ("m", {"n": 0, "m": -0.5}),
+    ("n", {"n": math.nan, "m": 0}), ("m", {"n": 0, "m": math.nan}),
+    ("n", {"n": math.inf, "m": 0}), ("m", {"n": 0, "m": -math.inf}),
+    ("k", {"n": 0, "m": 0, "k": math.nan}), ("k", {"n": 0, "m": 0, "k": math.inf}),
+    ("k", {"n": 0, "m": 0, "k": -math.inf}),
+])
+def test_quantum_numbers_refuse_non_integral_or_non_finite(name, kw):
+    """n = 1.5 answered Lambda = 8.0 with valid=True (no level has it), a
+    NaN n or m was refused as an overflowing Lambda, and a NaN or infinite
+    k was accepted; each is now refused, by the field's name."""
+    what = {"n": "radial quantum number n must be an integer",
+            "m": "azimuthal quantum number m must be an integer",
+            "k": "axial wavenumber k must be finite"}[name]
+    with pytest.raises(ParameterError, match=what):
+        QuantumNumbers(**kw)
 
 
-def test_gauge_potential_spherical_domain():
-    spec = _spec("spherical", b=1.0)
-    assert_allclose(gauge_potential(spec, math.pi), -2.0)
-    with pytest.raises(DomainError):
-        gauge_potential(spec, math.pi + 0.01)
-
-
-def test_gauge_potential_electric():
-    flat = _spec("flat", "electric", nu=2.0)
-    assert_allclose(gauge_potential(flat, 1.5), -3.0)
-    lob = _spec("lobachevsky", "electric", nu=2.0)
-    assert gauge_potential(lob, 0.0) == 0.0
-    assert_allclose(gauge_potential(lob, 50.0), -2.0, rtol=1e-12)  # saturates
-    sph = _spec("spherical", "electric", nu=1.0)
-    assert_allclose(gauge_potential(sph, math.pi / 4), -1.0, rtol=1e-12)
-    with pytest.raises(DomainError):
-        gauge_potential(sph, math.pi / 2)
-
-
-# ---------------------------------------------------------------------------
-# local field components and invariants
-# ---------------------------------------------------------------------------
-
-def test_flat_magnetic_invariant_uniform():
-    """|I| = B^2 = (2b)^2 everywhere: the flat field is genuinely uniform."""
-    spec = _spec("flat", b=1.0)
-    for r, z in [(0.3, 0.0), (0.7, 3.0), (2.0, -1.0)]:
-        fields, inv = field_components(spec, z, r=r)
-        assert fields.B[2] == -2.0 * r
-        assert_allclose(inv, 4.0, rtol=1e-12)
-
-
-def test_lobachevsky_magnetic_invariant_profile():
-    """|I| = b^2/ch^4 z, independent of r: uniform on each z-slice, dying off axially."""
-    spec = _spec("lobachevsky", b=2.0)
-    for r in (0.4, 0.9, 2.0):
-        _, inv = field_components(spec, 1.0, r=r)
-        assert_allclose(inv, 4.0 / math.cosh(1.0) ** 4, rtol=1e-12)
-    _, inv0 = field_components(spec, 0.0, r=1.0)
-    assert_allclose(inv0, 4.0, rtol=1e-12)
-    _, inv_far = field_components(spec, 8.0, r=1.0)
-    assert inv_far < 1e-5
-
-
-def test_spherical_magnetic_invariant_grows_to_poles():
-    spec = _spec("spherical", b=1.0)
-    zs = [0.0, 0.5, 1.0, 1.4, 1.55]
-    invs = [field_components(spec, z, r=0.8)[1] for z in zs]
-    assert all(b > a for a, b in zip(invs, invs[1:]))
-    assert_allclose(invs[0], 1.0, rtol=1e-12)
-    assert_allclose(invs[2], 1.0 / math.cos(1.0) ** 4, rtol=1e-12)
-
-
-def test_electric_components_and_invariant():
-    lob = _spec("lobachevsky", "electric", nu=3.0)
-    fields, inv = field_components(lob, 1.2, r=0.5)
-    assert_allclose(fields.E[2], 3.0 / math.cosh(1.2) ** 2, rtol=1e-12)
-    assert_allclose(inv, 9.0 / math.cosh(1.2) ** 4, rtol=1e-12)
-    flat = _spec("flat", "electric", nu=3.0)
-    _, inv_flat = field_components(flat, 5.0, r=0.5)
-    assert_allclose(inv_flat, 9.0, rtol=1e-12)
-
-
-def test_field_components_bridge_to_tensor_invariants():
-    """Recompute I and J from the raw tensor layer: magnetic I < 0, J = 0."""
-    spec = _spec("lobachevsky", b=2.5)
-    r, z = 0.8, 0.6
-    fields, inv = field_components(spec, z, r=r)
-    res = field_invariants(fields, metric_at(spec, r, z))
-    assert_allclose(res.I, -2.5**2 / math.cosh(z) ** 4, rtol=1e-12)
-    assert res.J == 0.0
-    assert_allclose(inv, abs(res.I), rtol=0, atol=0)
+def test_quantum_numbers_take_integral_floats_and_numpy_integers():
+    for geometry in ("flat", "lobachevsky", "spherical"):
+        spec = _spec(geometry, b=3.0)
+        want = analytic_spectrum(spec, QuantumNumbers(1, -2, 0.5))
+        for n, m in ((1.0, -2.0), (np.int64(1), np.int32(-2))):
+            got = analytic_spectrum(spec, QuantumNumbers(n, m, 0.5))
+            assert (got.Lambda, got.epsilon, got.valid, got.branch, got.reason) == (
+                want.Lambda, want.epsilon, want.valid, want.branch, want.reason)
+    with pytest.raises(ParameterError, match="n must be >= 0"):
+        QuantumNumbers(-1.0, 0)
 
 
 _GEOS = ("flat", "lobachevsky", "spherical")
-# one off-chart radial point and, on the sphere, one off-chart axial point
-_OFF_CHART = {"flat": (-0.5, None), "lobachevsky": (-0.5, None),
-              "spherical": (math.pi + 0.1, math.pi / 2)}
-
-
-@pytest.mark.parametrize("geo", _GEOS)
-@pytest.mark.parametrize("field", ["magnetic", "electric"])
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "off-chart"])
-def test_local_values_refuse_points_off_the_chart(geo, field, bad):
-    """NaN, infinite and off-chart coordinates raise DomainError from every
-    local-value function (they used to give nan/inf, a bare ValueError, or
-    a metric at r < 0)."""
-    spec = _spec(geo, field, b=1.0, nu=1.0)
-    r, z = _OFF_CHART[geo] if bad == "off-chart" else (float(bad), float(bad))
-    calls = [lambda: metric_at(spec, r, 0.0), lambda: field_components(spec, 0.0, r=r)]
-    if z is not None:
-        calls += [lambda: metric_at(spec, 1.0, z), lambda: field_components(spec, z, r=1.0)]
-    coord = r if field == "magnetic" else z
-    if coord is not None:
-        calls.append(lambda: gauge_potential(spec, coord))
-    for call in calls:
-        with pytest.raises(DomainError):
-            call()
-
-
-@pytest.mark.parametrize("call", [
-    lambda: gauge_potential(_spec("flat", b=1e300), 1e10),
-    lambda: gauge_potential(_spec("lobachevsky", b=1.0), 800.0),
-    lambda: metric_at(_spec("lobachevsky", b=1.0), 1.0, 800.0),
-    lambda: field_components(_spec("lobachevsky", b=1e300), 0.5, r=800.0),
-    lambda: field_components(_spec("spherical", "electric", nu=1e300), 1.5707963),
-], ids=["flat-A", "lobachevsky-A", "lobachevsky-metric", "lobachevsky-B", "spherical-E"])
-def test_local_values_refuse_overflow(call):
-    with pytest.raises(DomainError, match="overflow"):
-        call()
+# the axial metric factor a(z) of each section
+_A = {"flat": lambda z: 1.0, "lobachevsky": lambda z: math.cosh(z) ** 2,
+      "spherical": lambda z: math.cos(z) ** 2}
 
 
 @pytest.mark.parametrize("geo", _GEOS)
 def test_section_relations_by_central_differences(geo):
-    """p = w'/w, B_3 = dA_phi/dr, E_3 = -dA_0/dz = nu/a and (axial) p = a'/a,
-    with w^2 and a read from the metric."""
+    """Radial p = w'/w and axial p = a'/a, with a = 1, ch^2 z, cos^2 z."""
     h = 1e-5
     mag, ele = _spec(geo, b=1.3), _spec(geo, "electric", nu=0.7)
     radial = assemble_radial_ode(mag, QuantumNumbers(0, 1))
     axial = assemble_axial_ode(mag if geo != "flat" else ele, 1.0)
-
-    def a(z):
-        return -metric_at(mag, 1.0, z).g11
-
+    a = _A[geo]
     for r in (0.3, 1.1, 2.4):
         w = radial.weight
         assert_allclose(radial.pcoef(r), (w(r + h) - w(r - h)) / (2 * h * w(r)), rtol=1e-8)
-        assert_allclose(-metric_at(mag, r, 0.0).g22, w(r) ** 2, rtol=1e-14)
-        dA = (gauge_potential(mag, r + h) - gauge_potential(mag, r - h)) / (2 * h)
-        assert_allclose(field_components(mag, 0.0, r=r)[0].B[2], dA, rtol=1e-8)
     for z in (-1.2, 0.2, 0.9):
-        dA0 = (gauge_potential(ele, z + h) - gauge_potential(ele, z - h)) / (2 * h)
-        E3 = field_components(ele, z, r=1.0)[0].E[2]
-        assert_allclose(E3, -dA0, rtol=1e-8)
-        assert_allclose(E3, 0.7 / a(z), rtol=1e-14)
         assert_allclose(axial.pcoef(z), (a(z + h) - a(z - h)) / (2 * h * a(z)), rtol=1e-8,
                         atol=1e-12)
-
-
-def test_gamma_profile():
-    lob = _spec("lobachevsky", b=1.0, gamma=0.4)
-    assert_allclose(gamma_profile(lob, 0.0), 0.4)
-    assert_allclose(gamma_profile(lob, 1.0), 0.4 / math.cosh(1.0) ** 2)
-    assert_allclose(gamma_profile(lob, -1.0), gamma_profile(lob, 1.0))  # even
-    sph = _spec("spherical", b=1.0, gamma=0.4)
-    assert_allclose(gamma_profile(sph, 1.0), 0.4 / math.cos(1.0) ** 2)
-    flat = _spec("flat", b=1.0, eta=0.3)
-    assert_allclose(gamma_profile(flat, [0.0, 2.0]), [0.3, 0.3])
-
-
-def test_gamma_profile_lobachevsky_beyond_cosh_range():
-    """gamma sech^2 z stays finite, without an overflow warning, where
-    ch^2 z overflows (|z| > 355), and agrees with gamma / ch^2 z to 2 ulp
-    wherever that is finite."""
-    lob = _spec("lobachevsky", b=1.0, gamma=0.37)
-    far = gamma_profile(lob, [400.0, -400.0, 1e4, 360.0])
-    assert np.all(np.isfinite(far)) and np.all(far >= 0.0)
-    assert far[3] > 0.0  # 4 g e^(-720): subnormal, not flushed to 0
-    assert gamma_profile(lob, 1e4) == 0.0
-    zs = np.concatenate([np.linspace(-355.0, 355.0, 20001),
-                         np.random.default_rng(8).uniform(-3.0, 3.0, 2000)])
-    with np.errstate(over="ignore"):
-        ch2 = np.cosh(zs) ** 2
-    assert np.isfinite(ch2).all()
-    want = 0.37 / ch2
-    got = gamma_profile(lob, zs)
-    assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
-
-
-@pytest.mark.parametrize("geo", _GEOS)
-@pytest.mark.parametrize("field", ["magnetic", "electric"])
-def test_axis_is_a_coordinate_singularity(geo, field):
-    """r = 0 raised ParameterError from the metric's signature check."""
-    spec = _spec(geo, field, b=1.0, nu=1.0)
-    singular = rf"the axis r = 0, a coordinate singularity of the {geo} chart\)"
-    for call in (lambda: metric_at(spec, 0.0, 0.25), lambda: field_components(spec, 0.25, r=0.0)):
-        with pytest.raises(DomainError, match=r"g_phiphi = 0 at r = 0.0, z = 0.25 \(" + singular):
-            call()
-    # off the axis w(r)^2 underflows to 0 below r ~ 1.5e-154: the same refusal, named as such
-    below = r"g_phiphi = 0 at r = 1e-170, z = 0.25 \(w\(r\)\^2 below double range near "
-    with pytest.raises(DomainError, match=below + singular):
-        metric_at(spec, 1e-170, 0.25)
-    assert metric_at(spec, 1e-3, 0.25).g22 < 0.0
-
-
-def test_strength_parameter_conversions():
-    assert magnetic_strength_parameter(2.0, 1.0, "flat") == 1.0
-    assert magnetic_strength_parameter(0.05, 10.0, "lobachevsky") == 5.0
-    assert electric_strength_parameter(3.0, 1.0, 0.5, "flat") == 3.0
-    assert electric_strength_parameter(2.0, 2.0, 1.0, "spherical") == 32.0
-    spec = _spec("spherical", b=80.0, rho=40.0)
-    assert_allclose(flat_equivalent_magnetic_b(spec), 0.025)
-    assert flat_equivalent_magnetic_b(_spec("flat", b=1.5)) == 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +202,54 @@ def test_radial_eigen_enters_additively(s, r):
     assert_allclose(ode.qcoef(r, s), ode.qcoef(r, 0.0) + s, rtol=0, atol=1e-9)
 
 
+# m and b for the chart-end checks: m + 2b != 0, so the antipode is not degenerate
+_M, _B = 2, 1.3
+# far point r, then (factor, limit) for p and for q0: factor * p -> limit.  The
+# sphere's antipode is a regular singular point like the axis; at infinity the
+# flat magnetic q0 grows like -b^2 r^2, the Lobachevsky q0 tends to -b^2
+# (magnetic) or 0 (electric) and the flat electric q0 is -m^2 / r^2
+_FAR_END = {
+    ("flat", "magnetic"): (1e4, lambda r: r, 1.0, lambda r: r**-2, -_B**2),
+    ("flat", "electric"): (1e4, lambda r: r, 1.0, lambda r: r**2, -_M**2),
+    ("lobachevsky", "magnetic"): (40.0, lambda r: 1.0, 1.0, lambda r: 1.0, -_B**2),
+    ("lobachevsky", "electric"): (40.0, lambda r: 1.0, 1.0, lambda r: 1.0, 0.0),
+    ("spherical", "magnetic"): (math.pi - 1e-6, lambda r: math.pi - r, -1.0,
+                                lambda r: (math.pi - r) ** 2, -((_M - 2 * _B) ** 2)),
+    ("spherical", "electric"): (math.pi - 1e-6, lambda r: math.pi - r, -1.0,
+                                lambda r: (math.pi - r) ** 2, -_M**2),
+}
+_R_END = {"flat": ("infinity", math.inf), "lobachevsky": ("infinity", math.inf),
+          "spherical": ("antipode", math.pi)}
+
+
+@pytest.mark.parametrize("geo", _GEOS)
+@pytest.mark.parametrize("field", ["magnetic", "electric"])
+def test_axis_is_a_coordinate_singularity(geo, field):
+    """r = 0 is listed as the axis, a regular singular point of every radial
+    equation: w(r) ~ r there, so r p -> 1 and r^2 q0 -> -m^2 (A_phi(0) = 0)."""
+    ode = assemble_radial_ode(_spec(geo, field, b=_B, nu=1.0), QuantumNumbers(0, _M))
+    assert ode.domain[0] == 0.0
+    assert SingularPoint("axis", 0.0, "r") in ode.singular_points
+    for r in (1e-6, 1e-5):
+        assert_allclose(r * ode.pcoef(r), 1.0, rtol=1e-9)
+        assert_allclose(r * r * ode.qcoef(r, 0.0), -(_M**2), rtol=1e-8)
+
+
+@pytest.mark.parametrize("geo", _GEOS)
+@pytest.mark.parametrize("field", ["magnetic", "electric"])
+def test_radial_far_end_of_the_chart(geo, field):
+    """The domain ends at the section's r_end, listed as a singular point, and
+    p and q0 approach there the forms that fix each spectrum: the sphere's
+    antipode carries the exponents +-(m - 2b) (magnetic) or +-m (electric)."""
+    ode = assemble_radial_ode(_spec(geo, field, b=_B, nu=1.0), QuantumNumbers(0, _M))
+    name, end = _R_END[geo]
+    assert ode.domain == (0.0, end)
+    assert SingularPoint(name, end, "r") in ode.singular_points
+    r, fp, p_lim, fq, q_lim = _FAR_END[geo, field]
+    assert_allclose(fp(r) * ode.pcoef(r), p_lim, rtol=1e-6)
+    assert_allclose(fq(r) * ode.qcoef(r, 0.0), q_lim, rtol=1e-6, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # axial equations: coefficients verbatim
 # ---------------------------------------------------------------------------
@@ -379,6 +257,21 @@ def test_radial_eigen_enters_additively(s, r):
 def test_axial_flat_magnetic_rejected():
     with pytest.raises(ParameterError):
         assemble_axial_ode(_spec("flat", b=1.0), 2.0)
+
+
+@pytest.mark.parametrize("geo", _GEOS)
+@pytest.mark.parametrize("kw, message", [
+    ({"compton": 0.0}, "compton wavelength must be positive"),
+    ({"compton": -0.5}, "compton wavelength must be positive"),
+    ({"mu2": -1.0}, "mu2 must be non-negative"),
+], ids=["compton-zero", "compton-negative", "mu2-negative"])
+def test_axial_electric_refuses_unphysical_parameters(geo, kw, message):
+    """hbar/Mc must be positive and (M c rho/hbar)^2 non-negative on every
+    section; mu2 = 0 is the massless edge and is assembled."""
+    spec = _spec(geo, "electric", nu=1.0, gamma=0.3)
+    with pytest.raises(ParameterError, match=message):
+        assemble_axial_ode(spec, 2.0, **kw)
+    assert assemble_axial_ode(spec, 2.0, mu2=0.0).field_kind == "electric"
 
 
 def test_axial_lobachevsky_magnetic_coefficients():
@@ -427,6 +320,24 @@ def test_axial_magnetic_singular_points():
     locs = sorted(p.location for p in ode.singular_points)
     assert locs == [-g, 0.0, g, 1.0, math.inf]
     assert len(ode.singular_points) == 5
+
+
+@pytest.mark.parametrize("geo", ["lobachevsky", "spherical"])
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_schrodinger_form_is_the_axial_equation_in_f_equals_z_sqrt_a(geo, gamma):
+    """f = Z sqrt(a) turns Z'' + p Z' + q Z = 0 into f'' + (q - p'/2 - p^2/4) f = 0;
+    with p = a'/a that constant is the section's curvature (p' by central
+    differences)."""
+    h = 1e-5
+    ode = assemble_axial_ode(_spec(geo, b=1.5, gamma=gamma), 2.0, epsilon=0.7)
+    schro = ode.schrodinger
+    assert schro.domain == ode.domain and schro.eigen_name == ode.eigen_name
+    for z in (-0.7, 0.1, 0.6):
+        p = ode.pcoef(z)
+        dp = (ode.pcoef(z + h) - ode.pcoef(z - h)) / (2 * h)
+        assert schro.pcoef(z) == 0.0
+        assert_allclose(schro.qcoef(z, 0.4), ode.qcoef(z, 0.4) - dp / 2 - p * p / 4,
+                        rtol=1e-8, atol=1e-9)
 
 
 def test_axial_flat_electric_coefficients():

@@ -22,7 +22,6 @@ from coxlab.errors import (
     CutoffTooSmall,
     DomainError,
     GridTooCoarse,
-    InvalidEta,
     NonConvergence,
     ParameterError,
 )
@@ -31,7 +30,6 @@ from coxlab.radial import (
     analytic_spectrum,
     asymptotic_amplitudes,
     flat_physical_energy,
-    oscillator_frequency_shift,
     radial_hypergeometric_solution,
     solve_radial_eigen,
     spectrum_matched_ode,
@@ -242,14 +240,6 @@ def test_flat_ladder_spacing_is_4b(n, m):
     lo = analytic_spectrum(spec, QuantumNumbers(n, m)).Lambda
     hi = analytic_spectrum(spec, QuantumNumbers(n + 1, m)).Lambda
     assert_allclose(hi - lo, 4 * b, rtol=1e-13)
-
-
-def test_oscillator_frequency_shift():
-    assert_allclose(oscillator_frequency_shift(1.0, 0.0), 1.0)
-    assert_allclose(oscillator_frequency_shift(1.0, 0.5), 4.0 / 3.0)
-    assert_allclose(oscillator_frequency_shift(2.0, 0.25, M=2.0), 4.0 / 3.0)
-    with pytest.raises(InvalidEta):
-        oscillator_frequency_shift(1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,18 +31,20 @@ def main(argv=None) -> int:
     import run
     import workloads
 
-    wls = workloads.make_workloads()
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("workload", choices=sorted(wls), help="the workload to replay")
+    p.add_argument("workload", choices=sorted(workloads.make_workloads()),
+                   help="the workload to replay")
     p.add_argument("--seeds", type=seed_range, default=seed_range("101-110"),
                    help="seed or inclusive range LO-HI (default 101-110)")
     args = p.parse_args(argv)
-    wl = wls[args.workload]
-    count = run.request_count(wl, SECONDS)
 
     bad = 0
     with tempfile.TemporaryDirectory() as work:
         for seed in args.seeds:
+            # a fresh workload per seed, as each run.py process builds one: the
+            # cli check keeps the bytes it verified per pool entry for its run
+            wl = workloads.make_workloads()[args.workload]
+            count = run.request_count(wl, SECONDS)
             reqs = list(itertools.islice(wl.stream(seed, Path(work)), count))
             results = [run.send(wl, req, wl.call)[0] for req in reqs]
             unexpected = run.unexpected_failures(wl, reqs, run.count_failures(wl, reqs, results))
