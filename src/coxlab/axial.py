@@ -128,7 +128,7 @@ def _axial_grid(spec: BackgroundSpec, z, what: str) -> tuple[_Section, np.ndarra
     sec = _require_curved_magnetic(spec)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     g = spec.gamma
-    if np.any(np.abs(z) > sec.z_end + 1e-12):
+    if not np.all(np.abs(z) <= sec.z_end + 1e-12):  # NaN too
         raise DomainError(f"{spec.geometry} axial coordinate requires |z| <= {sec.z_end_name}")
     if np.any(sec.pole(g, z, _POLE_TOL * max(1.0, g * g))):
         raise PoleError(f"effective {what} pole: ch^4/cos^4 z meets gamma^2 = {g * g}")

@@ -15,9 +15,13 @@ number by a real d as a * (1/d), and the real loop multiplies by that
 reciprocal too.  The ratio peak/|sum| measures the digits lost to
 cancellation; when the running estimate exceeds the relative budget
 the same series loop is re-run in binary fixed point on Python integers,
-with the number of bits sized from that estimate.  The budget is fixed:
-every series stops at a relative term size of 1e-14 (``_TOL``) and is
-refused with NonConvergence after 700 terms (``_MAX_TERMS``).  The
+with the number of bits sized from that estimate.  That loop holds x and
+the parameters as exact dyadic ratios, so each term ratio is one exact
+rational, and it stops once a term is below 2**-80 of the sum: the
+tail left lies some 27 bits below the double it is rounded to.  The
+budget is fixed: the extended-precision pass stops at a relative term
+size of 1e-14 (``_TOL``), and either pass refuses a series with
+NonConvergence after 700 terms (``_MAX_TERMS``).  The
 library needs no multiple-precision package, so the test suite's
 cross-checks against mpmath's special functions stay independent.
 
@@ -52,6 +56,7 @@ _GUARD_BITS = 20  # fixed-point bits beyond dps digits, for the roundings of 700
 _DIRECT_RADIUS = 0.5  # gauss_2f1 sums its series untransformed for |x| up to here
 _MAX_TERMS = 700  # terms summed before a series is refused with NonConvergence
 _TOL = 1e-14  # relative truncation and roundoff budget of every series
+_SETTLED_BITS = 80  # the fixed-point sum stops at a term below 2**-80 of the sum
 
 
 def _near_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
@@ -142,12 +147,15 @@ def gamma_complex(z: complex) -> complex:
     if _near_nonpositive_int(z):
         raise PoleError(f"gamma pole at z = {z}")
     if z.real < 0.5:
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
+        # Gamma(z) Gamma(1-z) = pi / sin(pi z), with sin(pi z) taken at z - n,
+        # whose real part is exact: pi * z would round the distance to the pole
+        n = round(z.real)
         try:
-            g = math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z))
+            sine = cmath.sin(math.pi * (z - n))
+            g = math.pi / ((-sine if n % 2 else sine) * gamma_complex(1.0 - z))
         except DomainError:  # Gamma(1 - z) beyond double: its own refusal
             raise
-        except (OverflowError, ValueError, ZeroDivisionError):  # pi z or sin(pi z) beyond double
+        except (OverflowError, ValueError, ZeroDivisionError):  # sin(pi z) beyond double
             g = complex(math.nan)
         if not cmath.isfinite(g):
             raise DomainError(f"Gamma({z}) exceeds the double range")
@@ -330,26 +338,30 @@ def _finite_sum(total, to_double, x) -> complex:
 def _series_fixed(nums, dens, x, peak: float) -> complex:
     """Same Taylor loop in binary fixed point, sized to beat the cancellation.
 
-    A complex value is a pair of Python ints scaled by 2**bits.  Each step's
-    products are exact and the division by prod(q + k) * (k + 1) is one
-    floor division per part, so a term takes less than one unit of 2**-bits
-    of fresh rounding per step.  A real denominator divides each part
-    directly, the same rational as over |d|^2.
+    The term and the sum are pairs of Python ints scaled by 2**bits.  x and
+    every parameter are held exactly as Gaussian integers over a power of
+    two, (re + i*im) / 2**e from float.as_integer_ratio, so p + k is
+    re + k*2**e with no rounding.  Step k multiplies the term by the small
+    integer n = x * prod(p + k) and floor-divides each part by
+    prod(q + k) * (k + 1) and the powers of two, over |.|^2 for a complex
+    denominator (n * conj(den) / |den|^2): one exact rational per step, so
+    a term takes less than one unit of 2**-bits of fresh rounding.  The sum
+    stops at the first term of at most 2**-_SETTLED_BITS of it.
     """
     dps = min(140, int(math.log10(max(peak, 1.0)) + 16.0) + 25)
     bits = math.ceil(dps * _LOG2_10) + _GUARD_BITS
 
-    def fix(v: float) -> int:  # exact down to 2**-bits
-        n, d = v.as_integer_ratio()
-        return (n << bits) // d
+    def dyadic(v: complex) -> tuple[int, int, int]:  # (re, im, e): (re + i*im) / 2**e
+        (nr, dr), (ni, di) = v.real.as_integer_ratio(), v.imag.as_integer_ratio()
+        d = max(dr, di)  # both powers of two
+        return nr * (d // dr), ni * (d // di), d.bit_length() - 1
 
-    (xr, xi), *pq = [(fix(z.real), fix(z.imag)) for z in map(complex, (x, *nums, *dens))]
+    (xr, xi, shift), *pq = [dyadic(z) for z in map(complex, (x, *nums, *dens))]
     ps, qs = pq[:len(nums)], pq[len(nums):]
-    # n * conj(d) / |d|^2 carries 2**(bits * (2 + p - q)); rescale it to 2**bits
-    shift = bits * (1 + len(nums) - len(dens))
-    # stop rule |term| <= 10**(5 - dps) * |total|, exact in squares (the float
-    # loop's 1e-300 floor on |total| lies below 2**-bits)
-    stop = 10 ** (2 * dps - 10)
+    # the ratio is n / den over 2**shift: folded into x for a negative shift,
+    # into the divisor otherwise
+    shift += sum(e for *_, e in ps) - sum(e for *_, e in qs)
+    xr, xi, shift = xr << max(0, -shift), xi << max(0, -shift), max(0, shift)
 
     def value(re: int, im: int) -> complex:
         try:  # int / int rounds correctly: to nearest, ties to even
@@ -359,22 +371,22 @@ def _series_fixed(nums, dens, x, peak: float) -> complex:
 
     tr, ti = sr, si = 1 << bits, 0
     for k in range(_MAX_TERMS):
-        nr, ni = tr * xr - ti * xi, tr * xi + ti * xr
-        for pr, pi in ps:
-            pr += k << bits
-            if not (pr or pi):  # terminating (polynomial) case
-                return value(sr, si)
+        nr, ni = xr, xi
+        for pr, pi, e in ps:
+            pr += k << e
             nr, ni = nr * pr - ni * pi, nr * pi + ni * pr
+        if not (nr or ni):  # terminating (polynomial) case
+            return value(sr, si)
         dr, di = k + 1, 0
-        for qr, qi in qs:
-            qr += k << bits
+        for qr, qi, e in qs:
+            qr += k << e
             dr, di = dr * qr - di * qi, dr * qi + di * qr
-        if di:
+        if di:  # n / den = n * conj(den) / |den|^2
             m = (dr * dr + di * di) << shift
-            tr, ti = (nr * dr + ni * di) // m, (ni * dr - nr * di) // m
-        else:  # the same rationals over a real denominator; // floors for d < 0 too
+            nr, ni = nr * dr + ni * di, ni * dr - nr * di
+        else:  # the same rationals over a real denominator; // floors for den < 0 too
             m = dr << shift
-            tr, ti = nr // m, ni // m
+        tr, ti = (tr * nr - ti * ni) // m, (tr * ni + ti * nr) // m
         if -1 <= tr <= 0 and -1 <= ti <= 0:
             # underflow: the term fell below 2**-bits, far past the peak, where
             # the ratios of these series only shrink; the tail left is smaller
@@ -382,7 +394,8 @@ def _series_fixed(nums, dens, x, peak: float) -> complex:
             return value(sr, si)
         sr += tr
         si += ti
-        if (tr * tr + ti * ti) * stop <= sr * sr + si * si:
+        # |term| <= 2**-_SETTLED_BITS * |sum|, exact in squares
+        if (tr * tr + ti * ti) << (2 * _SETTLED_BITS) <= sr * sr + si * si:
             return value(sr, si)
     raise NonConvergence(f"pFq series (mp) did not converge in {_MAX_TERMS} terms")
 

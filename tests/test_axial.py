@@ -131,6 +131,24 @@ def test_spherical_effective_values_refuse_points_off_the_chart(fn, z):
     assert np.isfinite(fn(SPH, 2.0, math.copysign(math.pi / 2, z)))
 
 
+@pytest.mark.parametrize("spec", [LOB, SPH], ids=["lobachevsky", "spherical"])
+@pytest.mark.parametrize("fn", [effective_potential, effective_force],
+                         ids=["potential", "force"])
+def test_effective_values_refuse_a_nan_axial_coordinate(fn, spec):
+    """A NaN z is refused as an axial coordinate, alone or inside an array;
+    it used to reach the formulas and be reported as an overflow."""
+    for z in (math.nan, np.array([0.1, math.nan])):
+        with pytest.raises(DomainError, match=f"{spec.geometry} axial coordinate requires"):
+            fn(spec, 2.0, z)
+
+
+def test_lobachevsky_effective_values_at_infinity():
+    """|z| = inf lies on the Lobachevsky chart: U and F_z tend to zero."""
+    for z in (math.inf, -math.inf):
+        assert effective_potential(LOB, 2.0, z) == 0.0
+        assert effective_force(LOB, 2.0, z) == 0.0
+
+
 def test_force_is_minus_gradient():
     """Closed-form F_z against a central difference of U, 50 random configs."""
     rng = np.random.default_rng(11)

@@ -71,6 +71,21 @@ def test_gamma_vs_mpmath():
         assert mp_rel(gamma_complex(z), mpmath.gamma(mpmath.mpc(z))) <= 1e-12
 
 
+def test_gamma_next_to_its_poles_vs_mpmath():
+    """Real and complex z within 1e-11 to 1e-4 of -1 ... -20: the reflection
+    takes sin(pi z) at the exact distance to the nearest integer, where
+    sin(pi * z) rounded pi z first and lost up to 5e-5 of Gamma."""
+    rng = np.random.default_rng(11)
+    points = []
+    for n in range(1, 21):
+        for _ in range(13):
+            d = 10.0 ** rng.uniform(-11.0, -4.0) * rng.choice([-1.0, 1.0])
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            points += [complex(-n + d * n), complex(-n + d * math.cos(phase), d * math.sin(phase))]
+    worst = max(mp_rel(gamma_complex(z), mpmath.gamma(mpmath.mpc(z))) for z in points)
+    assert worst <= 1e-14
+
+
 def test_gamma_beyond_the_power_range_vs_mpmath():
     """Re z above about 143: t^(w + 1/2) overflows alone, Gamma does not."""
     for z in (150.0, 171.5, 160.0 + 30.0j, -150.5):
@@ -722,6 +737,20 @@ def _fallback_cases():
     # negative real denominator
     for c in (-2.5, -3.5, -0.5, -7.25):
         cases += [((), (c,), -u(35.0, 80.0)), ((complex(u(0.0, 2.0), u(-2.0, 2.0)),), (c,), 25j)]
+    # lower parameters within 2**-50 of an integer: p + k held exactly needs
+    # every bit of the parameter's 52-bit fraction
+    cases += [((), (c,), -60.0) for c in (1.0 + 2.0**-52, 2.0 - 2.0**-52, 3.0 - 2.0**-51,
+                                          6.0 + 2.0**-50)]
+    cases.append(((complex(0.5, 1.0),), (2.0 + 2.0**-51,), 25j))
+    # complex lower parameters with a negative real part
+    cases += [((), (complex(-1.5, 0.7),), -70.0), ((), (complex(-0.5, 2.0),), -60.0),
+              ((), (complex(-2.75, 0.2),), complex(-60.0, 10.0)),
+              ((complex(0.8, -1.2),), (complex(-2.5, 0.3),), 22j),
+              ((1.5,), (complex(-0.7, 1.1),), -20j)]
+    # an x with a tiny nonzero real part, whose power of two dwarfs the others'
+    cases += [((complex(0.7, 0.3),), (1.5,), complex(1e-300, 25.0)),
+              ((complex(0.7, 0.3),), (1.5,), complex(-2.0**-60, -18.0)),
+              ((0.5,), (1.25,), complex(5e-324, 28.0))]
     return cases
 
 
