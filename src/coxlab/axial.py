@@ -29,7 +29,9 @@ from typing import Callable
 import numpy as np
 
 from .backgrounds import _SECTIONS, BackgroundSpec, SeparatedODE, _Section
-from .errors import DomainError, ParameterError, PoleError, StepFailure
+from .errors import (
+    DomainError, ParameterError, PoleError, StepFailure, require_finite, require_int,
+)
 from .special_functions import gamma_complex, hyp0f1
 
 __all__ = [
@@ -272,8 +274,10 @@ def potential_profile(
     on, is a bad request and raises DomainError: such a table would
     silently mix branches.  (U and F_z evaluated at a pole raise PoleError.)
     """
+    require_int("samples", samples)
     if samples < 2:
         raise ParameterError("need at least 2 samples")
+    require_finite(z_min=z_min, z_max=z_max)
     if not z_min < z_max:
         raise ParameterError("need z_min < z_max")
     sec = _require_curved_magnetic(spec)
@@ -303,9 +307,11 @@ def airy_pair(w_prime: float, nu: float) -> AirySolutionPair:
 
     in x = -nu^(1/3) z - w'/nu^(2/3), where both branches solve
     Z_xx = x Z.  Derivatives follow from d/du 0F1(;c;u) = 0F1(;c+1;u)/c.
+    w' and nu must be finite.
     """
     if not nu > 0:
         raise ParameterError("the linear-field solutions need nu > 0")
+    require_finite(w_prime=w_prime, nu=nu)
     c1 = (
         complex(math.cos(math.pi / 6), math.sin(math.pi / 6))
         * 2.0 ** (-1.0 / 3.0)
@@ -398,20 +404,19 @@ def _scalar_rows(a: np.ndarray):
         yield from a[j : j + 1024].tolist()
 
 
-def _rkf_pass(u, v, h, P, Q, store):
-    """Fehlberg 4(5) steps of Z'' + p Z' + q Z = 0 from (Z, Z') = (u, v)
-    over the coefficient rows P, Q (one value per stage node).
+def _rkf_pass(u, v, h, P, Q):
+    """Fehlberg 4(5) steps of Z'' + p Z' + q Z = 0 from real (Z, Z') = (u, v)
+    over the real coefficient rows P, Q (one value per stage node).
 
-    Returns four `store()` containers with one entry per step: Z and Z'
+    Returns four float arrays ("d") with one entry per step: Z and Z'
     after the step and the embedded differences of the Z' and Z'' stage
     sums (the local error estimate is h times their larger modulus).
-    The stage expressions take floats or complex numbers alike.
     """
     (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
      (a50, a51, a52, a53, a54)) = _RKF_A
     b0, _, b2, b3, b4, _ = _RKF_B4
     e0, _, e2, e3, e4, e5 = _RKF_BERR
-    out = Z, dZ, eZ, edZ = store(), store(), store(), store()
+    out = Z, dZ, eZ, edZ = array("d"), array("d"), array("d"), array("d")
     Z_add, dZ_add, eZ_add, edZ_add = Z.append, dZ.append, eZ.append, edZ.append
     # stage j evaluates f = (v, -(p v + q u)) at (u_j, v_j); k_j = (v_j, g_j)
     for (p0, p1, p2, p3, p4, p5), (q0, q1, q2, q3, q4, q5) in zip(P, Q):
@@ -463,18 +468,20 @@ def integrate_axial(
 
     The equation is linear with coefficients fixed at assembly, so p and
     q are evaluated once per grid, as arrays over all 6 * steps stage nodes, and
-    only the step recurrence runs sequentially, on Python scalars.  The
-    assembled p and q are real, so the real and imaginary parts of
-    (Z, Z') follow the same real recurrence: real data take one pass on
-    floats, complex data one per part (complex coefficients, one pass on
-    complex numbers).  Error estimates, scales, the failure test and the
-    left-to-right sum run on arrays after the loop.  Finite results and
-    tolerance failures equal those of the recurrence in complex arithmetic
-    bit for bit.  Non-finite input or tol <= 0 raises ParameterError and
-    a range leaving ``ode.domain`` raises DomainError.
+    only the step recurrence runs sequentially, on Python scalars.  p and
+    q must be real (every assembled equation's are), so the real and
+    imaginary parts of (Z, Z') follow the same real recurrence: real data
+    take one pass on floats, complex data one per part.  Error estimates,
+    scales, the failure test and the left-to-right sum run on arrays
+    after the loop.  Finite results and tolerance failures equal those of
+    the recurrence in complex arithmetic bit for bit.  Complex
+    coefficients, non-finite input, a non-integer `steps` or tol <= 0
+    raise ParameterError and a range leaving ``ode.domain`` raises
+    DomainError.
     """
     if ode.kind != "axial":
         raise ParameterError("integrate_axial expects an axial equation")
+    require_int("steps", steps)
     if steps < 1:
         raise ParameterError("steps must be >= 1")
     if not tol > 0:
@@ -517,19 +524,17 @@ def _fehlberg_grid(ode: SeparatedODE, u: complex, v: complex, z0: float, z1: flo
     p = np.broadcast_to(ode.pcoef(nodes), nodes.shape)
     q = np.broadcast_to(ode.qcoef(nodes, 0.0), nodes.shape)
     del nodes
+    if np.iscomplexobj(p) or np.iscomplexobj(q):
+        raise ParameterError("integrate_axial needs real coefficients p and q")
 
-    def sweep(u0, v0, store=lambda: array("d")):
-        out = _rkf_pass(u0, v0, h, _scalar_rows(p), _scalar_rows(q), store)
-        return [np.asarray(r) for r in out]
+    def sweep(u0, v0):
+        return [np.asarray(r) for r in _rkf_pass(u0, v0, h, _scalar_rows(p), _scalar_rows(q))]
 
     # (real part, imaginary part) of Z, Z' and the two stage-sum differences
-    if np.iscomplexobj(p) or np.iscomplexobj(q):
-        parts = [(r.real, r.imag) for r in sweep(u, v, list)]
-    else:
-        parts = list(zip(
-            sweep(u.real, v.real),
-            sweep(u.imag, v.imag) if u.imag or v.imag else [0.0] * 4,
-        ))
+    parts = list(zip(
+        sweep(u.real, v.real),
+        sweep(u.imag, v.imag) if u.imag or v.imag else [0.0] * 4,
+    ))
     del p, q
     (Zr, Zi), (dZr, dZi), eZ, edZ = parts
 

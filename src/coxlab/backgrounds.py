@@ -38,12 +38,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidEta, ParameterError
+from .errors import InvalidEta, ParameterError, require_finite
 
 __all__ = [
     "BackgroundSpec",
     "QuantumNumbers",
-    "SingularPoint",
     "SeparatedODE",
     "assemble_radial_ode",
     "assemble_axial_ode",
@@ -61,30 +60,24 @@ class BackgroundSpec:
     nu     electric strength (flat: 2MeE/h^2; curved: 2MeE rho^3/h^2)
     eta    flat-space structure parameter Gamma*B (|eta| < 1 for bound spectra)
     gamma  structure parameter Gamma*B (curved), or Gamma*E (flat electric)
-    rho    curvature radius in physical units; coordinates are scaled by it
+
+    Each must be finite; the curvature radius is 1 (rho enters through b
+    and nu only).
     """
 
     geometry: str
     field: str = "magnetic"
-    rho: float = 1.0
     b: float = 0.0
     nu: float = 0.0
     eta: float = 0.0
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        isfinite = math.isfinite
-        if not (isfinite(self.rho) and isfinite(self.b) and isfinite(self.nu)
-                and isfinite(self.eta) and isfinite(self.gamma)):
-            for name in ("rho", "b", "nu", "eta", "gamma"):
-                if not isfinite(getattr(self, name)):
-                    raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        require_finite(b=self.b, nu=self.nu, eta=self.eta, gamma=self.gamma)
         if self.geometry not in _GEOMETRIES:
             raise ParameterError(f"unknown geometry {self.geometry!r}")
         if self.field not in _FIELDS:
             raise ParameterError(f"unknown field kind {self.field!r}")
-        if self.geometry != "flat" and not self.rho > 0:
-            raise ParameterError("curved geometries require rho > 0")
         if self.geometry == "flat" and self.field == "magnetic" and abs(self.eta) >= 1.0:
             raise InvalidEta(
                 f"flat magnetic configuration requires |eta| < 1, got {self.eta}"
@@ -115,15 +108,6 @@ class QuantumNumbers:
             raise ParameterError("radial quantum number n must be >= 0")
 
 
-@dataclass(frozen=True)
-class SingularPoint:
-    """Singular point of a separated equation in the indicated variable."""
-
-    label: str
-    location: float
-    variable: str = "y"
-
-
 @dataclass(eq=False)
 class SeparatedODE:
     """One separated equation  u'' + p(x) u' + q(x, s) u = 0.
@@ -135,12 +119,12 @@ class SeparatedODE:
     from those values (pass 0 to evaluate the assembled equation).
 
     ``weight`` is the measure making the radial operator self-adjoint
-    (r, sh r or sin r); ``schrodinger`` holds the companion normal form
-    f'' + (q - U) f = 0 obtained from the curved axial equations by
-    f = Z ch z (Lobachevsky) or f = Z cos z (spherical).
+    (r, sh r or sin r).  ``params`` holds the flat electric axial
+    equation's w_prime, the shifted energy airy_pair takes; it is empty
+    for every other equation.
 
     ``pcoef``, ``qcoef`` and ``weight`` must accept arrays of x and return
-    arrays of the same shape (or scalars, for constant coefficients):
+    real arrays of the same shape (or scalars, for constant coefficients):
     integrators evaluate them once over all their nodes.  Radial
     equations also carry ``q0_weighted(x, w)``, the same q0 from the
     weight w already evaluated at x, so a grid evaluates the weight once.
@@ -155,10 +139,7 @@ class SeparatedODE:
     eigen_name: str
     weight: Callable | None = None
     q0_weighted: Callable | None = None
-    singular_points: tuple[SingularPoint, ...] = ()
     params: dict = field(default_factory=dict)
-    schrodinger: "SeparatedODE | None" = None
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -166,15 +147,15 @@ class _Section:
     """One spatial section dS^2 = c^2 dt^2 - a(z)(dr^2 + w(r)^2 dphi^2) - dz^2.
 
     Radial part: the weight w, p_r = w'/w, the magnetic potential
-    A_phi(b, r) and the chart end r_end (the singular point r_end_name).
+    A_phi(b, r) and the chart end r_end.
     Axial part: p_z = a'/a and the chart bound |z| < z_end (named
     z_end_name).  ``curvature`` kappa (+1 sphere, -1 Lobachevsky, 0 flat)
     is the constant that f = Z sqrt(a) adds to the axial equation;
     ``eigen`` names the radial spectral parameter per field kind.  The
     callables take floats or arrays.
 
-    The curved magnetic axial problem lives in y = a(z) (y_name), which
-    spans y_range on the chart; z_of_y inverts a for z >= 0.  ``u``,
+    The curved magnetic axial problem lives in y = a(z), which spans
+    y_range on the chart; z_of_y inverts a for z >= 0.  ``u``,
     ``force`` and ``pole`` hold U = (kappa b g + L y)/(y^2 - g^2), F =
     -dU/dz as a function of (L, b), and the test |y^2 - g^2| < tol, in
     closed forms finite on the whole chart (Lobachevsky in s = sech^2 z,
@@ -185,13 +166,11 @@ class _Section:
     p_r: Callable
     a_phi: Callable
     r_end: float
-    r_end_name: str
     p_z: Callable
     z_end: float
     z_end_name: str
     curvature: float
     eigen: dict[str, str]
-    y_name: str | None = None
     y_range: tuple[float, float] | None = None
     z_of_y: Callable | None = None
     u: Callable | None = None
@@ -250,24 +229,24 @@ def _pole_spherical(g, z, tol):
 _SECTIONS = {
     "flat": _Section(
         w=_asfloat, p_r=lambda r: 1.0 / _asfloat(r),
-        a_phi=lambda b, r: -b * r * r, r_end=math.inf, r_end_name="infinity",
+        a_phi=lambda b, r: -b * r * r, r_end=math.inf,
         p_z=lambda z: np.zeros_like(_asfloat(z)), z_end=math.inf, z_end_name="infinity",
         curvature=0.0, eigen={"magnetic": "eps_prime", "electric": "w_perp"},
     ),
     "lobachevsky": _Section(
         w=lambda r: np.sinh(_asfloat(r)), p_r=lambda r: 1.0 / np.tanh(_asfloat(r)),
-        a_phi=lambda b, r: -b * (np.cosh(r) - 1.0), r_end=math.inf, r_end_name="infinity",
+        a_phi=lambda b, r: -b * (np.cosh(r) - 1.0), r_end=math.inf,
         p_z=lambda z: 2.0 * np.tanh(_asfloat(z)), z_end=math.inf, z_end_name="infinity",
         curvature=-1.0, eigen={"magnetic": "Lambda", "electric": "Lambda"},
-        y_name="ch^2 z", y_range=(1.0, math.inf), z_of_y=lambda y: math.acosh(math.sqrt(y)),
+        y_range=(1.0, math.inf), z_of_y=lambda y: math.acosh(math.sqrt(y)),
         u=_u_lobachevsky, force=_force_lobachevsky, pole=_pole_lobachevsky,
     ),
     "spherical": _Section(
         w=lambda r: np.sin(_asfloat(r)), p_r=lambda r: 1.0 / np.tan(_asfloat(r)),
-        a_phi=lambda b, r: b * (np.cos(r) - 1.0), r_end=math.pi, r_end_name="antipode",
+        a_phi=lambda b, r: b * (np.cos(r) - 1.0), r_end=math.pi,
         p_z=lambda z: -2.0 * np.tan(_asfloat(z)), z_end=math.pi / 2, z_end_name="pi/2",
         curvature=1.0, eigen={"magnetic": "Lambda", "electric": "Lambda"},
-        y_name="cos^2 z", y_range=(0.0, 1.0), z_of_y=lambda y: math.acos(math.sqrt(y)),
+        y_range=(0.0, 1.0), z_of_y=lambda y: math.acos(math.sqrt(y)),
         u=_u_spherical, force=_force_spherical, pole=_pole_spherical,
     ),
 }
@@ -321,11 +300,6 @@ def assemble_radial_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedOD
         eigen_name=sec.eigen[spec.field],
         weight=sec.w,
         q0_weighted=q0_weighted,
-        singular_points=(
-            SingularPoint("axis", 0.0, "r"),
-            SingularPoint(sec.r_end_name, sec.r_end, "r"),
-        ),
-        params={"m": qn.m, "n": qn.n, "k": qn.k, "b": b, "nu": spec.nu},
     )
 
 
@@ -348,18 +322,18 @@ def assemble_axial_ode(
     problem (for the flat electric case it plays the role of w_perp).
     Extra parameters: ``epsilon`` (curved magnetic spectral parameter),
     ``w`` (electric separation parameter), ``mu2`` = (M c rho/hbar)^2
-    for curved electric, ``compton`` = hbar/Mc for flat electric.
-
-    Curved magnetic equations carry a companion Schroedinger form in
-    ``.schrodinger`` (f = Z ch z resp. Z cos z) whose potential is the
-    effective U exposed by axial.effective_potential.
+    for curved electric, ``compton`` = hbar/Mc for flat electric; each
+    must be finite.  The curved magnetic q is eps - U with the effective
+    potential U of axial.effective_potential.
     """
+    require_finite(Lambda=Lambda, epsilon=epsilon, w=w, mu2=mu2, compton=compton)
     geo = spec.geometry
     sec = _SECTIONS[geo]
     gam = spec.gamma
     b = spec.b
     nu = spec.nu
-    pcoef, sing, schro, note = sec.p_z, (), None, ""
+    pcoef = sec.p_z
+    params = {}
 
     if spec.field == "magnetic":
         if geo == "flat":
@@ -370,32 +344,7 @@ def assemble_axial_ode(
         def qcoef(z, s):
             return epsilon - sec.u(Lambda, b, gam, z) + s
 
-        def qs(z, s):
-            # f = Z sqrt(a):  f'' + (eps + curvature - U) f = 0
-            return (epsilon + s) + sec.curvature - sec.u(Lambda, b, gam, z)
-
         eigen = "epsilon"
-        params = {"Lambda": Lambda, "b": b, "gamma": gam, "epsilon": epsilon}
-        sing = (
-            SingularPoint("y=0", 0.0),
-            SingularPoint("y=1", 1.0),
-            SingularPoint("y=+gamma", gam),
-            SingularPoint("y=-gamma", -gam),
-            SingularPoint("y=infinity", math.inf),
-        )
-        note = "singular variable y = " + sec.y_name
-        schro = SeparatedODE(
-            kind="axial",
-            geometry=geo,
-            field_kind="magnetic",
-            domain=(-sec.z_end, sec.z_end),
-            pcoef=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-            qcoef=qs,
-            eigen_name=eigen,
-            singular_points=sing,
-            params={**params, "shift": sec.curvature},
-            note=f"normal form in f = Z * weight; {note}",
-        )
     elif compton <= 0:
         raise ParameterError("compton wavelength must be positive")
     elif mu2 < 0:
@@ -407,13 +356,10 @@ def assemble_axial_ode(
             return w_prime + s + nu * np.asarray(z, dtype=float)
 
         eigen = "w"
-        params = {"w_perp": Lambda, "w": w, "w_prime": w_prime, "nu": nu,
-                  "gamma": gam, "compton": compton}
-        note = "linear-potential form; turning point at z0 = -w'/nu"
+        params = {"w_prime": w_prime}
     else:
         mu = math.sqrt(mu2)
         eigen = "W"
-        params = {"Lambda": Lambda, "nu": nu, "gamma": gam, "mu2": mu2, "w": w}
         if geo == "lobachevsky":
             def qcoef(z, s):
                 # with D = ch^4 z + g^2 the raw coefficient is
@@ -434,9 +380,7 @@ def assemble_axial_ode(
                 )
         else:
             # divide the raw operator by its non-unit Z'' factor
-            note = ("raw operator divided by its (cos^4 z + 2 gamma^2)/(cos^4 z + gamma^2)"
-                    " second-derivative factor")
-
+            # (cos^4 z + 2 gamma^2)/(cos^4 z + gamma^2)
             def terms(z):
                 # cos z, sin z, u = cos^4 z, D = u + g^2 and the Z'' factor (u + 2g^2)/D
                 z = np.asarray(z, dtype=float)
@@ -473,8 +417,5 @@ def assemble_axial_ode(
         pcoef=pcoef,
         qcoef=qcoef,
         eigen_name=eigen,
-        singular_points=sing,
         params=params,
-        schrodinger=schro,
-        note=note,
     )

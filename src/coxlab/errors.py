@@ -9,6 +9,9 @@ map failures onto exit codes without string matching.  Two broad families:
 
 from __future__ import annotations
 
+import math
+import numbers
+
 
 class CoxlabError(Exception):
     """Base class for all package-specific errors."""
@@ -38,6 +41,19 @@ class ParameterError(CoxlabInputError):
 
 class ConfigError(CoxlabInputError):
     """Malformed or contradictory run configuration."""
+
+
+def require_finite(**named: float) -> None:
+    """Raise ParameterError naming the first value that is not finite."""
+    for name, value in named.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def require_int(name: str, value) -> None:
+    """Raise ParameterError unless value is an integer (numpy integers count)."""
+    if type(value) is not int and not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 # --- numerical-side conditions ---------------------------------------------

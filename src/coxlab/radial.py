@@ -43,6 +43,8 @@ from .errors import (
     GridTooCoarse,
     NonConvergence,
     ParameterError,
+    require_finite,
+    require_int,
 )
 from .special_functions import gamma_complex, gauss_2f1
 
@@ -68,10 +70,8 @@ class SpectrumEntry:
     parameter is eps = 2ME(1-eta^2) in units hbar = M = 1.
     """
 
-    qn: QuantumNumbers
     Lambda: float
     epsilon: float | None = None
-    epsilon_convention: str = ""
     energy: float | None = None
     valid: bool = True
     reason: str = ""
@@ -82,9 +82,10 @@ class SpectrumEntry:
 class GridSpec:
     """Radial grid: `points` cells at the coarse level, cutoff r_max.
 
-    r_max is required for the non-compact sections (flat, Lobachevsky)
-    and ignored on the sphere, whose chart ends at r = pi.  `tol` is the
-    acceptable relative eigenvalue error after extrapolation.
+    r_max, positive and finite, is required for the non-compact sections
+    (flat, Lobachevsky) and ignored on the sphere, whose chart ends at
+    r = pi.  `tol` is the acceptable relative eigenvalue error after
+    extrapolation.
     """
 
     points: int
@@ -92,12 +93,13 @@ class GridSpec:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if type(self.points) is not int and not isinstance(self.points, numbers.Integral):
-            raise ParameterError(f"grid points must be an integer, got {self.points!r}")
+        require_int("grid points", self.points)
         if self.points < 16:
             raise ParameterError("grid needs at least 16 cells")
-        if self.r_max is not None and not self.r_max > 0:
-            raise ParameterError("r_max must be positive")
+        if self.r_max is not None:
+            if not self.r_max > 0:
+                raise ParameterError("r_max must be positive")
+            require_finite(r_max=self.r_max)
         if not self.tol > 0:
             raise ParameterError("tol must be positive")
 
@@ -107,16 +109,12 @@ class EigenResult:
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     grid: np.ndarray
-    grid_spec: GridSpec
     error_estimates: np.ndarray
 
 
 # ---------------------------------------------------------------------------
 # closed-form spectra
 # ---------------------------------------------------------------------------
-
-_FLAT_EPS_CONVENTION = "eps = 2*M*E*(1 - eta^2), hbar = M = 1"
-
 
 def analytic_spectrum(spec: BackgroundSpec, qn: QuantumNumbers) -> SpectrumEntry:
     """Closed-form level for a magnetic configuration.
@@ -134,13 +132,7 @@ def analytic_spectrum(spec: BackgroundSpec, qn: QuantumNumbers) -> SpectrumEntry
         eps_prime = 4.0 * b * (n + (m + abs(m) + 1) / 2.0)
         one = 1.0 - spec.eta**2
         eps = eps_prime + one * (qn.k * qn.k) - 2.0 * spec.eta * b
-        entry = SpectrumEntry(
-            qn=qn,
-            Lambda=eps_prime,
-            epsilon=eps,
-            epsilon_convention=_FLAT_EPS_CONVENTION,
-            energy=eps / (2.0 * one),
-        )
+        entry = SpectrumEntry(Lambda=eps_prime, epsilon=eps, energy=eps / (2.0 * one))
     elif spec.geometry == "lobachevsky":
         s = (m + abs(m)) / 2.0 + n
         t = s + 0.5
@@ -152,7 +144,7 @@ def analytic_spectrum(spec: BackgroundSpec, qn: QuantumNumbers) -> SpectrumEntry
             reason = f"s + 1/2 = {t} exceeds b = {b}"
         elif not b <= Lam:
             reason = f"Lambda = {Lam} fell below b = {b}"
-        entry = SpectrumEntry(qn=qn, Lambda=Lam, valid=not reason, reason=reason)
+        entry = SpectrumEntry(Lambda=Lam, valid=not reason, reason=reason)
     else:
         # spherical: discrete for every (n, m), one formula signed by the branch.
         # sigma stays an int, so that for integer n and m, n + max(sigma m, 0) is
@@ -161,7 +153,7 @@ def analytic_spectrum(spec: BackgroundSpec, qn: QuantumNumbers) -> SpectrumEntry
         ell = n + max(sigma * m, 0) + 0.5
         Lam = 2.0 * sigma * b * ell + ell * ell - 0.25
         branch = "m>0" if m > 0 else "-2b<=m<=0" if sigma > 0 else "m<-2b"
-        entry = SpectrumEntry(qn=qn, Lambda=Lam, branch=branch)
+        entry = SpectrumEntry(Lambda=Lam, branch=branch)
 
     for name in ("Lambda", "epsilon", "energy"):
         value = getattr(entry, name)
@@ -418,6 +410,7 @@ def solve_radial_eigen(ode: SeparatedODE, count: int, grid: GridSpec) -> EigenRe
     """
     if ode.kind != "radial" or ode.weight is None or ode.q0_weighted is None:
         raise ParameterError("solve_radial_eigen needs a radial equation (weight and q0_weighted)")
+    require_int("count", count)
     if count < 1:
         raise ParameterError("count must be >= 1")
 
@@ -467,7 +460,6 @@ def solve_radial_eigen(ode: SeparatedODE, count: int, grid: GridSpec) -> EigenRe
         eigenvalues=extrapolated,
         eigenfunctions=funcs,
         grid=centers,
-        grid_spec=grid,
         error_estimates=estimates,
     )
 

@@ -190,10 +190,6 @@ class CharCoeffs:
     p2: complex
     p3: complex
     p4: complex
-    s1: complex
-    s2: complex
-    s3: complex
-    s4: complex
     cayley_residual: float = 0.0
 
 
@@ -374,7 +370,7 @@ def newton_char_coeffs(G: MixedTensor) -> CharCoeffs:
                       else _per_trial(_newton_form, s1, s2, s3, s4))
     q1, q2, q3, q4 = (p[..., None, None] for p in (p1, p2, p3, p4))
     residual = np.abs(A4 - q1 * A3 - q2 * A2 - q3 * A - q4 * np.eye(4)).max(axis=(-2, -1))
-    return CharCoeffs(*map(_out, (p1, p2, p3, p4, s1, s2, s3, s4, residual)))
+    return CharCoeffs(*map(_out, (p1, p2, p3, p4, residual)))
 
 
 def _general_form(mu, lam, p1, p2, p3, p4):

@@ -188,7 +188,7 @@ def test_criterion_06_spherical_branches_and_flat_limit():
         flat_eps = 0.15  # 4 (B/2) (0 + (1+1+1)/2) for B = 0.05, n = 0, m = 1
         errs = []
         for rho in (10.0, 20.0, 40.0):
-            sp = BackgroundSpec(geometry="spherical", b=0.05 * rho**2, rho=rho)
+            sp = BackgroundSpec(geometry="spherical", b=0.05 * rho**2)
             ode = spectrum_matched_ode(sp, QuantumNumbers(0, 1))
             res = solve_radial_eigen(ode, 1, GridSpec(points=3000))
             errs.append(res.eigenvalues[0] / rho**2 - flat_eps)

@@ -22,7 +22,7 @@ SURFACE = {
         "MixedTensor": ("entries",),
         "Invariants": ("I", "J", "residual_I=0.0", "residual_J=0.0"),
         "InverseCoefficients": ("c0", "c1", "c2", "c3", "det"),
-        "CharCoeffs": ("p1", "p2", "p3", "p4", "s1", "s2", "s3", "s4", "cayley_residual=0.0"),
+        "CharCoeffs": ("p1", "p2", "p3", "p4", "cayley_residual=0.0"),
         "ParticleConstants": ("mu", "lam"),
         "FLAT_METRIC": None,
         "build_mixed_field_tensor": ("fields", "metric"),
@@ -36,14 +36,12 @@ SURFACE = {
     },
     "backgrounds": {
         "BackgroundSpec": (
-            "geometry", "field='magnetic'", "rho=1.0", "b=0.0", "nu=0.0", "eta=0.0", "gamma=0.0",
+            "geometry", "field='magnetic'", "b=0.0", "nu=0.0", "eta=0.0", "gamma=0.0",
         ),
         "QuantumNumbers": ("n", "m", "k=0.0"),
-        "SingularPoint": ("label", "location", "variable='y'"),
         "SeparatedODE": (
             "kind", "geometry", "field_kind", "domain", "pcoef", "qcoef", "eigen_name",
-            "weight=None", "q0_weighted=None", "singular_points=()", "params=dict()",
-            "schrodinger=None", "note=''",
+            "weight=None", "q0_weighted=None", "params=dict()",
         ),
         "assemble_radial_ode": ("spec", "qn"),
         "assemble_axial_ode": (
@@ -52,11 +50,10 @@ SURFACE = {
     },
     "radial": {
         "SpectrumEntry": (
-            "qn", "Lambda", "epsilon=None", "epsilon_convention=''", "energy=None", "valid=True",
-            "reason=''", "branch=''",
+            "Lambda", "epsilon=None", "energy=None", "valid=True", "reason=''", "branch=''",
         ),
         "GridSpec": ("points", "r_max=None", "tol=1e-06"),
-        "EigenResult": ("eigenvalues", "eigenfunctions", "grid", "grid_spec", "error_estimates"),
+        "EigenResult": ("eigenvalues", "eigenfunctions", "grid", "error_estimates"),
         "analytic_spectrum": ("spec", "qn"),
         "flat_physical_energy": ("spec", "qn", "eps_prime"),
         "spectrum_matched_ode": ("spec", "qn"),

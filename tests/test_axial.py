@@ -40,6 +40,7 @@ from coxlab.backgrounds import (
     assemble_radial_ode,
 )
 from coxlab.errors import DomainError, ParameterError, PoleError, StepFailure
+from coxlab.radial import GridSpec, solve_radial_eigen, spectrum_matched_ode
 
 import _axial_reference as per_geometry
 
@@ -479,12 +480,21 @@ def test_integrate_axial_fourth_order_convergence():
     assert errs[0] / errs[1] > 8.0
 
 
+def _schrodinger_form(spec, Lambda, epsilon):
+    """The curved magnetic axial equation in f = Z sqrt(a): p = 0 and
+    q = (eps + s) + kappa - U, kappa the section's curvature."""
+    kappa = _SECTIONS[spec.geometry].curvature
+    return dataclasses.replace(
+        assemble_axial_ode(spec, Lambda, epsilon=epsilon),
+        pcoef=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
+        qcoef=lambda z, s: (epsilon + s) + kappa - effective_potential(spec, Lambda, z),
+    )
+
+
 def test_integrate_axial_sub_barrier_growth():
     """Below the barrier the normal-form solution grows monotonically."""
-    ode = assemble_axial_ode(
-        BackgroundSpec(geometry="lobachevsky", b=1.0, gamma=0.0), 2.0, epsilon=0.0
-    )
-    sol = integrate_axial(ode.schrodinger, (1.0, 0.1), (-4.0, 4.0), steps=800)
+    spec = BackgroundSpec(geometry="lobachevsky", b=1.0, gamma=0.0)
+    sol = integrate_axial(_schrodinger_form(spec, 2.0, 0.0), (1.0, 0.1), (-4.0, 4.0), steps=800)
     vals = sol.Z.real
     assert np.all(np.diff(vals) > 0)
 
@@ -564,9 +574,8 @@ _ASSEMBLED = {
 )
 def test_integrate_axial_matches_per_step_loop(name, schrodinger):
     spec, Lambda, kw, z_range = _ASSEMBLED[name]
-    ode = assemble_axial_ode(spec, Lambda, **kw)
-    if schrodinger:
-        ode = ode.schrodinger
+    ode = _schrodinger_form(spec, Lambda, **kw) if schrodinger else assemble_axial_ode(
+        spec, Lambda, **kw)
     ic = (1.0 + 0.5j, -0.3 + 0.2j)
     zs, Z, dZ, total_err = _per_step_rkf45(ode, ic, z_range, 300)
     sol = integrate_axial(ode, ic, z_range, 300)
@@ -623,12 +632,64 @@ def test_integrate_axial_refuses_non_finite_input():
             integrate_axial(ode, (1.0, 0.0), (-1.0, 1.0), steps=10, tol=tol)
 
 
+# each call, and a count it answers
+_COUNTED = {
+    "steps": (lambda n: integrate_axial(assemble_axial_ode(LOB, 1.0), (1.0, 0.0), (-1.0, 1.0), n),
+              400),
+    "samples": (lambda n: potential_profile(LOB, 2.0, -1.0, 1.0, n), 11),
+    "count": (lambda n: solve_radial_eigen(
+        spectrum_matched_ode(SPH, QuantumNumbers(0, 1)), n, GridSpec(200, tol=1e-3)), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTED))
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0)], ids=["2.5", "3.0", "float64"])
+def test_counts_must_be_integers(name, value):
+    """A float count used to escape as a bare TypeError or IndexError, or
+    (solve_radial_eigen at 2.5) as a NonConvergence of the Sturm bisection;
+    it is refused as an input fault, and numpy integers keep working."""
+    call, good = _COUNTED[name]
+    with pytest.raises(ParameterError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        call(value)
+    call(np.int64(good))
+
+
+_FLAT_ELECTRIC = BackgroundSpec(geometry="flat", field="electric", nu=1.0)
+_CURVED_ELECTRIC = BackgroundSpec(geometry="lobachevsky", field="electric", nu=1.0)
+_FINITE_ONLY = {
+    "Lambda": lambda x: assemble_axial_ode(LOB, x),
+    "epsilon": lambda x: assemble_axial_ode(SPH, 2.0, epsilon=x),
+    "w": lambda x: assemble_axial_ode(_FLAT_ELECTRIC, 1.0, w=x),
+    "mu2": lambda x: assemble_axial_ode(_CURVED_ELECTRIC, 1.0, mu2=x),
+    "compton": lambda x: assemble_axial_ode(_FLAT_ELECTRIC, 1.0, compton=x),
+    "w_prime": lambda x: airy_pair(x, 1.0),
+    "nu": lambda x: airy_pair(0.0, x),
+    "z_min": lambda x: potential_profile(LOB, 2.0, x, 1.0, 11),
+    "z_max": lambda x: potential_profile(LOB, 2.0, -1.0, x, 11),
+    "r_max": lambda x: GridSpec(64, r_max=x),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("Lambda", math.nan), ("Lambda", math.inf), ("epsilon", math.nan), ("epsilon", -math.inf),
+    ("w", math.inf), ("mu2", math.nan), ("mu2", math.inf), ("compton", math.nan),
+    ("compton", math.inf), ("w_prime", math.nan), ("w_prime", -math.inf), ("nu", math.inf),
+    ("z_min", -math.inf), ("z_max", math.inf), ("r_max", math.inf),
+])
+def test_non_finite_parameters_are_refused_at_the_entry(name, value):
+    """Each value was accepted and failed later as numerics (a NaN local
+    error, a silent NaN x(z), an overflowing matrix) or in linspace; it is
+    refused where it enters, by name."""
+    with pytest.raises(ParameterError, match=f"{name} must be finite, got {value}"):
+        _FINITE_ONLY[name](value)
+
+
 def test_integrate_axial_refuses_range_outside_domain():
     ode = assemble_axial_ode(SPH, 2.0)
     with pytest.raises(DomainError):
         integrate_axial(ode, (1.0, 0.0), (-2.0, 2.0), steps=400)
     with pytest.raises(DomainError):
-        integrate_axial(ode.schrodinger, (1.0, 0.0), (0.0, 1.6), steps=400)
+        integrate_axial(ode, (1.0, 0.0), (0.0, 1.6), steps=400)
 
 
 def test_integrate_axial_nan_local_error_is_a_step_failure():
@@ -746,8 +807,8 @@ def _seeded_axial_cases(seed=2024):
     for name, (spec, Lambda, kw, z_range) in _ASSEMBLED.items():
         ode = assemble_axial_ode(spec, Lambda, **kw)
         odes.append((f"{name}", ode, z_range))
-        if ode.schrodinger is not None:
-            odes.append((f"{name}/schrodinger", ode.schrodinger, z_range))
+        if name.endswith("-magnetic"):
+            odes.append((f"{name}/schrodinger", _schrodinger_form(spec, Lambda, **kw), z_range))
     for name, ode, (lo, hi) in odes:
         for data in ("real", "complex"):
             for steps in (1, int(rng.integers(2, 60)), int(rng.integers(60, 801)), 800):
@@ -772,15 +833,21 @@ def test_integrate_axial_bit_identity_covers_solutions_and_failures():
     assert outcomes == {"solved", "failed"}
 
 
-def test_integrate_axial_complex_coefficients_take_the_complex_loop():
+@pytest.mark.parametrize("pcoef, qcoef", [
+    (lambda z: 0.1j * z, lambda z, s: 1.0 + 0.3j * np.cos(z) + s),
+    (lambda z: 0.0, lambda z, s: 1.0 + 0.3j * np.cos(z) + s),
+    (lambda z: 0.1j * z, lambda z, s: 1.0 + s),
+], ids=["both", "q", "p"])
+def test_integrate_axial_refuses_complex_coefficients(pcoef, qcoef):
+    """No assembled equation has complex p or q; the one-pass-per-part
+    recurrence assumes real ones, so complex coefficients are refused."""
     ode = SeparatedODE(
         kind="axial", geometry="flat", field_kind="electric",
-        domain=(-math.inf, math.inf), pcoef=lambda z: 0.1j * z,
-        qcoef=lambda z, s: 1.0 + 0.3j * np.cos(z) + s, eigen_name="w",
+        domain=(-math.inf, math.inf), pcoef=pcoef, qcoef=qcoef, eigen_name="w",
     )
     for ic in [(1.0, 0.0), (1.0 - 0.5j, 0.2 + 0.1j)]:
-        assert _assert_same_outcome(ode, ic, (-2.0, 3.0), 400) == "solved"
-    assert _assert_same_outcome(ode, (1.0, 0.5j), (-2.0, 3.0), 4) == "failed"
+        with pytest.raises(ParameterError, match="needs real coefficients"):
+            integrate_axial(ode, ic, (-2.0, 3.0), 400)
 
 
 def test_integrate_axial_complex_data_retries_on_the_doubled_grid():

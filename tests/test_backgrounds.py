@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from coxlab.backgrounds import (
+    _SECTIONS,
     BackgroundSpec,
     QuantumNumbers,
-    SingularPoint,
     assemble_axial_ode,
     assemble_radial_ode,
 )
+from coxlab.axial import effective_potential
 from coxlab.errors import InvalidEta, ParameterError
 from coxlab.radial import analytic_spectrum
 
@@ -34,15 +35,16 @@ def test_background_spec_validation():
         BackgroundSpec(geometry="euclidean")
     with pytest.raises(ParameterError):
         BackgroundSpec(geometry="flat", field="dyonic")
-    with pytest.raises(ParameterError):
-        BackgroundSpec(geometry="spherical", rho=0.0)
+    # the library works at curvature radius 1; there is no rho to set
+    with pytest.raises(TypeError, match="rho"):
+        BackgroundSpec(geometry="spherical", rho=1.0)
     with pytest.raises(InvalidEta):
         BackgroundSpec(geometry="flat", field="magnetic", eta=1.5)
     # eta is unconstrained for electric configurations
     BackgroundSpec(geometry="flat", field="electric", eta=1.5)
 
 
-@pytest.mark.parametrize("name", ["b", "nu", "eta", "gamma", "rho"])
+@pytest.mark.parametrize("name", ["b", "nu", "eta", "gamma"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_background_spec_rejects_non_finite(name, value):
     # a NaN eta used to pass: abs(nan) >= 1 is false
@@ -175,8 +177,6 @@ def test_radial_spherical_magnetic_coefficients():
     assert_allclose(ode.qcoef(rs, 4.0), expected, rtol=1e-13)
     _assert_radial_table(ode, -1, 2.0, rs, 4.0)
     assert ode.domain == (0.0, math.pi)
-    labels = {p.label for p in ode.singular_points}
-    assert labels == {"axis", "antipode"}
 
 
 def test_radial_electric_coefficients():
@@ -218,18 +218,16 @@ _FAR_END = {
     ("spherical", "electric"): (math.pi - 1e-6, lambda r: math.pi - r, -1.0,
                                 lambda r: (math.pi - r) ** 2, -_M**2),
 }
-_R_END = {"flat": ("infinity", math.inf), "lobachevsky": ("infinity", math.inf),
-          "spherical": ("antipode", math.pi)}
+_R_END = {"flat": math.inf, "lobachevsky": math.inf, "spherical": math.pi}
 
 
 @pytest.mark.parametrize("geo", _GEOS)
 @pytest.mark.parametrize("field", ["magnetic", "electric"])
 def test_axis_is_a_coordinate_singularity(geo, field):
-    """r = 0 is listed as the axis, a regular singular point of every radial
-    equation: w(r) ~ r there, so r p -> 1 and r^2 q0 -> -m^2 (A_phi(0) = 0)."""
+    """The domain starts at the axis r = 0, a regular singular point of every
+    radial equation: w(r) ~ r there, so r p -> 1 and r^2 q0 -> -m^2 (A_phi(0) = 0)."""
     ode = assemble_radial_ode(_spec(geo, field, b=_B, nu=1.0), QuantumNumbers(0, _M))
     assert ode.domain[0] == 0.0
-    assert SingularPoint("axis", 0.0, "r") in ode.singular_points
     for r in (1e-6, 1e-5):
         assert_allclose(r * ode.pcoef(r), 1.0, rtol=1e-9)
         assert_allclose(r * r * ode.qcoef(r, 0.0), -(_M**2), rtol=1e-8)
@@ -238,13 +236,11 @@ def test_axis_is_a_coordinate_singularity(geo, field):
 @pytest.mark.parametrize("geo", _GEOS)
 @pytest.mark.parametrize("field", ["magnetic", "electric"])
 def test_radial_far_end_of_the_chart(geo, field):
-    """The domain ends at the section's r_end, listed as a singular point, and
-    p and q0 approach there the forms that fix each spectrum: the sphere's
-    antipode carries the exponents +-(m - 2b) (magnetic) or +-m (electric)."""
+    """The domain ends at the section's r_end (infinity or the sphere's
+    antipode), and p and q0 approach there the forms that fix each spectrum:
+    the antipode carries the exponents +-(m - 2b) (magnetic) or +-m (electric)."""
     ode = assemble_radial_ode(_spec(geo, field, b=_B, nu=1.0), QuantumNumbers(0, _M))
-    name, end = _R_END[geo]
-    assert ode.domain == (0.0, end)
-    assert SingularPoint(name, end, "r") in ode.singular_points
+    assert ode.domain == (0.0, _R_END[geo])
     r, fp, p_lim, fq, q_lim = _FAR_END[geo, field]
     assert_allclose(fp(r) * ode.pcoef(r), p_lim, rtol=1e-6)
     assert_allclose(fq(r) * ode.qcoef(r, 0.0), q_lim, rtol=1e-6, atol=1e-12)
@@ -283,17 +279,12 @@ def test_axial_lobachevsky_magnetic_coefficients():
     ch2 = np.cosh(zs) ** 2
     U = -(b * g - L * ch2) / (ch2**2 - g**2)
     assert_allclose(ode.qcoef(zs, 0.0), eps - U, rtol=1e-14)
-    # companion normal form: f = Z ch z shifts the constant by -1
-    schro = ode.schrodinger
-    assert_allclose(schro.pcoef(zs), np.zeros(4))
-    assert_allclose(schro.qcoef(zs, 0.0), ode.qcoef(zs, 0.0) - 1.0, rtol=1e-14)
     # bit for bit, in the library's sech^2 form s = 4 e^2/(1 + e^2)^2, e = exp(-|z|)
     e2 = np.exp(-2.0 * np.abs(zs))
     sech2 = 4.0 * e2 / ((1.0 + e2) * (1.0 + e2))
     U_lib = sech2 * (L - b * g * sech2) / (1.0 - g * g * sech2 * sech2)
     assert np.array_equal(ode.pcoef(zs), 2.0 * np.tanh(zs))
     assert np.array_equal(ode.qcoef(zs, 0.5), eps - U_lib + 0.5)
-    assert np.array_equal(schro.qcoef(zs, 0.5), (eps + 0.5) - 1.0 - U_lib)
 
 
 def test_axial_spherical_magnetic_coefficients():
@@ -305,38 +296,29 @@ def test_axial_spherical_magnetic_coefficients():
     c2 = np.cos(zs) ** 2
     U = (b * g + L * c2) / (c2**2 - g**2)
     assert_allclose(ode.qcoef(zs, 0.0), eps - U, rtol=1e-13)
-    assert_allclose(ode.schrodinger.qcoef(zs, 0.0), ode.qcoef(zs, 0.0) + 1.0, rtol=1e-13)
     assert ode.domain == (-math.pi / 2, math.pi / 2)
     # bit for bit, in the library's form
     U_lib = (b * g + L * c2) / (c2 * c2 - g * g)
     assert np.array_equal(ode.pcoef(zs), -2.0 * np.tan(zs))
     assert np.array_equal(ode.qcoef(zs, 0.5), eps - U_lib + 0.5)
-    assert np.array_equal(ode.schrodinger.qcoef(zs, 0.5), (eps + 0.5) + 1.0 - U_lib)
-
-
-def test_axial_magnetic_singular_points():
-    g = 0.25
-    ode = assemble_axial_ode(_spec("lobachevsky", b=1.0, gamma=g), 2.0)
-    locs = sorted(p.location for p in ode.singular_points)
-    assert locs == [-g, 0.0, g, 1.0, math.inf]
-    assert len(ode.singular_points) == 5
 
 
 @pytest.mark.parametrize("geo", ["lobachevsky", "spherical"])
 @pytest.mark.parametrize("gamma", [0.0, 0.3])
 def test_schrodinger_form_is_the_axial_equation_in_f_equals_z_sqrt_a(geo, gamma):
     """f = Z sqrt(a) turns Z'' + p Z' + q Z = 0 into f'' + (q - p'/2 - p^2/4) f = 0;
-    with p = a'/a that constant is the section's curvature (p' by central
+    with p = a'/a and q = eps - U that is f'' + (eps + kappa - U) f = 0, kappa
+    the section's curvature and U the effective potential (p' by central
     differences)."""
     h = 1e-5
-    ode = assemble_axial_ode(_spec(geo, b=1.5, gamma=gamma), 2.0, epsilon=0.7)
-    schro = ode.schrodinger
-    assert schro.domain == ode.domain and schro.eigen_name == ode.eigen_name
+    kappa = _SECTIONS[geo].curvature
+    spec = _spec(geo, b=1.5, gamma=gamma)
+    ode = assemble_axial_ode(spec, 2.0, epsilon=0.7)
     for z in (-0.7, 0.1, 0.6):
         p = ode.pcoef(z)
         dp = (ode.pcoef(z + h) - ode.pcoef(z - h)) / (2 * h)
-        assert schro.pcoef(z) == 0.0
-        assert_allclose(schro.qcoef(z, 0.4), ode.qcoef(z, 0.4) - dp / 2 - p * p / 4,
+        U = effective_potential(spec, 2.0, z)
+        assert_allclose(ode.qcoef(z, 0.4) - dp / 2 - p * p / 4, (0.7 + 0.4) + kappa - U,
                         rtol=1e-8, atol=1e-9)
 
 
@@ -505,7 +487,7 @@ def test_radial_flat_limit_coherence(geo):
     b_flat, m, eps = 1.0, 2, 7.0
     flat = assemble_radial_ode(_spec("flat", b=b_flat), QuantumNumbers(0, m))
     curved = assemble_radial_ode(
-        _spec(geo, b=2.0 * b_flat * rho**2, rho=rho), QuantumNumbers(0, m)
+        _spec(geo, b=2.0 * b_flat * rho**2), QuantumNumbers(0, m)
     )
     for s in (0.5, 1.5, 3.0):
         assert abs(curved.pcoef(s / rho) / rho - flat.pcoef(s)) < 1e-6

@@ -140,7 +140,7 @@ def _spectrum_three_branches(spec, qn):
         branch = "m<-2b"
     if not math.isfinite(Lam):
         raise DomainError(f"closed-form Lambda = {Lam} overflows double (b = {spec.b}, k = {qn.k})")
-    return radial.SpectrumEntry(qn=qn, Lambda=Lam, branch=branch)
+    return radial.SpectrumEntry(Lambda=Lam, branch=branch)
 
 
 def _sphere_draws(rng, count):
@@ -283,7 +283,7 @@ def test_spherical_flat_limit_second_order():
     flat_eps = 0.15  # 4 (B/2) (0 + (1+1+1)/2), m = 1, n = 0
     errs = []
     for rho in (10.0, 20.0, 40.0):
-        spec = BackgroundSpec(geometry="spherical", b=0.05 * rho**2, rho=rho)
+        spec = BackgroundSpec(geometry="spherical", b=0.05 * rho**2)
         ode = spectrum_matched_ode(spec, QuantumNumbers(0, 1))
         res = solve_radial_eigen(ode, 1, GridSpec(points=3000))
         errs.append(res.eigenvalues[0] / rho**2 - flat_eps)

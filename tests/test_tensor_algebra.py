@@ -320,7 +320,9 @@ def test_antisymmetric_reduction_and_quartic_trace_sign():
         assert ch.p2 == pytest.approx(E2 - B2, abs=1e-12)
         assert ch.p4 == pytest.approx(EB * EB, abs=1e-11)
         assert ch.p4 == pytest.approx(-np.linalg.det(F.entries), abs=1e-11)
-        assert ch.p4 == pytest.approx(ch.s4 / 4.0 - ch.s2**2 / 8.0, abs=1e-12)
+        A2 = F.entries @ F.entries
+        s2, s4 = np.trace(A2), np.trace(A2 @ A2)
+        assert ch.p4 == pytest.approx(s4 / 4.0 - s2**2 / 8.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
