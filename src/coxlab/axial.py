@@ -59,18 +59,12 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class ExtremaResult:
-    """Stationary points of U: z = 0 plus the admissible quadratic roots.
-
-    `roots` holds the admissible values of ch^2 z (resp. cos^2 z) from
-    the stationarity quadratic; `discriminant` is (b^2/Lambda^2 - 1) g^2
-    (+-inf beyond double range), negative exactly when Lambda^2 > b^2 and
-    z = 0 is the only equilibrium.  Endpoint stationarity on the sphere
+    """Stationary points of U: z = 0 plus those at the admissible roots of
+    the stationarity quadratic.  Endpoint stationarity on the sphere
     (z = +-pi/2) is a boundary feature and not listed.
     """
 
     equilibria: tuple[Equilibrium, ...]
-    discriminant: float
-    roots: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -203,7 +197,7 @@ def effective_force_extrema(spec: BackgroundSpec, Lambda: float) -> ExtremaResul
     roots at least 1e-12 inside the chart's y range (ch^2 z >= 1,
     0 <= cos^2 z <= 1).  For Lambda^2 > b^2 the discriminant is negative
     and z = 0 is the unique equilibrium.  A discriminant beyond double range (b^2
-    overflowing, or Lambda^2 underflowing to 0) is reported as +-inf, and
+    overflowing, or Lambda^2 underflowing to 0) is taken as +-inf, and
     its root is taken as |base| sqrt((1 - g/base)(1 + g/base)) with
     base = (b/L) g, so nothing squares b.  A base or root that overflows
     double raises DomainError; an infinite root beyond the sphere's
@@ -229,7 +223,6 @@ def effective_force_extrema(spec: BackgroundSpec, Lambda: float) -> ExtremaResul
         disc = (b * b / L2 - 1.0) * g * g if L2 else math.inf
         if not math.isfinite(disc):  # beyond double: keep the sign of base^2 - g^2
             disc = math.copysign(math.inf, abs(base) - abs(g))
-    roots: list[float] = []
     zs: list[float] = [0.0]
     if disc >= 0.0:
         if disc < math.inf:
@@ -242,13 +235,9 @@ def effective_force_extrema(spec: BackgroundSpec, Lambda: float) -> ExtremaResul
             if lo + 1e-12 <= cand <= hi - 1e-12:
                 if cand == math.inf:
                     raise overflow()
-                roots.append(cand)
                 z0 = sec.z_of_y(cand)
                 zs.extend([z0, -z0])
-    eq = tuple(
-        Equilibrium(z=z, kind=_classify(spec, Lambda, z)) for z in sorted(zs)
-    )
-    return ExtremaResult(equilibria=eq, discriminant=disc, roots=tuple(roots))
+    return ExtremaResult(tuple(Equilibrium(z, _classify(spec, Lambda, z)) for z in sorted(zs)))
 
 
 def _pole_locations(sec: _Section, gamma: float) -> tuple[float, ...]:
@@ -479,8 +468,8 @@ def integrate_axial(
     raise ParameterError and a range leaving ``ode.domain`` raises
     DomainError.
     """
-    if ode.kind != "axial":
-        raise ParameterError("integrate_axial expects an axial equation")
+    if ode.kind != "axial" or ode.pcoef is None or ode.qcoef is None:
+        raise ParameterError("integrate_axial needs an axial equation (pcoef and qcoef)")
     require_int("steps", steps)
     if steps < 1:
         raise ParameterError("steps must be >= 1")
@@ -522,7 +511,7 @@ def _fehlberg_grid(ode: SeparatedODE, u: complex, v: complex, z0: float, z1: flo
     zs = z0 + h * np.arange(steps + 1)
     nodes = zs[:-1, None] + h * np.array(_RKF_C)
     p = np.broadcast_to(ode.pcoef(nodes), nodes.shape)
-    q = np.broadcast_to(ode.qcoef(nodes, 0.0), nodes.shape)
+    q = np.broadcast_to(ode.qcoef(nodes), nodes.shape)
     del nodes
     if np.iscomplexobj(p) or np.iscomplexobj(q):
         raise ParameterError("integrate_axial needs real coefficients p and q")

@@ -110,33 +110,35 @@ class QuantumNumbers:
 
 @dataclass(eq=False)
 class SeparatedODE:
-    """One separated equation  u'' + p(x) u' + q(x, s) u = 0.
+    """One separated equation  u'' + p(x) u' + q(x) u = 0, in the form its
+    solver reads.
 
-    ``qcoef(x, s)`` is affine in the spectral offset s: q = q0(x) + s.
-    For radial equations s *is* the spectral parameter named by
-    ``eigen_name`` (eps_prime, Lambda or w_perp); for axial equations
-    every parameter is fixed at assembly and s is an additive offset
-    from those values (pass 0 to evaluate the assembled equation).
+    Radial equations (``kind`` "radial", solved by
+    radial.solve_radial_eigen) carry the Liouville form: the ``weight`` w
+    (r, sh r or sin r) that makes the operator self-adjoint, p = w'/w,
+    and ``q0_weighted(x, w)``, q0 from the weight already evaluated at x,
+    so a grid evaluates the weight once.  q = q0 + s, with s the spectral
+    parameter named by ``eigen_name`` (eps_prime, Lambda or w_perp).
 
-    ``weight`` is the measure making the radial operator self-adjoint
-    (r, sh r or sin r).  ``params`` holds the flat electric axial
+    Axial equations (``kind`` "axial", integrated by
+    axial.integrate_axial) carry ``pcoef(z)`` and ``qcoef(z)`` with every
+    parameter fixed at assembly.  ``params`` holds the flat electric
     equation's w_prime, the shifted energy airy_pair takes; it is empty
     for every other equation.
 
-    ``pcoef``, ``qcoef`` and ``weight`` must accept arrays of x and return
-    real arrays of the same shape (or scalars, for constant coefficients):
-    integrators evaluate them once over all their nodes.  Radial
-    equations also carry ``q0_weighted(x, w)``, the same q0 from the
-    weight w already evaluated at x, so a grid evaluates the weight once.
+    The fields of the other kind are None.  Each callable accepts an
+    array of x and returns a real array of the same shape (or a scalar,
+    for a constant coefficient): solvers evaluate it once over all their
+    nodes.
     """
 
     kind: str
     geometry: str
     field_kind: str
     domain: tuple[float, float]
-    pcoef: Callable
-    qcoef: Callable
-    eigen_name: str
+    pcoef: Callable | None = None
+    qcoef: Callable | None = None
+    eigen_name: str | None = None
     weight: Callable | None = None
     q0_weighted: Callable | None = None
     params: dict = field(default_factory=dict)
@@ -146,8 +148,8 @@ class SeparatedODE:
 class _Section:
     """One spatial section dS^2 = c^2 dt^2 - a(z)(dr^2 + w(r)^2 dphi^2) - dz^2.
 
-    Radial part: the weight w, p_r = w'/w, the magnetic potential
-    A_phi(b, r) and the chart end r_end.
+    Radial part: the weight w, the magnetic potential A_phi(b, r) and
+    the chart end r_end.
     Axial part: p_z = a'/a and the chart bound |z| < z_end (named
     z_end_name).  ``curvature`` kappa (+1 sphere, -1 Lobachevsky, 0 flat)
     is the constant that f = Z sqrt(a) adds to the axial equation;
@@ -163,7 +165,6 @@ class _Section:
     """
 
     w: Callable
-    p_r: Callable
     a_phi: Callable
     r_end: float
     p_z: Callable
@@ -228,13 +229,12 @@ def _pole_spherical(g, z, tol):
 
 _SECTIONS = {
     "flat": _Section(
-        w=_asfloat, p_r=lambda r: 1.0 / _asfloat(r),
-        a_phi=lambda b, r: -b * r * r, r_end=math.inf,
+        w=_asfloat, a_phi=lambda b, r: -b * r * r, r_end=math.inf,
         p_z=lambda z: np.zeros_like(_asfloat(z)), z_end=math.inf, z_end_name="infinity",
         curvature=0.0, eigen={"magnetic": "eps_prime", "electric": "w_perp"},
     ),
     "lobachevsky": _Section(
-        w=lambda r: np.sinh(_asfloat(r)), p_r=lambda r: 1.0 / np.tanh(_asfloat(r)),
+        w=lambda r: np.sinh(_asfloat(r)),
         a_phi=lambda b, r: -b * (np.cosh(r) - 1.0), r_end=math.inf,
         p_z=lambda z: 2.0 * np.tanh(_asfloat(z)), z_end=math.inf, z_end_name="infinity",
         curvature=-1.0, eigen={"magnetic": "Lambda", "electric": "Lambda"},
@@ -242,7 +242,7 @@ _SECTIONS = {
         u=_u_lobachevsky, force=_force_lobachevsky, pole=_pole_lobachevsky,
     ),
     "spherical": _Section(
-        w=lambda r: np.sin(_asfloat(r)), p_r=lambda r: 1.0 / np.tan(_asfloat(r)),
+        w=lambda r: np.sin(_asfloat(r)),
         a_phi=lambda b, r: b * (np.cos(r) - 1.0), r_end=math.pi,
         p_z=lambda z: -2.0 * np.tan(_asfloat(z)), z_end=math.pi / 2, z_end_name="pi/2",
         curvature=1.0, eigen={"magnetic": "Lambda", "electric": "Lambda"},
@@ -257,10 +257,11 @@ _SECTIONS = {
 # ---------------------------------------------------------------------------
 
 def assemble_radial_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedODE:
-    """Radial equation R'' + p(r) R' + [q0(r) + s] R = 0 for the configuration.
+    """Radial equation R'' + p(r) R' + [q0(r) + s] R = 0 for the configuration,
+    carried as the weight w and q0 (see SeparatedODE).
 
-    One formula on every section, with the weight w and the magnetic
-    potential A_phi (A_phi = 0 for the electric field):
+    One formula on every section, with the magnetic potential A_phi
+    (A_phi = 0 for the electric field):
 
         p = w'/w,   q0 = -(m + A_phi(r))^2 / w^2
 
@@ -286,17 +287,11 @@ def assemble_radial_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedOD
         u = m + sec.a_phi(b, r) if magnetic else m
         return -(u**2) / w**2
 
-    def qcoef(r, s):
-        r = np.asarray(r, dtype=float)
-        return q0_weighted(r, sec.w(r)) + s
-
     return SeparatedODE(
         kind="radial",
         geometry=spec.geometry,
         field_kind=spec.field,
         domain=(0.0, sec.r_end),
-        pcoef=sec.p_r,
-        qcoef=qcoef,
         eigen_name=sec.eigen[spec.field],
         weight=sec.w,
         q0_weighted=q0_weighted,
@@ -316,7 +311,7 @@ def assemble_axial_ode(
     mu2: float = 1.0,
     compton: float = 1.0,
 ) -> SeparatedODE:
-    """Axial equation Z'' + p(z) Z' + [q0(z) + s] Z = 0.
+    """Axial equation Z'' + p(z) Z' + q(z) Z = 0.
 
     ``Lambda`` is the radial separation constant feeding the axial
     problem (for the flat electric case it plays the role of w_perp).
@@ -341,10 +336,9 @@ def assemble_axial_ode(
                 "flat magnetic axial motion is a free plane wave; no equation to assemble"
             )
 
-        def qcoef(z, s):
-            return epsilon - sec.u(Lambda, b, gam, z) + s
+        def qcoef(z):
+            return epsilon - sec.u(Lambda, b, gam, z)
 
-        eigen = "epsilon"
     elif compton <= 0:
         raise ParameterError("compton wavelength must be positive")
     elif mu2 < 0:
@@ -352,18 +346,16 @@ def assemble_axial_ode(
     elif geo == "flat":
         w_prime = w - Lambda + gam * gam / ((1.0 + gam * gam) * compton * compton)
 
-        def qcoef(z, s):
-            return w_prime + s + nu * np.asarray(z, dtype=float)
+        def qcoef(z):
+            return w_prime + nu * np.asarray(z, dtype=float)
 
-        eigen = "w"
         params = {"w_prime": w_prime}
     else:
         mu = math.sqrt(mu2)
-        eigen = "W"
         if geo == "lobachevsky":
-            def qcoef(z, s):
+            def qcoef(z):
                 # with D = ch^4 z + g^2 the raw coefficient is
-                #   -2 mu g sh ch (g^2 - ch^4)/D^2 - 2 mu g sh ch/D + (w + s)
+                #   -2 mu g sh ch (g^2 - ch^4)/D^2 - 2 mu g sh ch/D + w
                 #   + nu th z - mu2 g^2/D - Lambda/ch^2 z;
                 # the first two terms sum to -4 mu g^3 sh ch/D^2.  Written in
                 # t = th z and q = sech^2 z (E = 1 + g^2 q^2 = D q^2) it stays finite.
@@ -373,7 +365,7 @@ def assemble_axial_ode(
                 E = 1.0 + gam * gam * q * q
                 return (
                     -4.0 * mu * gam**3 * t * q**3 / (E * E)
-                    + (w + s)
+                    + w
                     + nu * t
                     - mu2 * gam * gam * q * q / E
                     - Lambda * q
@@ -397,12 +389,12 @@ def assemble_axial_ode(
                 )
                 return raw / factor
 
-            def qcoef(z, s):
+            def qcoef(z):
                 z = np.asarray(z, dtype=float)
                 cz, sz, u, D, factor = terms(z)
                 raw = (
                     4.0 * mu * gam**3 * sz * cz / (D * D)
-                    + (w + s)
+                    + w
                     + nu * np.tan(z)
                     - mu2 * gam * gam / D
                     - Lambda / (cz * cz)
@@ -416,6 +408,5 @@ def assemble_axial_ode(
         domain=(-sec.z_end, sec.z_end),
         pcoef=pcoef,
         qcoef=qcoef,
-        eigen_name=eigen,
         params=params,
     )

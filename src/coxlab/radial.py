@@ -252,39 +252,17 @@ def _tridiags(ode: SeparatedODE, sizes, r_max: float):
     return out
 
 
-def _lapack_on_first_call(name: str):
-    """Stand-in for LAPACK routine `name`: its first call imports scipy's
-    LAPACK wrappers (most of a cold start for the commands that never
-    solve a radial problem) and rebinds every stand-in still in place to
-    its routine, so later calls go straight to LAPACK."""
-
-    def first_call(*args, **kwargs):
-        from scipy.linalg import lapack
-
-        module = globals()
-        for routine in ("dgtsv", "dstebz", "dstein"):
-            if getattr(module[routine], "lapack_stand_in", False):
-                module[routine] = getattr(lapack, routine)
-        return getattr(lapack, name)(*args, **kwargs)
-
-    first_call.lapack_stand_in = True
-    return first_call
-
-
-dgtsv = _lapack_on_first_call("dgtsv")
-dstebz = _lapack_on_first_call("dstebz")
-dstein = _lapack_on_first_call("dstein")
-
-
 def _bisect(d, e, count: int, tol: float = 0.0, vectors: bool = True):
     """Lowest `count` eigenvalues of the tridiagonal (d, e) by Sturm
     bisection to absolute tolerance `tol` (0: LAPACK's default, about
     eps ||T||), with unit eigenvectors (as rows) by inverse iteration
     when `vectors`.  Raises NonConvergence when LAPACK reports a failure
     (entries whose squares overflow make the Sturm sequence fail)."""
-    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, 1, count, tol, b"B")
+    from scipy.linalg import lapack  # here, not at import: the CLI's other commands skip it
+
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, count, tol, b"B")
     if info == 0 and m == count and vectors:
-        z, info = dstein(d, e, w[:m], iblock, isplit)
+        z, info = lapack.dstein(d, e, w[:m], iblock, isplit)
     if info != 0 or m != count:
         raise NonConvergence(f"Sturm bisection failed on {len(d)} cells (LAPACK info {info})")
     order = np.argsort(w[:m])
@@ -301,8 +279,10 @@ def _rqi(d, e, sigma: float, v, stop: float):
     residual is at most `stop`; None when it is not reached in
     _MAX_SOLVES steps or a solve fails.
     """
+    from scipy.linalg import lapack
+
     for _ in range(_MAX_SOLVES):
-        _, _, _, y, info = dgtsv(e, d - sigma, e, v, overwrite_d=1)
+        _, _, _, y, info = lapack.dgtsv(e, d - sigma, e, v, overwrite_d=1)
         yy = float(y @ y)
         if info != 0 or not 0.0 < yy < math.inf:
             return None
@@ -328,6 +308,8 @@ def _refine(grid, shifts, starts):
     tolerance counts without bisecting) finds exactly as many
     eigenvalues as intervals up to just above the top one.
     """
+    from scipy.linalg import lapack
+
     d, e, t_norm = grid.d, grid.e, grid.norm
     count = len(shifts)
     stop, margin = _STOP * _EPS * t_norm, _MARGIN * _EPS * t_norm
@@ -341,7 +323,7 @@ def _refine(grid, shifts, starts):
     if not np.all(sigmas[1:] - radii[1:] - sigmas[:-1] - radii[:-1] > 2.0 * margin):
         return None
     top = sigmas[-1] + 2.0 * radii[-1] + margin
-    if dstebz(d, e, 1, -2.0 * t_norm - 1.0, top, 0, 0, 1e300, b"E")[0] != count:
+    if lapack.dstebz(d, e, 1, -2.0 * t_norm - 1.0, top, 0, 0, 1e300, b"E")[0] != count:
         return None
     return sigmas, vecs
 

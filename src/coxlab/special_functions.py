@@ -113,29 +113,14 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_TINY = -800.0  # e to this lies below the smallest subnormal double
 
 
-def _real_power(t: float, e: float) -> float:
-    """t ** e for t > 0, e >= 0, rounded as Python's complex power rounds
-    it for real parts: repeated squaring for small integer e, else pow()."""
-    if e == 0.0:
-        return 1.0
-    if e == math.floor(e) and e <= 100.0:
-        n, r = int(e), 1.0
-        while n:
-            if n & 1:
-                r *= t
-            n >>= 1
-            if n:
-                t *= t
-        return r
-    return t ** e
-
-
 def gamma_complex(z: complex) -> complex:
     """Gamma function for complex argument.
 
     Lanczos sum for Re z >= 1/2, reflection formula otherwise.  A real z
     takes the sum's operations on floats: they round as the real parts of
-    the complex ones, whose imaginary parts all stay +0.
+    the complex ones, whose imaginary parts all stay +0, except the power
+    t^(z - 1/2), which is pow() where a complex power would multiply out
+    the integral exponent of a half-integer z.
     Raises PoleError at (numerically) nonpositive integers and
     DomainError for a non-finite z or where |Gamma| (or, by reflection,
     |Gamma(1 - z)| or |sin(pi z)|) exceeds the double range.  Returns 0
@@ -171,7 +156,7 @@ def gamma_complex(z: complex) -> complex:
         if z.imag:
             g = _SQRT_2PI * t ** (w + 0.5) * cmath.exp(-t) * acc
         else:
-            g = complex(_SQRT_2PI * _real_power(t, w + 0.5) * math.exp(-t) * acc)
+            g = complex(_SQRT_2PI * t ** (w + 0.5) * math.exp(-t) * acc)
     except (OverflowError, ZeroDivisionError):  # the power's errno: ERANGE, EDOM
         g = complex(math.inf)
     if cmath.isfinite(g):

@@ -65,9 +65,20 @@ def _per_trial(formula, *args) -> list[np.ndarray]:
     return [np.array(x).reshape(shape) for x in zip(*map(formula, *cols))]
 
 
+def _require_finite(values, names: str) -> None:
+    """ParameterError unless every entry of `values`, a (..., n) array of the
+    n components in `names`, is finite; it names the first component that
+    is not, and its first such entry."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite.reshape(-1, finite.shape[-1]).all(axis=0)))
+        bad = np.asarray(values)[..., k][~finite[..., k]].flat[0]
+        raise ParameterError(f"{names.split()[k]} must be finite, got {bad}")
+
+
 @dataclass(frozen=True)
 class DiagonalMetric:
-    """Diagonal metric g = diag(g00, g11, g22, g33), signature (+,-,-,-)."""
+    """Diagonal metric g = diag(g00, g11, g22, g33), finite, signature (+,-,-,-)."""
 
     g00: float
     g11: float
@@ -75,6 +86,7 @@ class DiagonalMetric:
     g33: float
 
     def __post_init__(self) -> None:
+        _require_finite(self.diag, "g00 g11 g22 g33")
         if not (self.diag[..., 0] > 0).all():
             raise ParameterError("metric signature requires g00 > 0")
         if not (self.diag[..., 1:] < 0).all():
@@ -111,14 +123,17 @@ _SLOTS = np.array([1, 2, 3, 11, 13, 6]), np.array([4, 8, 12, 14, 7, 9])
 
 @dataclass(frozen=True)
 class FieldConfig3:
-    """Covariant electric and magnetic components (E_1,E_2,E_3), (B_1,B_2,B_3)."""
+    """Covariant electric and magnetic components (E_1,E_2,E_3), (B_1,B_2,B_3), finite."""
 
     E: tuple[float, float, float]
     B: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        if self.E_arr.shape[-1:] != (3,) or self.E_arr.shape != self.B_arr.shape:
+        E, B = self.E_arr, self.B_arr
+        if E.shape[-1:] != (3,) or E.shape != B.shape:
             raise ParameterError("E and B must be 3-vectors or (..., 3) stacks of one shape")
+        _require_finite(E, "E_1 E_2 E_3")
+        _require_finite(B, "B_1 B_2 B_3")
 
     @property
     def E_arr(self) -> np.ndarray:
@@ -195,7 +210,7 @@ class CharCoeffs:
 
 @dataclass(frozen=True)
 class ParticleConstants:
-    """Mass parameter mu = M*c and the real intrinsic-structure coupling lam.
+    """Finite mass parameter mu = M*c > 0 and real intrinsic-structure coupling lam.
 
     ``lam`` already contains the imaginary-unit substitution of the raw
     coupling (raw = i*lam); Gamma = lam/mu is the structure constant
@@ -206,12 +221,9 @@ class ParticleConstants:
     lam: float
 
     def __post_init__(self) -> None:
+        _require_finite(np.stack(np.broadcast_arrays(self.mu, self.lam), -1), "mu lam")
         if not (np.asarray(self.mu) > 0).all():
             raise ParameterError("mass parameter mu must be positive")
-
-    @property
-    def gamma(self) -> float:
-        return _out(np.divide(self.lam, self.mu))
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +423,10 @@ def ricci_extended_matrix(F: MixedTensor, ricci, scale: float) -> MixedTensor:
 
     ``ricci`` is the mixed Ricci tensor as a 4x4 array, or a scalar r
     standing for the Einstein-space form r * Id (e.g. r = R/4 on a
-    constant-curvature background).
+    constant-curvature background); it and ``scale`` must be finite.
     """
     R = np.asarray(ricci, dtype=float)
+    _require_finite(np.stack(np.broadcast_arrays(R, scale), -1), "ricci scale")
     if R.ndim == 0:
         R = float(R) * np.eye(4)
     if R.shape != (4, 4):

@@ -146,7 +146,7 @@ def effective_force_extrema(spec: BackgroundSpec, Lambda: float) -> ExtremaResul
     to have roots in the admissible range (ch^2 z >= 1, 0 < cos^2 z < 1).
     For Lambda^2 > b^2 the discriminant is negative and z = 0 is the
     unique equilibrium.  A discriminant beyond double range (b^2
-    overflowing, or Lambda^2 underflowing to 0) is reported as +-inf, and
+    overflowing, or Lambda^2 underflowing to 0) is taken as +-inf, and
     its root is taken as |base| sqrt((1 - g/base)(1 + g/base)) with
     base = (b/L) g, so nothing squares b.  A base or root that overflows
     double raises DomainError.
@@ -171,7 +171,6 @@ def effective_force_extrema(spec: BackgroundSpec, Lambda: float) -> ExtremaResul
         disc = (b * b / L2 - 1.0) * g * g if L2 else math.inf
         if not math.isfinite(disc):  # beyond double: keep the sign of base^2 - g^2
             disc = math.copysign(math.inf, abs(base) - abs(g))
-    roots: list[float] = []
     zs: list[float] = [0.0]
     if disc >= 0.0:
         if disc < math.inf:
@@ -183,19 +182,17 @@ def effective_force_extrema(spec: BackgroundSpec, Lambda: float) -> ExtremaResul
                 if cand >= 1.0 + 1e-12:
                     if cand == math.inf:
                         raise overflow()
-                    roots.append(cand)
                     z0 = math.acosh(math.sqrt(cand))
                     zs.extend([z0, -z0])
         else:
             for cand in (-base + rt, -base - rt):
                 if 1e-12 < cand < 1.0 - 1e-12:
-                    roots.append(cand)
                     z0 = math.acos(math.sqrt(cand))
                     zs.extend([z0, -z0])
     eq = tuple(
         Equilibrium(z=z, kind=_classify(spec, Lambda, z)) for z in sorted(zs)
     )
-    return ExtremaResult(equilibria=eq, discriminant=disc, roots=tuple(roots))
+    return ExtremaResult(equilibria=eq)
 
 
 def _pole_locations(spec: BackgroundSpec) -> tuple[float, ...]:

@@ -40,8 +40,8 @@ SURFACE = {
         ),
         "QuantumNumbers": ("n", "m", "k=0.0"),
         "SeparatedODE": (
-            "kind", "geometry", "field_kind", "domain", "pcoef", "qcoef", "eigen_name",
-            "weight=None", "q0_weighted=None", "params=dict()",
+            "kind", "geometry", "field_kind", "domain", "pcoef=None", "qcoef=None",
+            "eigen_name=None", "weight=None", "q0_weighted=None", "params=dict()",
         ),
         "assemble_radial_ode": ("spec", "qn"),
         "assemble_axial_ode": (
@@ -63,7 +63,7 @@ SURFACE = {
     },
     "axial": {
         "Equilibrium": ("z", "kind"),
-        "ExtremaResult": ("equilibria", "discriminant", "roots"),
+        "ExtremaResult": ("equilibria",),
         "PotentialProfile": ("z_grid", "U", "Fz", "extrema"),
         "AirySolutionPair": ("z1", "z2", "dz1", "dz2", "x_of_z", "turning_point", "wronskian"),
         "AxialSolution": ("z", "Z", "dZ", "residual_estimate"),

@@ -211,7 +211,6 @@ def test_lobachevsky_profile_in_sech_form():
 def test_unique_equilibrium_when_lambda_dominates():
     """Lambda^2 > b^2: negative discriminant, z = 0 is the only equilibrium."""
     ext = effective_force_extrema(LOB, 2.0)
-    assert ext.discriminant < 0
     assert len(ext.equilibria) == 1 and ext.equilibria[0].z == 0.0
 
     rng = np.random.default_rng(23)
@@ -230,7 +229,6 @@ def test_lobachevsky_off_axis_equilibria():
     """L=1, b=2, g=0.3: ch^2 z = 0.6 +- 0.3 sqrt(3); only the + root is admissible."""
     spec = BackgroundSpec(geometry="lobachevsky", b=2.0, gamma=0.3)
     ext = effective_force_extrema(spec, 1.0)
-    assert_allclose(ext.roots, (0.6 + 0.3 * math.sqrt(3),), rtol=1e-12)
     zs = sorted(e.z for e in ext.equilibria)
     z_star = math.acosh(math.sqrt(0.6 + 0.3 * math.sqrt(3)))
     assert_allclose(zs, [-z_star, 0.0, z_star], atol=1e-12)
@@ -246,11 +244,8 @@ def test_lobachevsky_off_axis_equilibria():
 def test_spherical_off_axis_equilibria():
     spec = BackgroundSpec(geometry="spherical", b=-2.0, gamma=0.3)
     ext = effective_force_extrema(spec, 1.0)
-    assert len(ext.roots) == 1
-    root = ext.roots[0]
-    assert_allclose(root, 0.6 - 0.3 * math.sqrt(3), rtol=1e-12)
-    z_star = math.acos(math.sqrt(root))
-    assert any(abs(e.z - z_star) < 1e-12 for e in ext.equilibria)
+    z_star = math.acos(math.sqrt(0.6 - 0.3 * math.sqrt(3)))  # cos^2 z = 0.6 - 0.3 sqrt(3)
+    assert_allclose([e.z for e in ext.equilibria], [-z_star, 0.0, z_star], atol=1e-12)
     grid = np.linspace(0.02, z_star + 0.2, 300)
     F = effective_force(spec, 1.0, grid)
     assert np.sum(np.sign(F[1:]) != np.sign(F[:-1])) == 1
@@ -273,24 +268,27 @@ def test_extrema_refuse_a_quadratic_that_overflows():
         # gamma = 0: the quadratic's roots are 0, so z = 0 stays the answer
         for b, L in ((10.0, 1e-200), (1e300, 2.0)):
             ext = effective_force_extrema(BackgroundSpec(geometry=geometry, b=b), L)
-            assert [e.z for e in ext.equilibria] == [0.0] and ext.roots == ()
+            assert [e.z for e in ext.equilibria] == [0.0]
     # base = 1e308 is finite; the Lobachevsky root base + sqrt(base^2 - g^2) is not
     with pytest.raises(DomainError, match="stationarity quadratic overflows"):
         effective_force_extrema(BackgroundSpec(geometry="lobachevsky", b=1e308, gamma=1.0), 1.0)
 
 
-def _mp_roots(geometry, b, g, L):
-    """The admissible roots of the stationarity quadratic in 50 digits."""
+def _mp_equilibria(geometry, b, g, L):
+    """z = 0 and +-z at the admissible roots of the stationarity quadratic,
+    in 50 digits."""
     with mpmath.workdps(50):
         base = mpmath.mpf(b) / L * g
         disc = base * base - mpmath.mpf(g) ** 2
         if disc < 0:
-            return []
+            return [0.0]
         if geometry == "lobachevsky":
             cands = (base + mpmath.sqrt(disc), base - mpmath.sqrt(disc))
-            return [float(c) for c in cands if c >= 1 + 1e-12]
-        cands = (-base + mpmath.sqrt(disc), -base - mpmath.sqrt(disc))
-        return [float(c) for c in cands if 1e-12 < c < 1 - 1e-12]
+            zs = [float(mpmath.acosh(mpmath.sqrt(c))) for c in cands if c >= 1 + 1e-12]
+        else:
+            cands = (-base + mpmath.sqrt(disc), -base - mpmath.sqrt(disc))
+            zs = [float(mpmath.acos(mpmath.sqrt(c))) for c in cands if 1e-12 < c < 1 - 1e-12]
+        return sorted([0.0] + zs + [-z for z in zs])
 
 
 def test_extrema_answer_where_only_b_squared_overflows():
@@ -298,9 +296,7 @@ def test_extrema_answer_where_only_b_squared_overflows():
     refused, and the root is now taken without squaring b."""
     spec = BackgroundSpec(geometry="lobachevsky", b=1e200, gamma=0.1)
     ext = effective_force_extrema(spec, 1.0)
-    assert ext.discriminant == math.inf
-    assert_allclose(ext.roots, [2e199], rtol=1e-15)
-    z_star = math.acosh(math.sqrt(2e199))
+    z_star = math.acosh(math.sqrt(2e199))  # ch^2 z = 2e199
     assert 230.1 < z_star < 230.2
     assert [e.z for e in ext.equilibria] == [-z_star, 0.0, z_star]
     assert [e.kind for e in ext.equilibria] == ["maximum", "minimum", "maximum"]
@@ -310,8 +306,8 @@ def test_extrema_answer_where_only_b_squared_overflows():
         for b, g, L in ((10.0, 0.9, 1e-200), (1e300, 0.1, 2.0), (1e200, 0.1, -1.0),
                         (-1e250, 0.7, 3.0), (0.0, 0.5, 1e-200)):
             ext = effective_force_extrema(BackgroundSpec(geometry=geometry, b=b, gamma=g), L)
-            assert_allclose(ext.roots, _mp_roots(geometry, b, g, L), rtol=1e-14)
-            assert len(ext.equilibria) == 1 + 2 * len(ext.roots)
+            assert_allclose([e.z for e in ext.equilibria], _mp_equilibria(geometry, b, g, L),
+                            rtol=1e-14)
 
 
 def _mp_force(geometry, b, g, L, z):
@@ -468,7 +464,7 @@ def test_integrate_axial_fourth_order_convergence():
     )
 
     def rhs(z, y):
-        return [y[1], -(ode.pcoef(z) * y[1] + ode.qcoef(z, 0.0) * y[0])]
+        return [y[1], -(ode.pcoef(z) * y[1] + ode.qcoef(z) * y[0])]
 
     ref = solve_ivp(
         rhs, (-4.0, 4.0), [1.0, 0.0], method="DOP853", rtol=1e-13, atol=1e-14
@@ -482,12 +478,12 @@ def test_integrate_axial_fourth_order_convergence():
 
 def _schrodinger_form(spec, Lambda, epsilon):
     """The curved magnetic axial equation in f = Z sqrt(a): p = 0 and
-    q = (eps + s) + kappa - U, kappa the section's curvature."""
+    q = eps + kappa - U, kappa the section's curvature."""
     kappa = _SECTIONS[spec.geometry].curvature
     return dataclasses.replace(
         assemble_axial_ode(spec, Lambda, epsilon=epsilon),
         pcoef=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-        qcoef=lambda z, s: (epsilon + s) + kappa - effective_potential(spec, Lambda, z),
+        qcoef=lambda z: epsilon + kappa - effective_potential(spec, Lambda, z),
     )
 
 
@@ -517,6 +513,11 @@ def test_integrate_axial_error_modes():
     radial = assemble_radial_ode(LOB, QuantumNumbers(0, 0))
     with pytest.raises(ParameterError):
         integrate_axial(radial, (1.0, 0.0), (0.1, 2.0), steps=100)
+    # an axial record without its coefficients is refused, not a TypeError
+    for missing in ("pcoef", "qcoef"):
+        bare = dataclasses.replace(ode, **{missing: None})
+        with pytest.raises(ParameterError, match="needs an axial equation"):
+            integrate_axial(bare, (1.0, 0.0), (-3.0, 3.0), steps=100)
 
 
 def _per_step_rkf45(ode, ic_left, z_range, steps):
@@ -525,7 +526,7 @@ def _per_step_rkf45(ode, ic_left, z_range, steps):
 
     def f(z, y):
         return np.array(
-            [y[1], -(ode.pcoef(z) * y[1] + ode.qcoef(z, 0.0) * y[0])], dtype=complex
+            [y[1], -(ode.pcoef(z) * y[1] + ode.qcoef(z) * y[0])], dtype=complex
         )
 
     z0, z1 = z_range
@@ -612,7 +613,7 @@ def test_integrate_axial_constant_coefficients():
     ode = SeparatedODE(
         kind="axial", geometry="flat", field_kind="electric",
         domain=(-math.inf, math.inf), pcoef=lambda z: 0.0,
-        qcoef=lambda z, s: 1.0 + s, eigen_name="w",
+        qcoef=lambda z: 1.0,
     )
     sol = integrate_axial(ode, (1.0, 0.0), (0.0, 3.0), steps=600)
     assert_allclose(sol.Z.real, np.cos(sol.z), atol=1e-10)
@@ -698,7 +699,7 @@ def test_integrate_axial_nan_local_error_is_a_step_failure():
     ode = SeparatedODE(
         kind="axial", geometry="flat", field_kind="electric",
         domain=(-math.inf, math.inf), pcoef=lambda z: np.zeros_like(z),
-        qcoef=lambda z, s: np.where(z > 0.5, math.nan, 1.0 + s), eigen_name="w",
+        qcoef=lambda z: np.where(z > 0.5, math.nan, 1.0),
     )
     with pytest.raises(StepFailure, match=r"local error nan at z = 0\.5 "):
         integrate_axial(ode, (1.0, 0.0), (0.0, 1.0), steps=100)
@@ -714,7 +715,7 @@ def _complex_loop(ode, ic_left, z_range, steps, tol=1e-9):
     zs = z0 + h * np.arange(steps + 1)
     nodes = zs[:-1, None] + h * np.array(_RKF_C)
     P = _scalar_rows(np.broadcast_to(ode.pcoef(nodes), nodes.shape))
-    Q = _scalar_rows(np.broadcast_to(ode.qcoef(nodes, 0.0), nodes.shape))
+    Q = _scalar_rows(np.broadcast_to(ode.qcoef(nodes), nodes.shape))
 
     (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
      (a50, a51, a52, a53, a54)) = _RKF_A
@@ -834,16 +835,16 @@ def test_integrate_axial_bit_identity_covers_solutions_and_failures():
 
 
 @pytest.mark.parametrize("pcoef, qcoef", [
-    (lambda z: 0.1j * z, lambda z, s: 1.0 + 0.3j * np.cos(z) + s),
-    (lambda z: 0.0, lambda z, s: 1.0 + 0.3j * np.cos(z) + s),
-    (lambda z: 0.1j * z, lambda z, s: 1.0 + s),
+    (lambda z: 0.1j * z, lambda z: 1.0 + 0.3j * np.cos(z)),
+    (lambda z: 0.0, lambda z: 1.0 + 0.3j * np.cos(z)),
+    (lambda z: 0.1j * z, lambda z: 1.0),
 ], ids=["both", "q", "p"])
 def test_integrate_axial_refuses_complex_coefficients(pcoef, qcoef):
     """No assembled equation has complex p or q; the one-pass-per-part
     recurrence assumes real ones, so complex coefficients are refused."""
     ode = SeparatedODE(
         kind="axial", geometry="flat", field_kind="electric",
-        domain=(-math.inf, math.inf), pcoef=pcoef, qcoef=qcoef, eigen_name="w",
+        domain=(-math.inf, math.inf), pcoef=pcoef, qcoef=qcoef,
     )
     for ic in [(1.0, 0.0), (1.0 - 0.5j, 0.2 + 0.1j)]:
         with pytest.raises(ParameterError, match="needs real coefficients"):
@@ -946,7 +947,7 @@ def test_integrate_axial_answers_the_retried_benchmark_requests(eq, P, dZ0, a):
     assert np.array_equal(sol.z, -a + (2.0 * a / 200) * np.arange(201))
 
     def rhs(z, y):
-        return [y[1], -(ode.pcoef(z) * y[1] + ode.qcoef(z, 0.0) * y[0])]
+        return [y[1], -(ode.pcoef(z) * y[1] + ode.qcoef(z) * y[0])]
 
     ref = solve_ivp(rhs, (sol.z[0], sol.z[-1]), np.array(ic), method="DOP853", t_eval=sol.z,
                     rtol=1e-12, atol=1e-13).y[0]
@@ -968,7 +969,7 @@ def test_integrate_axial_non_finite_values_fail_like_the_complex_loop(bad, ic):
     ode = SeparatedODE(
         kind="axial", geometry="flat", field_kind="electric",
         domain=(-math.inf, math.inf), pcoef=lambda z: np.zeros_like(z),
-        qcoef=lambda z, s: np.where(z > 0.5, bad, 1.0 + s), eigen_name="w",
+        qcoef=lambda z: np.where(z > 0.5, bad, 1.0),
     )
     ref = _outcome(_complex_loop, ode, ic, (0.0, 1.0), 100)
     got = _outcome(integrate_axial, ode, ic, (0.0, 1.0), 100)
@@ -995,7 +996,7 @@ def _bad_at_one_mid_step_node(bad):
         kind="axial", geometry="flat", field_kind="electric",
         domain=(-math.inf, math.inf),
         pcoef=lambda z: np.where(z == mid_step, bad, 0.0),
-        qcoef=lambda z, s: 1.0 + s + 0.0 * z, eigen_name="w",
+        qcoef=lambda z: 1.0 + 0.0 * z,
     )
 
 
@@ -1008,7 +1009,7 @@ def test_integrate_axial_non_finite_error_or_scale_fails_under_any_tol():
     free = SeparatedODE(
         kind="axial", geometry="flat", field_kind="electric",
         domain=(-math.inf, math.inf), pcoef=lambda z: 0.0,
-        qcoef=lambda z, s: 0.0 * z + s, eigen_name="w",
+        qcoef=lambda z: 0.0 * z,
     )
     # both parts are finite; |Z| is not (abs() of this complex overflows)
     with pytest.raises(StepFailure, match=r"at z = 0 exceeds tol\*scale = inf"):
@@ -1025,7 +1026,7 @@ def test_integrate_axial_peak_memory_below_the_complex_loop():
     ode = SeparatedODE(
         kind="axial", geometry="flat", field_kind="electric",
         domain=(-math.inf, math.inf), pcoef=lambda z: 0.0,
-        qcoef=lambda z, s: 1.0 + s, eigen_name="w",
+        qcoef=lambda z: 1.0,
     )
     h = 3.0 / steps
     tracemalloc.start()

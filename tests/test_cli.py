@@ -1037,6 +1037,12 @@ _FINITE = "expected a finite number"
           "--grid-points", "400"], None, 2, "NonConvergence: Sturm bisection failed"),
         (["radial-eigen", "--geometry", "flat", "--b", "1", "--r-max", "1e-300",
           "--grid-points", "400"], None, 1, "DomainError: radial matrix overflows"),
+        # malformed m-range and config lines
+        (["spectrum", "--m-range=3:1"], None, 1,
+         "ConfigError: m-range must be an integer, 'lo:hi', or a comma list; got '3:1'"),
+        (["spectrum"], "geometry", 1, "expected key=value, got 'geometry'"),
+        (["spectrum"], "include-invalid=maybe", 1,
+         "ConfigError: invalid value for config key 'include-invalid': 'maybe'"),
     ],
 )
 def test_refusals_without_traceback(capsys, tmp_path, monkeypatch, argv, config, code, message):
@@ -1049,6 +1055,13 @@ def test_refusals_without_traceback(capsys, tmp_path, monkeypatch, argv, config,
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+def test_m_range_comma_list_lists_exactly_its_values(capsys):
+    code, out, _ = run(capsys, "spectrum", "--b", "1", "--n-max", "0", "--m-range=1,3")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert [(r[1], r[3]) for r in rows] == [("1", "6"), ("3", "14")]
 
 
 def test_m_range_cap_admits_exactly_the_cap():

@@ -342,6 +342,8 @@ def test_solver_error_modes():
         solve_radial_eigen(axial, 1, GridSpec(points=100, r_max=5.0))
     with pytest.raises(ParameterError):
         solve_radial_eigen(ode, 0, GridSpec(points=100, r_max=8.5))
+    with pytest.raises(ParameterError, match="count too large for the grid"):
+        solve_radial_eigen(ode, 99, GridSpec(points=100, r_max=8.5))
     with pytest.raises(ParameterError):
         GridSpec(points=8)
     with pytest.raises(ParameterError):
@@ -484,6 +486,27 @@ def test_failed_certificate_returns_the_bisection_answer(monkeypatch):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
+def test_failed_tridiagonal_solve_returns_the_bisection_answer(monkeypatch):
+    """A dgtsv solve that reports info != 0 ends the Rayleigh-quotient
+    iteration, so the certificate fails and both grids are bisected."""
+    ode = spectrum_matched_ode(SPH1, QuantumNumbers(0, 1))
+    grid = GridSpec(points=800, tol=1e-3)
+    with monkeypatch.context() as patched:
+        patched.setattr(radial, "_refine", lambda *args: None)
+        want = solve_radial_eigen(ode, 3, grid)
+    solve, calls = lapack.dgtsv, []
+
+    def failing(*args, **kw):
+        calls.append(len(args[1]))
+        return (*solve(*args, **kw)[:-1], 1)
+
+    monkeypatch.setattr(lapack, "dgtsv", failing)
+    got = solve_radial_eigen(ode, 3, grid)
+    assert calls == [800]  # the first solve on the coarse grid, and no other
+    for name in ("eigenvalues", "error_estimates", "eigenfunctions", "grid"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_cli_import_leaves_scipy_unloaded():
     """LAPACK is imported by the first radial solve, not by the CLI."""
     src = str(Path(radial.__file__).parents[1])
@@ -492,13 +515,6 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
-
-
-def test_lapack_stand_ins_are_replaced_by_the_routines():
-    solve_radial_eigen(spectrum_matched_ode(SPH1, QuantumNumbers(0, 1)), 2,
-                       GridSpec(points=800, tol=1e-3))
-    for name in ("dgtsv", "dstebz", "dstein"):
-        assert getattr(radial, name) is getattr(lapack, name)
 
 
 @pytest.mark.parametrize("cells,count", [(100, 3), (128, 126), (130, 126), (200, 198)])
@@ -558,13 +574,13 @@ def test_fine_grid_starts_near_its_levels(monkeypatch):
     fine grid close to one solve per level; the bare coarse values, with
     each coarse vector entry repeated, take 1.65 here."""
     sizes = []
-    solve = radial.dgtsv
+    solve = lapack.dgtsv
 
     def recording(dl, d, *args, **kw):
         sizes.append(len(d))
         return solve(dl, d, *args, **kw)
 
-    monkeypatch.setattr(radial, "dgtsv", recording)
+    monkeypatch.setattr(lapack, "dgtsv", recording)
     fine = levels = 0
     for spec, m, count, cells, r_max in _cases(13, 45, lambda rng: rng.choice(WORKLOAD_CELLS)):
         sizes.clear()

@@ -80,6 +80,43 @@ def test_metric_signature_validation():
         DiagonalMetric(1.0, 1.0, -1.0, -1.0)
 
 
+def test_particle_constants_refuse_a_nonpositive_mass():
+    for mu in (0.0, -1.0, np.array([1.0, 0.0])):
+        with pytest.raises(ParameterError, match="mass parameter mu must be positive"):
+            ParticleConstants(mu, 0.5)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_F = FieldConfig3((0.3, 0.0, 0.0), (0.0, 0.0, 0.8))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ParticleConstants(1.0, _NAN), "lam must be finite, got nan"),
+    (lambda: ParticleConstants(1.0, _INF), "lam must be finite, got inf"),
+    (lambda: ParticleConstants(_INF, 0.5), "mu must be finite, got inf"),
+    (lambda: ParticleConstants(np.array([1.0, _NAN]), 0.5), "mu must be finite, got nan"),
+    (lambda: DiagonalMetric(_INF, -1.0, -1.0, -1.0), "g00 must be finite, got inf"),
+    (lambda: DiagonalMetric(1.0, -1.0, -_INF, -1.0), "g22 must be finite, got -inf"),
+    (lambda: DiagonalMetric(1.0, -1.0, -1.0, np.array([-1.0, _NAN])), "g33 must be finite"),
+    (lambda: FieldConfig3((0.0, _NAN, 0.0), (0.0, 0.0, 1.0)), "E_2 must be finite, got nan"),
+    (lambda: FieldConfig3(np.zeros((2, 3)), [[0.0, 0.0, 1.0], [0.0, 0.0, _INF]]),
+     "B_3 must be finite, got inf"),
+    (lambda: ricci_extended_matrix(build_mixed_field_tensor(_F, FLAT_METRIC), 0.5, _NAN),
+     "scale must be finite, got nan"),
+    (lambda: ricci_extended_matrix(build_mixed_field_tensor(_F, FLAT_METRIC),
+                                   np.diag([1.0, _INF, 1.0, 1.0]), 0.5),
+     "ricci must be finite, got inf"),
+], ids=["lam-nan", "lam-inf", "mu-inf", "mu-stack", "g00-inf", "g22-inf", "g33-stack",
+        "E-nan", "B-stack", "scale-nan", "ricci-inf"])
+def test_non_finite_tensor_inputs_are_refused_by_component(make, message):
+    """Each gave silent NaN or inf: lambda_inverse of ParticleConstants(1, nan)
+    returned all-NaN matrices, g00 = inf gave a zero first column, a NaN
+    field component was refused by field_invariants as an overflow and a
+    NaN scale returned NaN entries."""
+    with pytest.raises(ParameterError, match=message):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
@@ -515,6 +552,7 @@ def test_single_matrix_keeps_scalar_types():
         lambda: FieldConfig3((1.0, 2.0), (0.0, 0.0, 1.0)),
         lambda: FieldConfig3(np.zeros((5, 3)), np.zeros((4, 3))),
         lambda: FieldConfig3(np.zeros((5, 4)), np.zeros((5, 4))),
+        lambda: ricci_extended_matrix(MixedTensor(np.zeros((4, 4))), np.eye(3), 0.5),
     ],
 )
 def test_wrong_trailing_shape_refused(make):

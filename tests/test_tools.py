@@ -3,8 +3,8 @@
 `scan_seeds.py` replays benchmark requests in a child process; the
 cli_requests workload is the quick one (about 2 s per seed).
 `same_answers.py` compares against a clean git revision and is not run
-here; of `ab_pairs.py`, which runs the benchmark, only the summary of
-canned runs is.
+here; of `ab_pairs.py`, which runs the benchmark, only the summaries of
+canned runs are.
 """
 
 from __future__ import annotations
@@ -29,14 +29,19 @@ def test_scan_seeds_over_two_seeds_exits_0():
     assert done.stdout.splitlines()[-1] == "0 of 2 seeds with unexpected failures"
 
 
-def test_ab_pairs_summary_on_canned_runs():
-    """Quartiles per side and wins in the direction of `better`; a tie
-    counts for neither side."""
+def _ab_pairs():
     sys.path.insert(0, str(ROOT / "tools"))
     try:
         import ab_pairs
     finally:
         sys.path.remove(str(ROOT / "tools"))
+    return ab_pairs
+
+
+def test_ab_pairs_summary_on_canned_runs():
+    """Quartiles per side and wins in the direction of `better`; a tie
+    counts for neither side."""
+    ab_pairs = _ab_pairs()
     metrics = [{"name": "requests_per_s", "better": "higher"},
                {"name": "latency_tail_ms", "better": "lower"}]
     ref = [{"requests_per_s": r, "latency_tail_ms": t}
@@ -53,3 +58,26 @@ def test_ab_pairs_summary_on_canned_runs():
     # latency_tail_ms: lower wins on pairs 1, 2, 4 and 5; pair 3 ties
     assert lines[2].split() == ["latency_tail_ms", "1", "/", "1.1", "/", "1.2",
                                 "0.9", "/", "1", "/", "1", "4/5"]
+
+
+def test_ab_pairs_trace_report_on_canned_runs():
+    """Each side's traced shares, and failure when either side's traced run
+    printed correct: false (a check the untraced pairs cannot fail)."""
+    def traced(correct, unattributed, overhead):
+        return {"correct": correct, "attempted": 10, "failed": 0, "metrics": {
+            "trace.unattributed_share": {"value": unattributed, "unit": "share"},
+            "trace.overhead_share": {"value": overhead, "unit": "share"},
+            "axial.integrate_axial.calls": {"value": 10, "unit": "count"}}}
+
+    report = _ab_pairs().trace_report
+    lines, correct = report({"ref": traced(True, 0.0171, -0.0113),
+                             "this": traced(True, 0.01562, 0.022)})
+    assert correct
+    assert lines == [
+        "ref   --trace 1: trace.unattributed_share 0.0171  "
+        "trace.overhead_share -0.0113  correct: true",
+        "this  --trace 1: trace.unattributed_share 0.0156  "
+        "trace.overhead_share 0.0220  correct: true",
+    ]
+    lines, correct = report({"ref": traced(True, 0.017, 0.0), "this": traced(False, 0.031, 0.0)})
+    assert not correct and lines[1].endswith("correct: false")

@@ -12,9 +12,13 @@ S is ``run_seconds`` of ``BENCHMARK.json``.
 
 For every end-to-end metric of ``BENCHMARK.json`` the summary prints each
 side's median and quartiles and the pairs this tree wins, in the direction
-of the metric's ``better``; a tie counts for neither side.  The exit code
-is 1 if any run fails or prints ``"correct": false``, 0 otherwise.
-perfbench/ is run, never changed.
+of the metric's ``better``; a tie counts for neither side.  After the pairs,
+each side runs once more with ``--trace 1`` on the first seed, and its
+``trace.unattributed_share``, ``trace.overhead_share`` and ``correct`` are
+printed: a traced run checks that the reported functions account for the
+traced time, which the untraced pairs do not.  The exit code is 1 if any
+run fails or prints ``"correct": false``, traced runs included, 0
+otherwise.  perfbench/ is run, never changed.
 """
 
 from __future__ import annotations
@@ -57,18 +61,35 @@ def summary(end_to_end: list[dict], ref: list[dict], this: list[dict]) -> list[s
     return lines
 
 
-def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The end-to-end metrics of one run.py run in `root`; SystemExit on failure."""
+def trace_report(results: dict[str, dict]) -> tuple[list[str], bool]:
+    """One line per side of its traced run (`results` maps the side's name to
+    the run's JSON line), and whether every side printed correct: true."""
+    lines = []
+    for side, result in results.items():
+        shares = "  ".join(f"{name} {result['metrics'][name]['value']:.4f}"
+                           for name in ("trace.unattributed_share", "trace.overhead_share"))
+        lines.append(f"{side:<5} --trace 1: {shares}  correct: {str(result['correct']).lower()}")
+    return lines, all(result["correct"] for result in results.values())
+
+
+def run_py(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The JSON line of one run.py run in `root`; SystemExit if it fails."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True,
     )
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
         raise SystemExit(f"run failed in {root} (seed {seed}, exit {done.returncode}):\n"
                          + done.stderr[-2000:])
-    result = json.loads(lines[-1])
+    return json.loads(lines[-1])
+
+
+def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The end-to-end metrics of one untraced run.py run in `root`; SystemExit
+    on failure."""
+    result = run_py(root, workload, seed, seconds, 0)
     if not result["correct"]:
         raise SystemExit(f"run in {root} (seed {seed}) printed correct: false")
     return {name: m["value"] for name, m in result["metrics"].items()}
@@ -101,12 +122,16 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1} seed {seed}: latency_tail_ms "
                       f"{ref[-1]['latency_tail_ms']:.4g} -> {this[-1]['latency_tail_ms']:.4g}",
                       flush=True)
+            traced = {side: run_py(root, args.workload, args.seeds[0], spec["run_seconds"], 1)
+                      for side, root in (("ref", tmp), ("this", ROOT))}
         except SystemExit as exc:
             print(exc, file=sys.stderr)
             return 1
     print(f"{args.workload}, {args.pairs} pairs, {args.ref} -> this tree")
     print("\n".join(summary(spec["end_to_end"], ref, this)))
-    return 0
+    lines, correct = trace_report(traced)
+    print("\n".join(lines))
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":
