@@ -101,7 +101,6 @@ class AirySolutionPair:
 class AxialSolution:
     z: np.ndarray
     Z: np.ndarray
-    dZ: np.ndarray
     residual_estimate: float
 
 
@@ -118,13 +117,17 @@ def _require_curved_magnetic(spec: BackgroundSpec) -> _Section:
     return _SECTIONS[spec.geometry]
 
 
-def _axial_grid(spec: BackgroundSpec, z, what: str) -> tuple[_Section, np.ndarray]:
-    """The section and z as a 1-D float array; refuses points off the
-    chart and points where ch^4 z (cos^4 z) meets gamma^2."""
+def _axial_grid(spec: BackgroundSpec, Lambda: float, z, what: str) -> tuple[_Section, np.ndarray]:
+    """The section and z as a 1-D float array; refuses a non-finite Lambda,
+    a NaN z, points off the chart and points where ch^4 z (cos^4 z) meets
+    gamma^2."""
+    require_finite(Lambda=Lambda)
     sec = _require_curved_magnetic(spec)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     g = spec.gamma
-    if not np.all(np.abs(z) <= sec.z_end + 1e-12):  # NaN too
+    if not np.all(np.abs(z) <= sec.z_end + 1e-12):
+        if np.isnan(z).any():
+            raise ParameterError("z must be a number, got nan")
         raise DomainError(f"{spec.geometry} axial coordinate requires |z| <= {sec.z_end_name}")
     if np.any(sec.pole(g, z, _POLE_TOL * max(1.0, g * g))):
         raise PoleError(f"effective {what} pole: ch^4/cos^4 z meets gamma^2 = {g * g}")
@@ -150,7 +153,7 @@ def effective_potential(spec: BackgroundSpec, Lambda: float, z):
     raises DomainError (so does effective_force).
     """
     scalar = np.isscalar(z)
-    sec, z = _axial_grid(spec, z, "potential")
+    sec, z = _axial_grid(spec, Lambda, z, "potential")
     U = sec.u(Lambda, spec.b, spec.gamma, z)
     _require_finite(U, "potential", spec, Lambda)
     return float(U[0]) if scalar else U
@@ -166,7 +169,7 @@ def effective_force(spec: BackgroundSpec, Lambda: float, z):
         spherical:   F = -2 cos z sin z (L cos^4 z + 2 b g cos^2 z + g^2 L)/(cos^4 z - g^2)^2
     """
     scalar = np.isscalar(z)
-    sec, z = _axial_grid(spec, z, "force")
+    sec, z = _axial_grid(spec, Lambda, z, "force")
     force = sec.force(spec.gamma, z)
     F = force(Lambda, spec.b)
     if not np.isfinite(F).all():
@@ -203,6 +206,7 @@ def effective_force_extrema(spec: BackgroundSpec, Lambda: float) -> ExtremaResul
     double raises DomainError; an infinite root beyond the sphere's
     range is simply not admissible.
     """
+    require_finite(Lambda=Lambda)
     sec = _require_curved_magnetic(spec)
     if Lambda == 0.0:
         raise ParameterError("Lambda = 0 degenerates the stationarity quadratic")
@@ -266,7 +270,7 @@ def potential_profile(
     require_int("samples", samples)
     if samples < 2:
         raise ParameterError("need at least 2 samples")
-    require_finite(z_min=z_min, z_max=z_max)
+    require_finite(Lambda=Lambda, z_min=z_min, z_max=z_max)
     if not z_min < z_max:
         raise ParameterError("need z_min < z_max")
     sec = _require_curved_magnetic(spec)
@@ -450,8 +454,8 @@ def integrate_axial(
     If the first failing step fails on tolerance alone (finite estimate
     and scale), the range is integrated once more on the doubled grid,
     2 * steps steps at the same `tol`: the answer is then the requested
-    grid with Z and Z' at the doubled grid's even nodes, and the doubled
-    grid's summed estimates.  A non-finite failure, or a failure on the
+    grid with Z at the doubled grid's even nodes, and the doubled grid's
+    summed estimates.  A non-finite failure, or a failure on the
     doubled grid too, raises StepFailure naming the first failing step
     of the requested grid.
 
@@ -488,23 +492,21 @@ def integrate_axial(
             f"[{lo:g}, {hi:g}]"
         )
 
-    zs, Z, dZ, err, failure = _fehlberg_grid(ode, u, v, z0, z1, steps, tol)
+    zs, Z, err, failure = _fehlberg_grid(ode, u, v, z0, z1, steps, tol)
     if failure is not None:
         message, tolerance_only = failure
         if tolerance_only:
-            _, Z, dZ, err, failure = _fehlberg_grid(ode, u, v, z0, z1, 2 * steps, tol)
+            _, Z, err, failure = _fehlberg_grid(ode, u, v, z0, z1, 2 * steps, tol)
         if failure is not None:
             raise StepFailure(message)
-        Z, dZ = Z[::2], dZ[::2]
-    return AxialSolution(
-        z=zs, Z=Z, dZ=dZ, residual_estimate=float(np.cumsum(err)[-1]),
-    )
+        Z = Z[::2]
+    return AxialSolution(z=zs, Z=Z, residual_estimate=float(np.cumsum(err)[-1]))
 
 
 def _fehlberg_grid(ode: SeparatedODE, u: complex, v: complex, z0: float, z1: float,
                    steps: int, tol: float):
     """Fehlberg 4(5) from (Z, Z') = (u, v) over `steps` equal steps of
-    [z0, z1]: the grid, Z and Z' at its nodes, the per-step local error
+    [z0, z1]: the grid, Z at its nodes, the per-step local error
     estimates and the first failing step as None or (StepFailure text,
     whether it failed on tolerance alone)."""
     h = (z1 - z0) / steps
@@ -545,7 +547,6 @@ def _fehlberg_grid(ode: SeparatedODE, u: complex, v: complex, z0: float, z1: flo
             math.isfinite(err[i]) and math.isfinite(scale[i]),
         )
     Z = np.empty(steps + 1, complex)
-    dZ = np.empty(steps + 1, complex)
-    Z[0], dZ[0] = u, v
-    Z.real[1:], Z.imag[1:], dZ.real[1:], dZ.imag[1:] = Zr, Zi, dZr, dZi
-    return zs, Z, dZ, err, failure
+    Z[0] = u
+    Z.real[1:], Z.imag[1:] = Zr, Zi
+    return zs, Z, err, failure

@@ -134,7 +134,6 @@ class SeparatedODE:
 
     kind: str
     geometry: str
-    field_kind: str
     domain: tuple[float, float]
     pcoef: Callable | None = None
     qcoef: Callable | None = None
@@ -290,7 +289,6 @@ def assemble_radial_ode(spec: BackgroundSpec, qn: QuantumNumbers) -> SeparatedOD
     return SeparatedODE(
         kind="radial",
         geometry=spec.geometry,
-        field_kind=spec.field,
         domain=(0.0, sec.r_end),
         eigen_name=sec.eigen[spec.field],
         weight=sec.w,
@@ -404,7 +402,6 @@ def assemble_axial_ode(
     return SeparatedODE(
         kind="axial",
         geometry=geo,
-        field_kind=spec.field,
         domain=(-sec.z_end, sec.z_end),
         pcoef=pcoef,
         qcoef=qcoef,

@@ -389,8 +389,8 @@ def cmd_verify_tensor(cfg: RunConfig) -> tuple[str, int]:
         _worst(checks, "minimalPolynomial", *minimal_poly_residuals(F, Fd, inv))
 
         Lam = MixedTensor(x[:, 10, None, None] * eye + x[:, 11, None, None] * F.entries)
-        closed, _ = lambda_inverse(consts, F, Fd, inv)
-        general, _ = general_lambda_inverse(consts, F)
+        closed = lambda_inverse(consts, F, Fd, inv)
+        general = general_lambda_inverse(consts, F)
         products = (Lam.entries @ inverse.entries - eye for inverse in (closed, general))
         _worst(checks, "inverseProduct", *(np.abs(P).max(axis=(1, 2)) for P in products))
         generators = MixedTensor(np.concatenate((F.entries, Lam.entries)))

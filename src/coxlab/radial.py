@@ -66,13 +66,12 @@ class SpectrumEntry:
     """One closed-form level.
 
     Lambda is the radial eigenvalue (eps' on the flat section); epsilon
-    and energy are filled only on the flat section, where the spectral
-    parameter is eps = 2ME(1-eta^2) in units hbar = M = 1.
+    is filled only on the flat section, where the spectral parameter is
+    eps = 2ME(1-eta^2) in units hbar = M = 1 (flat_physical_energy gives E).
     """
 
     Lambda: float
     epsilon: float | None = None
-    energy: float | None = None
     valid: bool = True
     reason: str = ""
     branch: str = ""
@@ -130,9 +129,8 @@ def analytic_spectrum(spec: BackgroundSpec, qn: QuantumNumbers) -> SpectrumEntry
 
     if spec.geometry == "flat":
         eps_prime = 4.0 * b * (n + (m + abs(m) + 1) / 2.0)
-        one = 1.0 - spec.eta**2
-        eps = eps_prime + one * (qn.k * qn.k) - 2.0 * spec.eta * b
-        entry = SpectrumEntry(Lambda=eps_prime, epsilon=eps, energy=eps / (2.0 * one))
+        eps = eps_prime + (1.0 - spec.eta**2) * (qn.k * qn.k) - 2.0 * spec.eta * b
+        entry = SpectrumEntry(Lambda=eps_prime, epsilon=eps)
     elif spec.geometry == "lobachevsky":
         s = (m + abs(m)) / 2.0 + n
         t = s + 0.5
@@ -155,7 +153,7 @@ def analytic_spectrum(spec: BackgroundSpec, qn: QuantumNumbers) -> SpectrumEntry
         branch = "m>0" if m > 0 else "-2b<=m<=0" if sigma > 0 else "m<-2b"
         entry = SpectrumEntry(Lambda=Lam, branch=branch)
 
-    for name in ("Lambda", "epsilon", "energy"):
+    for name in ("Lambda", "epsilon"):
         value = getattr(entry, name)
         if value is not None and not math.isfinite(value):
             raise DomainError(f"closed-form {name} = {value} overflows double (b = {spec.b}, k = {qn.k})")
@@ -170,6 +168,7 @@ def flat_physical_energy(spec: BackgroundSpec, qn: QuantumNumbers, eps_prime: fl
     """
     if spec.geometry != "flat" or spec.field != "magnetic":
         raise ParameterError("energy conversion applies to the flat magnetic section")
+    require_finite(eps_prime=eps_prime)
     one = 1.0 - spec.eta**2
     energy = qn.k * qn.k / 2.0 + (eps_prime - 2.0 * spec.eta * spec.b) / (2.0 * one)
     if not math.isfinite(energy):
@@ -452,8 +451,10 @@ def solve_radial_eigen(ode: SeparatedODE, count: int, grid: GridSpec) -> EigenRe
 
 def _oscillatory_parameters(m: int, w_perp: float, what: str) -> tuple[int, complex, complex]:
     """|m|, alpha = |m| + 1/2 - i u and beta = conj(alpha), u = sqrt(w_perp - 1/4);
-    ParameterError naming the oscillatory `what` unless w_perp > 1/4, and
-    naming m unless m is an integer (an integral float counts)."""
+    ParameterError unless w_perp is finite, naming the oscillatory `what`
+    unless w_perp > 1/4, and naming m unless m is an integer (an integral
+    float counts)."""
+    require_finite(w_perp=w_perp)
     if not w_perp > 0.25:
         raise ParameterError(f"oscillatory {what} require w_perp > 1/4")
     if not isinstance(m, numbers.Integral) and not float(m).is_integer():
@@ -475,6 +476,7 @@ def radial_hypergeometric_solution(m: int, w_perp: float, x: float) -> complex:
     Requires w_perp > 1/4 (the oscillatory regime above the continuum edge).
     """
     am, alpha, beta = _oscillatory_parameters(m, w_perp, "solutions")
+    require_finite(x=x)
     if x < 1.0:
         raise DomainError("the variable x = (1 + ch r)/2 satisfies x >= 1")
     a = am / 2.0

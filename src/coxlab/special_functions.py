@@ -489,8 +489,6 @@ def hyp0f1(c: complex, x):
             raise DomainError("hyp0f1 needs finite arguments")
         return _hyp_series_array((), (c,), x)
     _require_finite("hyp0f1", args=(x,))
-    if x == 0:
-        return 1.0 + 0.0j
     return _hyp_series((), (c,), x)
 
 
@@ -512,8 +510,6 @@ def kummer_1f1(a: complex, c: complex, x: complex) -> complex:
     _require_finite("kummer_1f1", (a, c), (x,))
     if _near_nonpositive_int(c):
         raise PoleError(f"1F1 lower parameter c = {c} is a nonpositive integer")
-    if x == 0:
-        return 1.0 + 0.0j
     if x.real < 0.0:
         return cmath.exp(x) * _hyp_series((c - a,), (c,), -x)
     return _hyp_series((a,), (c,), x)

@@ -36,7 +36,6 @@ __all__ = [
     "FieldConfig3",
     "MixedTensor",
     "Invariants",
-    "InverseCoefficients",
     "CharCoeffs",
     "ParticleConstants",
     "FLAT_METRIC",
@@ -101,17 +100,13 @@ class DiagonalMetric:
         return diag
 
     @property
-    def det_g(self) -> float:
-        return _out(np.multiply(self.g00, self.g11) * self.g22 * self.g33)
-
-    @property
     def inv_diag(self) -> np.ndarray:
         """Contravariant components g^{aa} = 1/g_{aa}."""
         return 1.0 / self.diag
 
     @property
     def sqrt_minus_det(self) -> float:
-        return _out(np.sqrt(-np.asarray(self.det_g)))
+        return _out(np.sqrt(-(np.multiply(self.g00, self.g11) * self.g22 * self.g33)))
 
 
 FLAT_METRIC = DiagonalMetric(1.0, -1.0, -1.0, -1.0)
@@ -170,11 +165,6 @@ class MixedTensor:
         if self.entries.shape[-2:] != (4, 4):
             raise ParameterError("mixed tensor must be 4x4 or a (..., 4, 4) stack")
 
-    @property
-    def scalar_kind(self) -> str:
-        """'complex' or 'real', read from the entries' dtype."""
-        return "complex" if np.iscomplexobj(self.entries) else "real"
-
 
 @dataclass(frozen=True)
 class Invariants:
@@ -184,17 +174,6 @@ class Invariants:
     J: float
     residual_I: float = 0.0
     residual_J: float = 0.0
-
-
-@dataclass(frozen=True)
-class InverseCoefficients:
-    """Coefficients of Lambda^{-1} = c0*I + c1*G + c2*G^2 + c3*G^3 and det factor."""
-
-    c0: complex
-    c1: complex
-    c2: complex
-    c3: complex
-    det: complex
 
 
 @dataclass(frozen=True)
@@ -323,7 +302,7 @@ def _nonsingular(D, mu):
 def _closed_form(mu, lam, I, J):
     core = mu * mu - lam * lam * I
     D = _nonsingular(mu * mu * core - lam**4 * J**2, mu)
-    return D, mu * core, -lam * core, lam * mu * mu, mu * lam * lam, lam**3 * J, -(lam**3)
+    return mu * core, lam * mu * mu, mu * lam * lam, lam**3 * J, D
 
 
 def lambda_inverse(
@@ -331,24 +310,19 @@ def lambda_inverse(
     F: MixedTensor,
     F_dual: MixedTensor,
     inv: Invariants,
-) -> tuple[MixedTensor, InverseCoefficients]:
+) -> MixedTensor:
     """Closed-form inverse of Lambda = mu*I + lam*F for a pure field tensor, per trial.
 
     Lambda^{-1} = [ mu (mu^2 - lam^2 I) Id - lam mu^2 F
                     + mu lam^2 F^2 - lam^3 J F* ] / D,
     D = mu^2 (mu^2 - lam^2 I) - lam^4 J^2.
 
-    The reported coefficients are for the power basis (Id, F, F^2, F^3);
-    they reproduce the matrix through the degree-3 identity
-    F^3 = I F + J F*.  Raises SingularLambda when |D| < 1e-12 * mu^4.
+    Raises SingularLambda when |D| < 1e-12 * mu^4.
     """
     A = F.entries
-    D, mu_core, lam_core, lam_mu2, mu_lam2, lam3_J, lam3 = _per_trial(
-        _closed_form, consts.mu, consts.lam, inv.I, inv.J)
-    s0, s1, s2, s3, Dm = (c[..., None, None] for c in (mu_core, lam_mu2, mu_lam2, lam3_J, D))
-    mat = (s0 * np.eye(4) - s1 * A + s2 * (A @ A) - s3 * F_dual.entries) / Dm
-    coeffs = InverseCoefficients(*map(_out, (mu_core / D, lam_core / D, mu_lam2 / D, lam3 / D, D)))
-    return MixedTensor(mat), coeffs
+    s0, s1, s2, s3, Dm = (c[..., None, None] for c in _per_trial(
+        _closed_form, consts.mu, consts.lam, inv.I, inv.J))
+    return MixedTensor((s0 * np.eye(4) - s1 * A + s2 * (A @ A) - s3 * F_dual.entries) / Dm)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +352,7 @@ def newton_char_coeffs(G: MixedTensor) -> CharCoeffs:
     A3 = A2 @ A
     A4 = A2 @ A2
     s1, s2, s3, s4 = (P.trace(axis1=-2, axis2=-1) for P in (A, A2, A3, A4))
-    p1, p2, p3, p4 = (_newton_form(s1, s2, s3, s4) if G.scalar_kind == "real"  # floats round alike
+    p1, p2, p3, p4 = (_newton_form(s1, s2, s3, s4) if not np.iscomplexobj(A)  # floats round alike
                       else _per_trial(_newton_form, s1, s2, s3, s4))
     q1, q2, q3, q4 = (p[..., None, None] for p in (p1, p2, p3, p4))
     residual = np.abs(A4 - q1 * A3 - q2 * A2 - q3 * A - q4 * np.eye(4)).max(axis=(-2, -1))
@@ -389,12 +363,12 @@ def _general_form(mu, lam, p1, p2, p3, p4):
     D = mu**4 + mu**3 * lam * p1 - mu**2 * lam**2 * p2 + mu * lam**3 * p3 - lam**4 * p4
     l0 = mu**3 + mu**2 * lam * p1 - mu * lam**2 * p2 + lam**3 * p3
     l1 = -(mu**2 * lam + mu * lam**2 * p1 - lam**3 * p2)
-    return _nonsingular(D, mu), l0, l1, mu * lam**2 + lam**3 * p1, -(lam**3)
+    return l0, l1, mu * lam**2 + lam**3 * p1, -(lam**3), _nonsingular(D, mu)
 
 
 def general_lambda_inverse(
     consts: ParticleConstants, G: MixedTensor
-) -> tuple[MixedTensor, InverseCoefficients]:
+) -> MixedTensor:
     """Inverse of Lambda = mu*I + lam*G for an arbitrary 4x4 generator G, per trial.
 
     Cayley-Hamilton turns the inverse into a cubic polynomial in G:
@@ -409,13 +383,10 @@ def general_lambda_inverse(
     """
     A = G.entries
     ch = newton_char_coeffs(G)
-    D, l0, l1, l2, l3 = _per_trial(
-        _general_form, consts.mu, consts.lam, ch.p1, ch.p2, ch.p3, ch.p4)
+    c0, c1, c2, c3, Dm = (c[..., None, None] for c in _per_trial(
+        _general_form, consts.mu, consts.lam, ch.p1, ch.p2, ch.p3, ch.p4))
     A2 = A @ A
-    c0, c1, c2, c3, Dm = (c[..., None, None] for c in (l0, l1, l2, l3, D))
-    mat = (c0 * np.eye(4) + c1 * A + c2 * A2 + c3 * (A2 @ A)) / Dm
-    coeffs = InverseCoefficients(*map(_out, (l0 / D, l1 / D, l2 / D, l3 / D, D)))
-    return MixedTensor(mat), coeffs
+    return MixedTensor((c0 * np.eye(4) + c1 * A + c2 * A2 + c3 * (A2 @ A)) / Dm)
 
 
 def ricci_extended_matrix(F: MixedTensor, ricci, scale: float) -> MixedTensor:

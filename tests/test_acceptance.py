@@ -84,8 +84,8 @@ def test_criterion_01_tensor_identity_suite():
             inv = field_invariants(fields, metric)
             r3, r4 = minimal_poly_residuals(F, Fd, inv)
             Lam = consts.mu * eye + consts.lam * F.entries
-            closed, _ = lambda_inverse(consts, F, Fd, inv)
-            general, _ = general_lambda_inverse(consts, F)
+            closed = lambda_inverse(consts, F, Fd, inv)
+            general = general_lambda_inverse(consts, F)
             worst = max(
                 worst,
                 r3,

@@ -3,13 +3,16 @@ parameter names and defaults of every public function and dataclass.
 
 A new option, a renamed parameter or a changed default fails here until
 the snapshot below is edited, so the change shows in the diff for review.
+A public record's field also needs a reader (see test_every_record_field_is_read).
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,6 @@ SURFACE = {
         "FieldConfig3": ("E", "B"),
         "MixedTensor": ("entries",),
         "Invariants": ("I", "J", "residual_I=0.0", "residual_J=0.0"),
-        "InverseCoefficients": ("c0", "c1", "c2", "c3", "det"),
         "CharCoeffs": ("p1", "p2", "p3", "p4", "cayley_residual=0.0"),
         "ParticleConstants": ("mu", "lam"),
         "FLAT_METRIC": None,
@@ -40,7 +42,7 @@ SURFACE = {
         ),
         "QuantumNumbers": ("n", "m", "k=0.0"),
         "SeparatedODE": (
-            "kind", "geometry", "field_kind", "domain", "pcoef=None", "qcoef=None",
+            "kind", "geometry", "domain", "pcoef=None", "qcoef=None",
             "eigen_name=None", "weight=None", "q0_weighted=None", "params=dict()",
         ),
         "assemble_radial_ode": ("spec", "qn"),
@@ -50,7 +52,7 @@ SURFACE = {
     },
     "radial": {
         "SpectrumEntry": (
-            "Lambda", "epsilon=None", "energy=None", "valid=True", "reason=''", "branch=''",
+            "Lambda", "epsilon=None", "valid=True", "reason=''", "branch=''",
         ),
         "GridSpec": ("points", "r_max=None", "tol=1e-06"),
         "EigenResult": ("eigenvalues", "eigenfunctions", "grid", "error_estimates"),
@@ -66,7 +68,7 @@ SURFACE = {
         "ExtremaResult": ("equilibria",),
         "PotentialProfile": ("z_grid", "U", "Fz", "extrema"),
         "AirySolutionPair": ("z1", "z2", "dz1", "dz2", "x_of_z", "turning_point", "wronskian"),
-        "AxialSolution": ("z", "Z", "dZ", "residual_estimate"),
+        "AxialSolution": ("z", "Z", "residual_estimate"),
         "effective_potential": ("spec", "Lambda", "z"),
         "effective_force": ("spec", "Lambda", "z"),
         "effective_force_extrema": ("spec", "Lambda"),
@@ -118,3 +120,48 @@ def test_public_surface_matches_snapshot(module):
 
 def test_cli_entry_point_surface():
     assert _surface(cli.main) == ("argv=None",)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# fields kept without a reader, each with its reason
+UNREAD_FIELDS = {
+    ("radial", "EigenResult", "eigenfunctions"): "the antipode fix (ROADMAP item 2) and the "
+    "allocation work (item 5) decide whether the eigenfunctions are returned",
+    ("radial", "EigenResult", "grid"): "returned with the eigenfunctions (ROADMAP items 2 and 5)",
+    ("tensor_algebra", "Invariants", "residual_I"): "a non-finite residual is field_invariants' "
+    "overflow refusal, safety code",
+    ("tensor_algebra", "Invariants", "residual_J"): "the overflow guard, as residual_I",
+}
+
+
+def _attribute_reads() -> set[str]:
+    """Every name read as an attribute, ``x.name``, in the library, the
+    benchmark and the acceptance criteria."""
+    files = [*ROOT.glob("src/coxlab/*.py"), *ROOT.glob("perfbench/*.py"),
+             ROOT / "tests" / "test_acceptance.py"]
+    return {node.attr for path in files for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_record_field_is_read():
+    """Every field of a public dataclass or NamedTuple is read somewhere that
+    serves a request: a ``.field`` read in src/coxlab, perfbench or the
+    acceptance criteria (a knob or output needs a user).  The match is by
+    name only, so a short name such as ``z`` or ``det`` is satisfied by any
+    read of that attribute (``np.linalg.det`` reads ``.det``): the test
+    finds fields that nothing reads, not every unread one."""
+    reads = _attribute_reads()
+    unread = set()
+    for module, names in SURFACE.items():
+        mod = importlib.import_module(f"coxlab.{module}")
+        for name in names:
+            obj = getattr(mod, name)
+            if dataclasses.is_dataclass(obj) and isinstance(obj, type):
+                fields = [f.name for f in dataclasses.fields(obj)]
+            elif isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields"):
+                fields = list(obj._fields)
+            else:
+                continue
+            unread |= {(module, name, f) for f in fields if f not in reads}
+    assert unread == set(UNREAD_FIELDS)

@@ -40,7 +40,14 @@ from coxlab.backgrounds import (
     assemble_radial_ode,
 )
 from coxlab.errors import DomainError, ParameterError, PoleError, StepFailure
-from coxlab.radial import GridSpec, solve_radial_eigen, spectrum_matched_ode
+from coxlab.radial import (
+    GridSpec,
+    asymptotic_amplitudes,
+    flat_physical_energy,
+    radial_hypergeometric_solution,
+    solve_radial_eigen,
+    spectrum_matched_ode,
+)
 
 import _axial_reference as per_geometry
 
@@ -136,10 +143,11 @@ def test_spherical_effective_values_refuse_points_off_the_chart(fn, z):
 @pytest.mark.parametrize("fn", [effective_potential, effective_force],
                          ids=["potential", "force"])
 def test_effective_values_refuse_a_nan_axial_coordinate(fn, spec):
-    """A NaN z is refused as an axial coordinate, alone or inside an array;
-    it used to reach the formulas and be reported as an overflow."""
+    """A NaN z is refused as a parameter, alone or inside an array; it used
+    to reach the formulas and be reported as an overflow, then as a point
+    off the chart ("requires |z| <= infinity" on Lobachevsky)."""
     for z in (math.nan, np.array([0.1, math.nan])):
-        with pytest.raises(DomainError, match=f"{spec.geometry} axial coordinate requires"):
+        with pytest.raises(ParameterError, match="z must be a number, got nan"):
             fn(spec, 2.0, z)
 
 
@@ -533,9 +541,8 @@ def _per_step_rkf45(ode, ic_left, z_range, steps):
     h = (z1 - z0) / steps
     zs = z0 + h * np.arange(steps + 1)
     Z = np.empty(steps + 1, dtype=complex)
-    dZ = np.empty(steps + 1, dtype=complex)
     y = np.array(ic_left, dtype=complex)
-    Z[0], dZ[0] = y
+    Z[0] = y[0]
     total_err = 0.0
     for i in range(steps):
         k = []
@@ -546,8 +553,8 @@ def _per_step_rkf45(ode, ic_left, z_range, steps):
         err = abs(h) * np.max(np.abs(sum(b * kk for b, kk in zip(_RKF_BERR, k))))
         total_err += err
         y = y_next
-        Z[i + 1], dZ[i + 1] = y
-    return zs, Z, dZ, total_err
+        Z[i + 1] = y[0]
+    return zs, Z, total_err
 
 
 _ASSEMBLED = {
@@ -578,11 +585,10 @@ def test_integrate_axial_matches_per_step_loop(name, schrodinger):
     ode = _schrodinger_form(spec, Lambda, **kw) if schrodinger else assemble_axial_ode(
         spec, Lambda, **kw)
     ic = (1.0 + 0.5j, -0.3 + 0.2j)
-    zs, Z, dZ, total_err = _per_step_rkf45(ode, ic, z_range, 300)
+    zs, Z, total_err = _per_step_rkf45(ode, ic, z_range, 300)
     sol = integrate_axial(ode, ic, z_range, 300)
     assert np.array_equal(sol.z, zs)
     assert np.max(np.abs(sol.Z - Z)) <= 1e-13 * np.max(np.abs(Z))
-    assert np.max(np.abs(sol.dZ - dZ)) <= 1e-13 * np.max(np.abs(dZ))
     # the summed local errors are differences of nearly equal stage sums,
     # so they keep fewer digits than the solution itself
     assert_allclose(sol.residual_estimate, total_err, rtol=1e-6)
@@ -611,13 +617,12 @@ def test_integrate_axial_constant_coefficients():
     """Scalar-valued coefficients broadcast over the stage nodes:
     Z'' + Z = 0 from (1, 0) is cos z."""
     ode = SeparatedODE(
-        kind="axial", geometry="flat", field_kind="electric",
+        kind="axial", geometry="flat",
         domain=(-math.inf, math.inf), pcoef=lambda z: 0.0,
         qcoef=lambda z: 1.0,
     )
     sol = integrate_axial(ode, (1.0, 0.0), (0.0, 3.0), steps=600)
     assert_allclose(sol.Z.real, np.cos(sol.z), atol=1e-10)
-    assert_allclose(sol.dZ.real, -np.sin(sol.z), atol=1e-10)
 
 
 def test_integrate_axial_refuses_non_finite_input():
@@ -685,6 +690,43 @@ def test_non_finite_parameters_are_refused_at_the_entry(name, value):
         _FINITE_ONLY[name](value)
 
 
+_FLAT_MAGNETIC = BackgroundSpec(geometry="flat", b=1.0, eta=0.3)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: effective_potential(LOB, math.nan, 0.5),
+                 "Lambda must be finite, got nan", id="potential-Lambda-nan"),
+    pytest.param(lambda: effective_potential(SPH, math.inf, np.array([0.1, 0.5])),
+                 "Lambda must be finite, got inf", id="potential-Lambda-inf"),
+    pytest.param(lambda: effective_force(LOB, -math.inf, 0.5),
+                 "Lambda must be finite, got -inf", id="force-Lambda-inf"),
+    pytest.param(lambda: effective_force_extrema(SPH, math.nan),
+                 "Lambda must be finite, got nan", id="extrema-Lambda-nan"),
+    pytest.param(lambda: potential_profile(LOB, math.inf, -1.0, 1.0, 11),
+                 "Lambda must be finite, got inf", id="profile-Lambda-inf"),
+    pytest.param(lambda: effective_potential(LOB, 1.0, math.nan),
+                 "z must be a number, got nan", id="potential-z-nan"),
+    pytest.param(lambda: radial_hypergeometric_solution(1, 2.0, math.nan),
+                 "x must be finite, got nan", id="hypergeometric-x-nan"),
+    pytest.param(lambda: radial_hypergeometric_solution(1, 2.0, math.inf),
+                 "x must be finite, got inf", id="hypergeometric-x-inf"),
+    pytest.param(lambda: radial_hypergeometric_solution(1, math.inf, 2.0),
+                 "w_perp must be finite, got inf", id="hypergeometric-w_perp-inf"),
+    pytest.param(lambda: asymptotic_amplitudes(1, math.inf),
+                 "w_perp must be finite, got inf", id="amplitudes-w_perp-inf"),
+    pytest.param(lambda: asymptotic_amplitudes(1, math.nan),
+                 "w_perp must be finite, got nan", id="amplitudes-w_perp-nan"),
+    pytest.param(lambda: flat_physical_energy(_FLAT_MAGNETIC, QuantumNumbers(0, 0), math.nan),
+                 "eps_prime must be finite, got nan", id="energy-eps_prime-nan"),
+])
+def test_non_finite_inputs_are_refused_under_their_own_name(call, message):
+    """Each was refused, but under another name: an overflowing potential,
+    force or energy, a point off the chart, or the gauss_2f1 or
+    gamma_complex call it reached."""
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
 def test_integrate_axial_refuses_range_outside_domain():
     ode = assemble_axial_ode(SPH, 2.0)
     with pytest.raises(DomainError):
@@ -697,7 +739,7 @@ def test_integrate_axial_nan_local_error_is_a_step_failure():
     """A coefficient that turns NaN past z = 0.5 fails the first step
     whose stage nodes reach it, instead of writing NaN rows."""
     ode = SeparatedODE(
-        kind="axial", geometry="flat", field_kind="electric",
+        kind="axial", geometry="flat",
         domain=(-math.inf, math.inf), pcoef=lambda z: np.zeros_like(z),
         qcoef=lambda z: np.where(z > 0.5, math.nan, 1.0),
     )
@@ -721,7 +763,7 @@ def _complex_loop(ode, ic_left, z_range, steps, tol=1e-9):
      (a50, a51, a52, a53, a54)) = _RKF_A
     b0, _, b2, b3, b4, _ = _RKF_B4
     e0, _, e2, e3, e4, e5 = _RKF_BERR
-    Z, dZ = [u], [v]
+    Z = [u]
     total_err = 0.0
     # stage j evaluates f = (v, -(p v + q u)) at (u_j, v_j); k_j = (v_j, g_j)
     for i, (p0, p1, p2, p3, p4, p5), (q0, q1, q2, q3, q4, q5) in zip(range(steps), P, Q):
@@ -751,11 +793,7 @@ def _complex_loop(ode, ic_left, z_range, steps, tol=1e-9):
             )
         total_err += err
         Z.append(u)
-        dZ.append(v)
-    return AxialSolution(
-        z=zs, Z=np.array(Z, dtype=complex), dZ=np.array(dZ, dtype=complex),
-        residual_estimate=total_err,
-    )
+    return AxialSolution(z=zs, Z=np.array(Z, dtype=complex), residual_estimate=total_err)
 
 
 def _complex_loop_retried(ode, ic_left, z_range, steps, tol=1e-9):
@@ -777,7 +815,7 @@ def _complex_loop_retried(ode, ic_left, z_range, steps, tol=1e-9):
         raise first from None
     z0, z1 = float(z_range[0]), float(z_range[1])
     return AxialSolution(
-        z=z0 + (z1 - z0) / steps * np.arange(steps + 1), Z=fine.Z[::2], dZ=fine.dZ[::2],
+        z=z0 + (z1 - z0) / steps * np.arange(steps + 1), Z=fine.Z[::2],
         residual_estimate=fine.residual_estimate,
     )
 
@@ -797,7 +835,6 @@ def _assert_same_outcome(ode, ic, z_range, steps, tol=1e-9):
         return "failed"
     assert np.array_equal(got.z, ref.z)
     assert np.array_equal(got.Z, ref.Z)
-    assert np.array_equal(got.dZ, ref.dZ)
     assert got.residual_estimate == ref.residual_estimate
     return "solved"
 
@@ -824,7 +861,7 @@ def _seeded_axial_cases(seed=2024):
 @pytest.mark.parametrize("ode, ic, z_range, steps, tol", _seeded_axial_cases())
 def test_integrate_axial_reproduces_complex_loop_bit_for_bit(ode, ic, z_range, steps, tol):
     """Real and imaginary parts as separate real passes give the complex
-    loop's z, Z, dZ and residual_estimate exactly, or its StepFailure,
+    loop's z, Z and residual_estimate exactly, or its StepFailure,
     with the same one retry on the doubled grid."""
     _assert_same_outcome(ode, ic, z_range, steps, tol)
 
@@ -843,7 +880,7 @@ def test_integrate_axial_refuses_complex_coefficients(pcoef, qcoef):
     """No assembled equation has complex p or q; the one-pass-per-part
     recurrence assumes real ones, so complex coefficients are refused."""
     ode = SeparatedODE(
-        kind="axial", geometry="flat", field_kind="electric",
+        kind="axial", geometry="flat",
         domain=(-math.inf, math.inf), pcoef=pcoef, qcoef=qcoef,
     )
     for ic in [(1.0, 0.0), (1.0 - 0.5j, 0.2 + 0.1j)]:
@@ -967,7 +1004,7 @@ def test_integrate_axial_non_finite_values_fail_like_the_complex_loop(bad, ic):
     non-finite value fails its step even where the complex loop's
     max(|eZ|, NaN) or inf <= inf let it pass."""
     ode = SeparatedODE(
-        kind="axial", geometry="flat", field_kind="electric",
+        kind="axial", geometry="flat",
         domain=(-math.inf, math.inf), pcoef=lambda z: np.zeros_like(z),
         qcoef=lambda z: np.where(z > 0.5, bad, 1.0),
     )
@@ -993,7 +1030,7 @@ def _bad_at_one_mid_step_node(bad):
     h = 0.01
     mid_step = (h * np.arange(100)[:, None] + h * np.array(_RKF_C))[40, 5]
     return SeparatedODE(
-        kind="axial", geometry="flat", field_kind="electric",
+        kind="axial", geometry="flat",
         domain=(-math.inf, math.inf),
         pcoef=lambda z: np.where(z == mid_step, bad, 0.0),
         qcoef=lambda z: 1.0 + 0.0 * z,
@@ -1007,7 +1044,7 @@ def test_integrate_axial_non_finite_error_or_scale_fails_under_any_tol():
         integrate_axial(_bad_at_one_mid_step_node(math.inf), (2.0, 0.3), (0.0, 1.0), 100,
                         tol=1.7e308)
     free = SeparatedODE(
-        kind="axial", geometry="flat", field_kind="electric",
+        kind="axial", geometry="flat",
         domain=(-math.inf, math.inf), pcoef=lambda z: 0.0,
         qcoef=lambda z: 0.0 * z,
     )
@@ -1024,7 +1061,7 @@ def test_integrate_axial_peak_memory_below_the_complex_loop():
     lists of Python complex)."""
     steps = 2048  # two whole chunks, so the loop ends holding a full one
     ode = SeparatedODE(
-        kind="axial", geometry="flat", field_kind="electric",
+        kind="axial", geometry="flat",
         domain=(-math.inf, math.inf), pcoef=lambda z: 0.0,
         qcoef=lambda z: 1.0,
     )
@@ -1121,11 +1158,22 @@ def test_curved_axial_functions_equal_the_per_geometry_originals():
     """Seeded draws over both curved sections, with b, gamma and Lambda up
     to +-1e308, subnormal, signed zero and the degenerate gamma in
     {0, +-1, +-3/4}: poles, equilibria, U and F are the originals' bits,
-    or their refusals by type and message."""
+    or their refusals by type and message.  A NaN or infinite Lambda, which
+    the originals reported as an overflow, is refused at the entry."""
     kinds = set()
+    refused = 0
     for spec, L, z in _curved_draws(2030, 1500):
         assert _pole_locations(_SECTIONS[spec.geometry], spec.gamma) == (
             per_geometry._pole_locations(spec))
+        if not math.isfinite(L):
+            for fn in (effective_potential, effective_force):
+                for arg in (z, float(z[0])):
+                    assert _outcome_bits(fn, spec, L, arg) == (
+                        ParameterError, f"Lambda must be finite, got {L}")
+            assert _outcome_bits(effective_force_extrema, spec, L) == (
+                ParameterError, f"Lambda must be finite, got {L}")
+            refused += 1
+            continue
         for new, old in ((effective_potential, per_geometry.effective_potential),
                          (effective_force, per_geometry.effective_force)):
             for arg in (z, float(z[0])):
@@ -1135,3 +1183,4 @@ def test_curved_axial_functions_equal_the_per_geometry_originals():
         want = _outcome_bits(per_geometry.effective_force_extrema, spec, L)
         assert _outcome_bits(effective_force_extrema, spec, L) == want
     assert {str, tuple} <= kinds
+    assert refused >= 30

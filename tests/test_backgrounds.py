@@ -136,10 +136,11 @@ _RADIAL_TABLE = {
 }
 
 
-def _assert_radial_table(ode, m, b, rs):
-    """q0 and the weight equal the table bit for bit, on the array and on
-    each of its points as a scalar; pcoef and qcoef are the axial form's."""
-    q0, w = _RADIAL_TABLE[ode.geometry, ode.field_kind]
+def _assert_radial_table(ode, field, m, b, rs):
+    """q0 and the weight equal the `field` row of the table bit for bit, on
+    the array and on each of its points as a scalar; pcoef and qcoef are the
+    axial form's."""
+    q0, w = _RADIAL_TABLE[ode.geometry, field]
     m = float(m)
     for r in [rs] + [float(x) for x in rs]:
         x = np.asarray(r, dtype=float)
@@ -152,7 +153,7 @@ def test_radial_flat_magnetic_coefficients():
     ode = assemble_radial_ode(_spec("flat", b=1.0), QuantumNumbers(n=0, m=2))
     rs = np.array([0.3, 1.0, 2.5])
     assert_allclose(_q0(ode, rs), -((2.0 - rs**2) ** 2) / rs**2, rtol=1e-14)
-    _assert_radial_table(ode, 2, 1.0, rs)
+    _assert_radial_table(ode, "magnetic", 2, 1.0, rs)
     assert ode.eigen_name == "eps_prime"
     assert ode.weight(2.0) == 2.0
 
@@ -162,7 +163,7 @@ def test_radial_lobachevsky_magnetic_coefficients():
     rs = np.array([0.2, 0.9, 3.0])
     expected = -((1.0 - 5.0 * (np.cosh(rs) - 1.0)) ** 2) / np.sinh(rs) ** 2
     assert_allclose(_q0(ode, rs), expected, rtol=1e-14)
-    _assert_radial_table(ode, 1, 5.0, rs)
+    _assert_radial_table(ode, "magnetic", 1, 5.0, rs)
     assert ode.eigen_name == "Lambda"
     assert_allclose(ode.weight(rs), np.sinh(rs))
 
@@ -172,7 +173,7 @@ def test_radial_spherical_magnetic_coefficients():
     rs = np.array([0.4, 1.5, 2.8])
     expected = -((-1.0 + 2.0 * (np.cos(rs) - 1.0)) ** 2) / np.sin(rs) ** 2
     assert_allclose(_q0(ode, rs), expected, rtol=1e-13)
-    _assert_radial_table(ode, -1, 2.0, rs)
+    _assert_radial_table(ode, "magnetic", -1, 2.0, rs)
     assert ode.domain == (0.0, math.pi)
 
 
@@ -186,7 +187,7 @@ def test_radial_electric_coefficients():
     assert_allclose(_q0(sph, 1.0), -4.0 / math.sin(1.0) ** 2)
     rs = np.array([0.25, 1.0, 2.0, 3.0])
     for ode, m in ((flat, 3), (lob, 2), (sph, 2)):
-        _assert_radial_table(ode, m, 0.0, rs)
+        _assert_radial_table(ode, "electric", m, 0.0, rs)
 
 
 # m and b for the chart-end checks: m + 2b != 0, so the antipode is not degenerate
@@ -254,7 +255,8 @@ def test_axial_electric_refuses_unphysical_parameters(geo, kw, message):
     spec = _spec(geo, "electric", nu=1.0, gamma=0.3)
     with pytest.raises(ParameterError, match=message):
         assemble_axial_ode(spec, 2.0, **kw)
-    assert assemble_axial_ode(spec, 2.0, mu2=0.0).field_kind == "electric"
+    massless = assemble_axial_ode(spec, 2.0, mu2=0.0)
+    assert np.isfinite(massless.qcoef(np.array([-0.1, 0.0, 0.1]))).all()
 
 
 def test_axial_lobachevsky_magnetic_coefficients():

@@ -96,8 +96,8 @@ def _verify_tensor_per_trial(argv):
             inv = field_invariants(fields, metric)
             res_minpoly = max(res_minpoly, *minimal_poly_residuals(F, Fd, inv))
             Lam = MixedTensor(consts.mu * eye + consts.lam * F.entries)
-            closed, _ = lambda_inverse(consts, F, Fd, inv)
-            general, _ = general_lambda_inverse(consts, F)
+            closed = lambda_inverse(consts, F, Fd, inv)
+            general = general_lambda_inverse(consts, F)
             res_inverse = max(res_inverse,
                               float(np.max(np.abs(Lam.entries @ closed.entries - eye))),
                               float(np.max(np.abs(Lam.entries @ general.entries - eye))))

@@ -50,7 +50,7 @@ def test_flat_ground_level():
     e = analytic_spectrum(FLAT, QuantumNumbers(0, 0))
     assert_allclose(e.Lambda, 2.0)
     assert_allclose(e.epsilon, 2.0)
-    assert_allclose(e.energy, 1.0)
+    assert_allclose(flat_physical_energy(FLAT, QuantumNumbers(0, 0), e.Lambda), 1.0)
     assert e.valid
 
 
@@ -60,7 +60,7 @@ def test_flat_ground_level_with_structure():
     e = analytic_spectrum(spec, QuantumNumbers(0, 0))
     assert_allclose(e.Lambda, 2.0)  # radial eigenvalue is eta-free
     assert_allclose(e.epsilon, 1.0)
-    assert_allclose(e.energy, 1.0 / 1.5)
+    assert_allclose(flat_physical_energy(spec, QuantumNumbers(0, 0), e.Lambda), 1.0 / 1.5)
 
 
 def test_flat_m_dependence():
@@ -74,10 +74,13 @@ def test_flat_m_dependence():
 
 def test_flat_k_enters_epsilon_only():
     spec = BackgroundSpec(geometry="flat", b=1.0, eta=0.3)
-    e = analytic_spectrum(spec, QuantumNumbers(1, 0, k=2.0))
+    qn = QuantumNumbers(1, 0, k=2.0)
+    e = analytic_spectrum(spec, qn)
     assert_allclose(e.Lambda, 6.0)
     assert_allclose(e.epsilon, 6.0 + (1 - 0.09) * 4.0 - 0.6)
-    assert_allclose(e.energy, e.epsilon / (2 * (1 - 0.09)))
+    # E = eps / (2 (1 - eta^2)), the level's energy from its radial eigenvalue
+    assert_allclose(flat_physical_energy(spec, qn, e.Lambda), e.epsilon / (2 * (1 - 0.09)),
+                    rtol=1e-15)
 
 
 def test_lobachevsky_ladder_b5():
@@ -230,6 +233,17 @@ def test_flat_physical_energy_refuses_overflow():
     with pytest.raises(DomainError, match="energy"):  # eps' / (2 (1 - eta^2)) overflows
         flat_physical_energy(structured, QuantumNumbers(0, 0), 1e308)
     assert flat_physical_energy(spec, QuantumNumbers(0, 0, k=1e150), 2.0) == 1e150 * 1e150 / 2.0 + 1.0
+
+
+def test_flat_level_is_not_refused_for_its_energy():
+    """A level with finite Lambda and epsilon is returned even where its
+    energy, which the entry does not carry, overflows double: only
+    flat_physical_energy refuses that."""
+    spec = BackgroundSpec(geometry="flat", b=1e295, eta=0.9999999999999999)
+    e = analytic_spectrum(spec, QuantumNumbers(1, 0))
+    assert (e.Lambda, e.epsilon) == (6e295, 4e295)
+    with pytest.raises(DomainError, match="energy = inf"):
+        flat_physical_energy(spec, QuantumNumbers(1, 0), e.Lambda)
 
 
 @given(n=st.integers(0, 20), m=st.integers(-10, 10))

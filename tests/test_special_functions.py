@@ -262,11 +262,23 @@ def test_non_finite_inputs_are_refused(call, error):
 
 
 def test_hyp0f1_refuses_a_nonpositive_integer_c():
+    """At x = 0 too: the scalar form used to answer 1 there."""
     for c in (0, -2, -2.0):
-        with pytest.raises(PoleError, match="lower parameter .* is a nonpositive integer"):
-            hyp0f1(c, 0.5)
-        with pytest.raises(PoleError, match="nonpositive integer"):
-            hyp0f1(c, np.array([0.5, -1.0]))
+        for x in (0.5, 0.0):
+            with pytest.raises(PoleError, match="lower parameter .* is a nonpositive integer"):
+                hyp0f1(c, x)
+            with pytest.raises(PoleError, match="nonpositive integer"):
+                hyp0f1(c, np.array([x, -1.0]))
+
+
+def test_confluent_functions_are_exactly_one_at_zero():
+    """0F1 and 1F1 at x = 0 (either sign of zero) with a regular c, real or
+    complex, are exactly 1 + 0j, from the series itself."""
+    for c in (1.5, 2, -2.5, 1e-3, 0.3 + 0.2j):
+        for x in (0, 0.0, -0.0, 0j, complex(-0.0, -0.0)):
+            assert repr(hyp0f1(c, x)) == "(1+0j)", (c, x)
+            assert repr(kummer_1f1(0.7 - 0.4j, c, x)) == "(1+0j)", (c, x)
+        assert [repr(v) for v in hyp0f1(c, np.array([0.0, -0.0])).tolist()] == ["(1+0j)"] * 2
 
 
 def test_bessel_j_fractional_at_zero():

@@ -242,7 +242,7 @@ def test_lambda_inverse_product_random():
         Fx = dual_tensor(fields, metric)
         inv = field_invariants(fields, metric)
         try:
-            Linv, _ = lambda_inverse(consts, F, Fx, inv)
+            Linv = lambda_inverse(consts, F, Fx, inv)
         except SingularLambda:
             continue
         Lam = consts.mu * ID4 + consts.lam * F.entries
@@ -257,20 +257,20 @@ def test_lambda_inverse_zero_coupling():
     F = build_mixed_field_tensor(fields, FLAT_METRIC)
     Fx = dual_tensor(fields, FLAT_METRIC)
     inv = field_invariants(fields, FLAT_METRIC)
-    Linv, coeffs = lambda_inverse(consts, F, Fx, inv)
-    assert np.allclose(Linv.entries, ID4 / 2.0, atol=1e-15)
-    assert (coeffs.c0, coeffs.c1, coeffs.c2, coeffs.c3) == (0.5, 0.0, 0.0, 0.0)
+    Linv = lambda_inverse(consts, F, Fx, inv)
+    assert np.array_equal(Linv.entries, ID4 / 2.0)  # exactly Id/mu
 
 
 def test_lambda_inverse_pure_magnetic_denominator():
+    """D = det Lambda, so the inverse's determinant is 1/D."""
     mu, lam, B = 1.0, 0.3, 1.4
     b = lam * B
     fields = FieldConfig3((0.0,) * 3, (0.0, 0.0, B))
     F = build_mixed_field_tensor(fields, FLAT_METRIC)
     Fx = dual_tensor(fields, FLAT_METRIC)
     inv = field_invariants(fields, FLAT_METRIC)
-    _, coeffs = lambda_inverse(ParticleConstants(mu, lam), F, Fx, inv)
-    assert coeffs.det == pytest.approx(mu**4 + mu**2 * b**2, rel=1e-14)
+    Linv = lambda_inverse(ParticleConstants(mu, lam), F, Fx, inv)
+    assert np.linalg.det(Linv.entries) == pytest.approx(1.0 / (mu**4 + mu**2 * b**2), rel=1e-14)
 
 
 def test_lambda_inverse_pure_electric_entry():
@@ -280,9 +280,9 @@ def test_lambda_inverse_pure_electric_entry():
     F = build_mixed_field_tensor(fields, FLAT_METRIC)
     Fx = dual_tensor(fields, FLAT_METRIC)
     inv = field_invariants(fields, FLAT_METRIC)
-    Linv, coeffs = lambda_inverse(ParticleConstants(mu, lam), F, Fx, inv)
+    Linv = lambda_inverse(ParticleConstants(mu, lam), F, Fx, inv)
     D = mu**4 - mu**2 * e**2
-    assert coeffs.det == pytest.approx(D, rel=1e-14)
+    assert np.linalg.det(Linv.entries) == pytest.approx(1.0 / D, rel=1e-14)
     assert Linv.entries[0, 0] == pytest.approx(mu**3 / D, rel=1e-13)
 
 
@@ -368,16 +368,16 @@ def test_antisymmetric_reduction_and_quartic_trace_sign():
 
 def test_general_inverse_zero_generator():
     consts = ParticleConstants(mu=1.5, lam=0.7)
-    Linv, coeffs = general_lambda_inverse(consts, MixedTensor(np.zeros((4, 4))))
+    Linv = general_lambda_inverse(consts, MixedTensor(np.zeros((4, 4))))
     assert np.allclose(Linv.entries, ID4 / 1.5, atol=1e-15)
-    assert coeffs.c0 == pytest.approx(1.0 / 1.5, rel=1e-15)
+    assert np.diag(Linv.entries) == pytest.approx([1.0 / 1.5] * 4, rel=1e-15)
 
 
 @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
 def test_general_inverse_constant_curvature(R):
     consts = ParticleConstants(mu=1.0, lam=0.3)
     G = MixedTensor((R / 4.0) * ID4)
-    Linv, _ = general_lambda_inverse(consts, G)
+    Linv = general_lambda_inverse(consts, G)
     assert np.allclose(Linv.entries, ID4 / (1.0 + 0.3 * R / 4.0), atol=1e-13)
     nil = G.entries - (R / 4.0) * ID4
     assert np.max(np.abs(np.linalg.matrix_power(nil, 4))) <= 1e-12
@@ -391,7 +391,7 @@ def test_general_inverse_random_complex():
             mu=float(rng.uniform(0.8, 2.0)), lam=float(rng.uniform(-0.3, 0.3))
         )
         try:
-            Linv, _ = general_lambda_inverse(consts, MixedTensor(G))
+            Linv = general_lambda_inverse(consts, MixedTensor(G))
         except SingularLambda:
             continue
         Lam = consts.mu * ID4 + consts.lam * G
@@ -410,12 +410,11 @@ def test_general_matches_closed_form_on_field_tensors():
         Fx = dual_tensor(fields, metric)
         inv = field_invariants(fields, metric)
         try:
-            L1, c1 = lambda_inverse(consts, F, Fx, inv)
-            L2, c2 = general_lambda_inverse(consts, F)
+            L1 = lambda_inverse(consts, F, Fx, inv)
+            L2 = general_lambda_inverse(consts, F)
         except SingularLambda:
             continue
         assert np.max(np.abs(L1.entries - L2.entries)) <= 1e-12
-        assert c1.det == pytest.approx(c2.det, rel=1e-11)
 
 
 def test_ricci_extension():
@@ -423,7 +422,7 @@ def test_ricci_extension():
         FieldConfig3((0.3, 0.0, 0.0), (0.0, 0.0, 0.8)), FLAT_METRIC
     )
     G = ricci_extended_matrix(F, 2.0, 0.25)
-    assert G.scalar_kind == "complex"
+    assert G.entries.dtype == complex
     assert np.allclose(G.entries, F.entries + 0.5j * ID4, atol=1e-15)
     R = np.diag([1.0, 2.0, 3.0, 4.0])
     G2 = ricci_extended_matrix(F, R, 0.5)
@@ -432,21 +431,19 @@ def test_ricci_extension():
 
 def test_mixed_tensor_kind_follows_entries():
     ints = MixedTensor(np.eye(4, dtype=int))
-    assert ints.entries.dtype == float and ints.scalar_kind == "real"
+    assert ints.entries.dtype == float
     assert MixedTensor(ID4.tolist()).entries.dtype == float
     zero_imag = MixedTensor(ID4 + 0j)  # complex entries stay complex
-    assert zero_imag.entries.dtype == complex and zero_imag.scalar_kind == "complex"
+    assert zero_imag.entries.dtype == complex
     assert MixedTensor(np.zeros((3, 4, 4), dtype=np.complex64)).entries.dtype == complex
     F = build_mixed_field_tensor(FieldConfig3((0.3, 0.0, 0.0), (0.0, 0.0, 0.8)), FLAT_METRIC)
-    assert F.scalar_kind == "real"
+    assert F.entries.dtype == float
     G = ricci_extended_matrix(F, 0.0, 0.0)  # zero curvature: still the complex generator
-    assert G.entries.dtype == complex and G.scalar_kind == "complex"
+    assert G.entries.dtype == complex
     consts = ParticleConstants(1.0, 0.2)
-    assert general_lambda_inverse(consts, G)[0].scalar_kind == "complex"
-    assert general_lambda_inverse(consts, F)[0].scalar_kind == "real"
-    with pytest.raises(AttributeError):  # read from the entries, never set
-        F.scalar_kind = "complex"
-    with pytest.raises(TypeError):
+    assert general_lambda_inverse(consts, G).entries.dtype == complex
+    assert general_lambda_inverse(consts, F).entries.dtype == float
+    with pytest.raises(TypeError):  # the kind is the entries', never an option
         MixedTensor(ID4, "complex")
 
 
@@ -478,7 +475,7 @@ def _trial(stack, k):
 def _values(result, k):
     """Entries of trial k of a stacked result, in the layout of a per-trial result."""
     if isinstance(result, MixedTensor):
-        return result.entries[k].tolist(), result.scalar_kind
+        return result.entries[k].tolist(), result.entries.dtype
     if isinstance(result, tuple):
         return tuple(_values(part, k) for part in result)
     if isinstance(result, np.ndarray):
@@ -489,7 +486,7 @@ def _values(result, k):
 def _plain(result):
     """A per-trial result in the layout of _values."""
     if isinstance(result, MixedTensor):
-        return result.entries.tolist(), result.scalar_kind
+        return result.entries.tolist(), result.entries.dtype
     if isinstance(result, tuple):
         return tuple(_plain(part) for part in result)
     if isinstance(result, (float, complex)):
@@ -540,7 +537,7 @@ def test_single_matrix_keeps_scalar_types():
             values = (part,) if isinstance(part, float) else tuple(vars(part).values())
             kinds = {type(v) for v in values}
             assert kinds <= ({float, complex} if "complex" in name else {float}), (name, kinds)
-    assert type(FLAT_METRIC.det_g) is float and type(FLAT_METRIC.sqrt_minus_det) is float
+    assert type(FLAT_METRIC.sqrt_minus_det) is float
 
 
 @pytest.mark.parametrize(

@@ -61,23 +61,34 @@ def test_ab_pairs_summary_on_canned_runs():
 
 
 def test_ab_pairs_trace_report_on_canned_runs():
-    """Each side's traced shares, and failure when either side's traced run
-    printed correct: false (a check the untraced pairs cannot fail)."""
+    """Each traced run's shares and its headroom below the traced check's
+    bound, max(0, overhead) + margin; failure when any run printed
+    correct: false (a check the untraced pairs cannot fail)."""
     def traced(correct, unattributed, overhead):
         return {"correct": correct, "attempted": 10, "failed": 0, "metrics": {
             "trace.unattributed_share": {"value": unattributed, "unit": "share"},
             "trace.overhead_share": {"value": overhead, "unit": "share"},
             "axial.integrate_axial.calls": {"value": 10, "unit": "count"}}}
 
-    report = _ab_pairs().trace_report
-    lines, correct = report({"ref": traced(True, 0.0171, -0.0113),
-                             "this": traced(True, 0.01562, 0.022)})
+    ab_pairs = _ab_pairs()
+    assert ab_pairs.UNATTRIBUTED_MARGIN == 0.02  # read from perfbench/run.py
+    lines, correct = ab_pairs.trace_report([
+        ("ref", 101, traced(True, 0.0171, -0.0113)),
+        ("this", 101, traced(True, 0.01562, 0.022)),
+        ("ref", 102, traced(True, 0.0162, 0.0)),
+        ("this", 102, traced(True, 0.0195, -0.023)),
+    ])
     assert correct
     assert lines == [
-        "ref   --trace 1: trace.unattributed_share 0.0171  "
-        "trace.overhead_share -0.0113  correct: true",
-        "this  --trace 1: trace.unattributed_share 0.0156  "
-        "trace.overhead_share 0.0220  correct: true",
+        "ref   seed 101 --trace 1: trace.unattributed_share 0.0171  "
+        "trace.overhead_share -0.0113  headroom 0.0029  correct: true",
+        "this  seed 101 --trace 1: trace.unattributed_share 0.0156  "
+        "trace.overhead_share 0.0220  headroom 0.0264  correct: true",
+        "ref   seed 102 --trace 1: trace.unattributed_share 0.0162  "
+        "trace.overhead_share 0.0000  headroom 0.0038  correct: true",
+        "this  seed 102 --trace 1: trace.unattributed_share 0.0195  "
+        "trace.overhead_share -0.0230  headroom 0.0005  correct: true",
     ]
-    lines, correct = report({"ref": traced(True, 0.017, 0.0), "this": traced(False, 0.031, 0.0)})
-    assert not correct and lines[1].endswith("correct: false")
+    lines, correct = ab_pairs.trace_report([("ref", 101, traced(True, 0.017, 0.0)),
+                                            ("this", 103, traced(False, 0.031, 0.0))])
+    assert not correct and lines[1].endswith("headroom -0.0110  correct: false")
